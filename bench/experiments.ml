@@ -670,18 +670,19 @@ let ablation_online profile =
     [ 0.; 0.25; 0.5; 0.75; 1. ];
   Table.print table
 
-(* -- Sparse vs dense flow network (CSR core) ---------------------------- *)
+(* -- Similarity-pruned flow network (CSR core) -------------------------- *)
 
-(* Machine-readable comparison of the similarity-pruned sparse network
-   against the paper's dense one, written to BENCH_sparse.json: per cell,
-   wall time, peak live heap, (v,u) arc counts and MaxSum for both
-   constructions, plus the instance's measured zero-similarity pair
-   fraction. Equation-1 similarity virtually never produces zero-sim pairs
-   (its cutoff is the attribute-space diameter), so the *-tight cells
-   re-wrap the same entities under a euclidean profile with range T/8 —
-   there distances beyond the cutoff underflow to similarity exactly 0 and
-   the sparse builder visibly prunes (the Zipf cell clears 50% zero-sim
-   because Zipf mass piles up near 0 while the tail sits far away). *)
+(* Machine-readable profile of MinCostFlow-GEACC on the similarity-pruned
+   network, written to BENCH_sparse.json: per cell, the instance's measured
+   zero-similarity pair fraction, the (v,u) arcs emitted against the
+   |V|·|U| pairs of the paper's construction, best-of-3 wall time, peak
+   live heap and MaxSum. Equation-1 similarity virtually never produces
+   zero-sim pairs (its cutoff is the attribute-space diameter), so the
+   *-tight cells re-wrap the same entities under a euclidean profile with
+   a shorter range — there distances beyond the cutoff underflow to
+   similarity exactly 0 and the builder visibly prunes (the Zipf cell
+   clears 50% zero-sim because Zipf mass piles up near 0 while the tail
+   sits far away). *)
 
 let sparse_cell ~name instance =
   let n_v = Instance.n_events instance
@@ -693,76 +694,28 @@ let sparse_cell ~name instance =
     done
   done;
   let zero_frac = float_of_int !zero /. float_of_int (n_v * n_u) in
-  (* A cell with no zero-similarity pairs gives the sparse builder nothing
-     to prune: dense and sparse emit the same arcs, so the dense-vs-sparse
-     speedup expectation is waived there (uniform-eq1 by construction —
-     equation-1 similarity's cutoff is the attribute-space diameter). The
-     cell still runs and still gates MaxSum equality and the int kernel;
-     only the speedup reading is exempt, and the JSON says so explicitly
-     so downstream gates key off [speedup_expected] instead of guessing
-     from the ratio. *)
-  let no_prune = !zero = 0 in
-  let run ~cost_kernel network =
-    (* Best-of-3 wall time: the solves are CPU-bound and side-effect
-       free, so the minimum is the least-noise estimator — single-shot
-       timings on shared CI runners swing by 2x and would drown the
-       kernel and network ratios the cell exists to track. *)
-    let best = ref infinity and result = ref None in
-    for _ = 1 to 3 do
-      let (m, stats), wall_s =
-        Measure.time (fun () ->
-            Mincostflow.solve_with_stats ~network ~cost_kernel instance)
-      in
-      if wall_s < !best then begin
-        best := wall_s;
-        result := Some (m, stats)
-      end
-    done;
-    let m, stats = Option.get !result in
-    let _, peak_bytes, peak_mode =
-      Measure.run_with_peak (fun () ->
-          Mincostflow.solve_with_stats ~network ~cost_kernel instance)
+  (* Best-of-3 wall time: the solves are CPU-bound and side-effect free,
+     so the minimum is the least-noise estimator — single-shot timings on
+     shared CI runners swing by 2x. *)
+  let best = ref infinity and result = ref None in
+  for _ = 1 to 3 do
+    let (m, stats), wall_s =
+      Measure.time (fun () -> Mincostflow.solve_with_stats instance)
     in
-    (m, stats, !best, peak_bytes, peak_mode)
+    if wall_s < !best then begin
+      best := wall_s;
+      result := Some (m, stats)
+    end
+  done;
+  let m, stats = Option.get !result in
+  let _, peak_bytes, peak_mode =
+    Measure.run_with_peak (fun () -> Mincostflow.solve_with_stats instance)
   in
-  (* Dense vs sparse both on the float kernel, so the cell keeps measuring
-     the network construction alone; the int-vs-float comparison below
-     pins the network to sparse and varies only the kernel. *)
-  let dm, ds, dt, dmem, dmode =
-    run ~cost_kernel:Mincostflow.Float_kernel Mincostflow.Dense
-  in
-  let sm, ss, st, smem, smode =
-    run ~cost_kernel:Mincostflow.Float_kernel Mincostflow.Sparse
-  in
-  let im, is_, it, imem, imode =
-    run ~cost_kernel:Mincostflow.Int_kernel Mincostflow.Sparse
-  in
-  let dsum = Matching.maxsum dm
-  and ssum = Matching.maxsum sm
-  and isum = Matching.maxsum im in
-  let bits_equal = Int64.bits_of_float dsum = Int64.bits_of_float ssum in
-  let int_bits_equal = Int64.bits_of_float ssum = Int64.bits_of_float isum in
-  if not bits_equal then
-    Printf.eprintf "[bench] sparse-flow %s: MAXSUM MISMATCH %.17g vs %.17g\n%!"
-      name dsum ssum;
-  if not int_bits_equal then
-    Printf.eprintf
-      "[bench] sparse-flow %s: INT-KERNEL MAXSUM MISMATCH %.17g vs %.17g\n%!"
-      name ssum isum;
+  let maxsum = Matching.maxsum m in
   Printf.eprintf
-    "[bench] sparse-flow %s: zero-sim %.0f%%, arcs %d -> %d, %.1f ms -> %.1f \
-     ms; int kernel %.1f ms (%.2fx%s)\n\
-     %!"
-    name (100. *. zero_frac) ds.Mincostflow.pair_arcs ss.Mincostflow.pair_arcs
-    (dt *. 1000.) (st *. 1000.) (it *. 1000.)
-    (st /. Float.max it 1e-9)
-    (if is_.Mincostflow.int_fallback then ", fell back" else "");
-  if no_prune then
-    Printf.eprintf
-      "[bench] sparse-flow %s: no-prune cell (0%% zero-sim) — dense-vs-sparse \
-       speedup expectation waived\n\
-       %!"
-      name;
+    "[bench] sparse-flow %s: zero-sim %.0f%%, arcs %d of %d pairs, %.1f ms\n%!"
+    name (100. *. zero_frac) stats.Mincostflow.pair_arcs
+    stats.Mincostflow.dense_pairs (!best *. 1000.);
   Printf.sprintf
     {|    {
       "name": "%s",
@@ -770,34 +723,18 @@ let sparse_cell ~name instance =
       "n_users": %d,
       "dim": %d,
       "zero_sim_fraction": %.6f,
-      "dense": { "wall_s": %.6f, "peak_bytes": %d, "peak_mode": "%s", "pair_arcs": %d, "maxsum": %.17g },
-      "sparse": { "wall_s": %.6f, "peak_bytes": %d, "peak_mode": "%s", "pair_arcs": %d, "maxsum": %.17g },
-      "sparse_int": { "wall_s": %.6f, "peak_bytes": %d, "peak_mode": "%s", "maxsum": %.17g, "kernel_used": "%s", "int_fallback": %b },
-      "arc_reduction": %.6f,
-      "speedup": %.4f,
-      "speedup_expected": %b,
-      "speedup_note": "%s",
-      "int_speedup": %.4f,
-      "maxsum_bits_equal": %b,
-      "int_maxsum_bits_equal": %b
+      "dense_pairs": %d,
+      "pair_arcs": %d,
+      "wall_s": %.6f,
+      "peak_bytes": %d,
+      "peak_mode": "%s",
+      "maxsum": %.17g
     }|}
-    name n_v n_u (Instance.dim instance) zero_frac dt dmem
-    (Measure.peak_mode_label dmode) ds.Mincostflow.pair_arcs dsum st smem
-    (Measure.peak_mode_label smode) ss.Mincostflow.pair_arcs ssum it imem
-    (Measure.peak_mode_label imode) isum
-    (Mincostflow.kernel_name is_.Mincostflow.kernel_used)
-    is_.Mincostflow.int_fallback
-    (1.
-    -. float_of_int ss.Mincostflow.pair_arcs
-       /. float_of_int (Stdlib.max 1 ds.Mincostflow.pair_arcs))
-    (dt /. Float.max st 1e-9)
-    (not no_prune)
-    (if no_prune then
-       "no zero-sim pairs: nothing to prune, dense-vs-sparse speedup \
-        expectation waived"
-     else "")
-    (st /. Float.max it 1e-9)
-    bits_equal int_bits_equal
+    name n_v n_u (Instance.dim instance) zero_frac
+    stats.Mincostflow.dense_pairs stats.Mincostflow.pair_arcs !best
+    peak_bytes
+    (Measure.peak_mode_label peak_mode)
+    maxsum
 
 let sparse_flow profile =
   let n_users = if profile.full then 1000 else 400 in
@@ -1039,7 +976,7 @@ let all : (string * string * (profile -> unit)) list =
       "Ablation: online arrivals vs offline algorithms",
       ablation_online );
     ( "sparse-flow",
-      "Sparse vs dense flow network: arcs/time/memory, BENCH_sparse.json",
+      "Similarity-pruned flow network: arcs/time/memory, BENCH_sparse.json",
       sparse_flow );
     ( "serve-replay",
       "Serving loop: batch latency, journal overhead, BENCH_serve.json",

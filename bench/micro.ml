@@ -43,25 +43,25 @@ let heap_test =
            ignore (Geacc_pqueue.Binary_heap.pop_exn h)
          done))
 
-let float_heap_test =
-  Test.make ~name:"float-int-heap push/drop 1k"
+(* The Dijkstra queue's own access pattern: monotone keys, each push at
+   or above the last popped key, drained through the unboxed triple. *)
+let bucket_queue_test =
+  Test.make ~name:"int-bucket-queue push/drop 1k"
     (Staged.stage (fun () ->
-         let h = Geacc_pqueue.Float_int_heap.create () in
+         let q = Geacc_pqueue.Int_bucket_queue.create () in
          for i = 0 to 999 do
-           Geacc_pqueue.Float_int_heap.push h
-             (float_of_int ((i * 7919) mod 1000))
-             i
+           Geacc_pqueue.Int_bucket_queue.push q ((i * 7919) mod 1000) i
          done;
          let acc = ref 0 in
-         while not (Geacc_pqueue.Float_int_heap.is_empty h) do
-           acc := !acc + Geacc_pqueue.Float_int_heap.min_payload h;
-           Geacc_pqueue.Float_int_heap.drop_min h
+         while not (Geacc_pqueue.Int_bucket_queue.is_empty q) do
+           acc := !acc + Geacc_pqueue.Int_bucket_queue.min_payload q;
+           Geacc_pqueue.Int_bucket_queue.drop_min q
          done;
          ignore !acc))
 
 (* Dijkstra over a ring-with-chords residual network: every node has a few
-   outgoing arcs, so the run exercises the heap, the arc walk and the
-   reduced-cost arithmetic — the exact inner loop of the min-cost-flow
+   outgoing arcs, so the run exercises the bucket queue, the arc walk and
+   the reduced-cost arithmetic — the exact inner loop of the min-cost-flow
    solver. *)
 let dijkstra_graph =
   lazy
@@ -73,18 +73,49 @@ let dijkstra_graph =
            (Geacc_flow.Graph.add_arc g ~src:v ~dst:((v + d) mod n) ~capacity:2
               ~cost)
        in
-       add 1 1.0;
-       add 7 (3.0 +. float_of_int (v mod 5));
-       add 131 (10.0 +. float_of_int (v mod 11))
+       add 1 1;
+       add 7 (3 + (v mod 5));
+       add 131 (10 + (v mod 11))
      done;
      g)
 
 let dijkstra_test =
-  Test.make ~name:"dijkstra (1k nodes, 3k arcs)"
+  let scratch =
+    lazy
+      (let n = Geacc_flow.Graph.node_count (Lazy.force dijkstra_graph) in
+       ( Array.make n 0,
+         Array.make n 0,
+         Array.make n 0,
+         Geacc_pqueue.Int_bucket_queue.create () ))
+  in
+  Test.make ~name:"dijkstra_int (1k nodes, 3k arcs)"
     (Staged.stage (fun () ->
          let g = Lazy.force dijkstra_graph in
-         ignore
-           (Geacc_flow.Shortest_path.dijkstra g ~source:0 ~stop_at:(500) ())))
+         let pi, dist, parent_arc, queue = Lazy.force scratch in
+         Geacc_flow.Shortest_path.dijkstra_int g ~source:0 ~pi ~dist
+           ~parent_arc ~queue ~stop_at:500 ()))
+
+(* Conflict-resolution probe: does event [v] conflict with any event the
+   user already holds? One word-AND scan per call on the user's bitset. *)
+let conflict_probe_test =
+  let matching =
+    lazy
+      (let instance = Lazy.force small_instance in
+       let m = Geacc_core.Matching.create instance in
+       for v = 0 to Geacc_core.Instance.n_events instance - 1 do
+         if v mod 3 = 0 then
+           match Geacc_core.Matching.add m ~v ~u:0 with Ok _ | Error _ -> ()
+       done;
+       m)
+  in
+  Test.make ~name:"Matching.user_conflicts_with probe x20"
+    (Staged.stage (fun () ->
+         let m = Lazy.force matching in
+         let hits = ref 0 in
+         for v = 0 to 19 do
+           if Geacc_core.Matching.user_conflicts_with m ~u:0 ~v then incr hits
+         done;
+         ignore !hits))
 
 let kd_test =
   let points =
@@ -114,17 +145,6 @@ let mcf_build_test ~jobs =
     (Staged.stage (fun () ->
          let instance = Lazy.force mcf_instance in
          ignore (Geacc_core.Mincostflow.build_network ~jobs instance)))
-
-(* Dense vs similarity-pruned construction at jobs=1, isolating the
-   network-build strategies the solver chooses between. *)
-let mcf_build_network_test network =
-  Test.make
-    ~name:
-      (Printf.sprintf "MCF %s network build (100x1000)"
-         (Geacc_core.Mincostflow.network_name network))
-    (Staged.stage (fun () ->
-         let instance = Lazy.force mcf_instance in
-         ignore (Geacc_core.Mincostflow.build_network ~jobs:1 ~network instance)))
 
 let kd_build_points =
   lazy
@@ -162,13 +182,12 @@ let tests =
       armed_solver_test "Prune-GEACC armed budget (5x12)" Solver.Prune
         tiny_instance;
       heap_test;
-      float_heap_test;
+      bucket_queue_test;
       dijkstra_test;
+      conflict_probe_test;
       kd_test;
       mcf_build_test ~jobs:1;
       mcf_build_test ~jobs:4;
-      mcf_build_network_test Geacc_core.Mincostflow.Dense;
-      mcf_build_network_test Geacc_core.Mincostflow.Sparse;
       kd_build_test ~jobs:1;
       kd_build_test ~jobs:4;
     ]

@@ -337,64 +337,21 @@ let solve_cmd =
              index build). Defaults to $(b,GEACC_JOBS) or 1. Results are \
              byte-identical for every N.")
   in
-  let network =
-    let network_conv =
-      let parse s =
-        Mincostflow.network_of_string s
-        |> Result.map_error (fun e -> `Msg e)
-      in
-      let print ppf n =
-        Format.pp_print_string ppf (Mincostflow.network_name n)
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value
-      & opt network_conv (Mincostflow.default_network ())
-      & info [ "network" ] ~docv:"KIND"
-          ~doc:
-            "Flow-network construction for $(b,-a mincostflow): $(b,sparse) \
-             (similarity-pruned candidate arcs, the default) or $(b,dense) \
-             (one arc per (v,u) pair as in the paper). Both produce the \
-             same matching.")
-  in
   let min_sim =
     Arg.(
       value & opt float 0.
       & info [ "min-sim" ] ~docv:"TAU"
           ~doc:
-            "Similarity gate for the sparse network: only pairs with sim \
-             >= TAU get an arc (TAU > 0 trades matching quality for \
-             speed). Requires 0 <= TAU <= 1.")
-  in
-  let cost_kernel =
-    let kernel_conv =
-      let parse s =
-        Mincostflow.kernel_of_string s |> Result.map_error (fun e -> `Msg e)
-      in
-      let print ppf k =
-        Format.pp_print_string ppf (Mincostflow.kernel_name k)
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value
-      & opt kernel_conv (Mincostflow.default_cost_kernel ())
-      & info [ "cost-kernel" ] ~docv:"KIND"
-          ~doc:
-            "SSP arithmetic for $(b,-a mincostflow): $(b,int) (quantised \
-             integer Dijkstra over a bucket queue, the default) or \
-             $(b,float) (the reference float-keyed heap). Both produce \
-             the same matching; only speed differs.")
+            "Similarity gate for the flow network of $(b,-a mincostflow): \
+             only pairs with sim >= TAU get an arc (TAU > 0 trades \
+             matching quality for speed). Requires 0 <= TAU <= 1.")
   in
   let run () instance_path algorithm out seed backend timeout stage_timeout
-      fallback max_retries order jobs network min_sim cost_kernel =
+      fallback max_retries order jobs min_sim =
     (match jobs with
     | None -> ()
     | Some j when j >= 1 -> Geacc_par.Pool.set_default_jobs j
     | Some j -> die "--jobs expects a positive integer, got %d" j);
-    Mincostflow.set_default_network network;
-    Mincostflow.set_default_cost_kernel cost_kernel;
     if not (min_sim >= 0. && min_sim <= 1.) then
       die "--min-sim expects a value in [0, 1], got %g" min_sim;
     Mincostflow.set_default_min_sim min_sim;
@@ -429,7 +386,7 @@ let solve_cmd =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
       $ index_arg $ timeout $ stage_timeout $ fallback $ max_retries $ order
-      $ jobs $ network $ min_sim $ cost_kernel)
+      $ jobs $ min_sim)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an instance and report MaxSum/time/memory.")

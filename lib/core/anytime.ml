@@ -18,7 +18,7 @@ let default_chain =
 
 (* Did the algorithm run to completion under [deadline]? The budget-aware
    solvers report it themselves; the rest never time out. *)
-let run_once ?network algorithm instance ~deadline =
+let run_once algorithm instance ~deadline =
   match algorithm with
   | Solver.Exhaustive ->
       let m, stats =
@@ -29,16 +29,14 @@ let run_once ?network algorithm instance ~deadline =
       let m, stats = Exact.solve ~deadline instance in
       (m, not stats.Exact.timed_out)
   | Solver.Min_cost_flow ->
-      let m, stats =
-        Mincostflow.solve_with_stats ~deadline ?network instance
-      in
+      let m, stats = Mincostflow.solve_with_stats ~deadline instance in
       (m, not stats.Mincostflow.timed_out)
   | Solver.Greedy -> Greedy.solve_anytime ~deadline instance
   | ( Solver.Random_v | Solver.Random_u | Solver.Greedy_naive
     | Solver.Greedy_ls | Solver.Online ) as a ->
       (Solver.run a instance, true)
 
-let stage ?timeout_s ?network algorithm =
+let stage ?timeout_s algorithm =
   (* One flow augmentation or exact-search visit can dwarf a greedy pop, so
      batch clock reads only where polls are cheap. *)
   let poll_every =
@@ -52,7 +50,7 @@ let stage ?timeout_s ?network algorithm =
   Chain.stage ?timeout_s ~poll_every ~name:(Solver.short_name algorithm)
     (fun instance ~budget ->
       let matching, complete =
-        run_once ?network algorithm instance ~deadline:budget
+        run_once algorithm instance ~deadline:budget
       in
       (* The chain only ever hands out matchings that pass the independent
          feasibility check — a degraded checkpoint that fails here is a bug
@@ -65,10 +63,8 @@ let stage ?timeout_s ?network algorithm =
       { Chain.value = matching; complete })
 
 let solve ?timeout_s ?stage_timeout_s ?max_retries ?backoff_s
-    ?(algorithms = default_chain) ?network instance =
-  let stages =
-    List.map (stage ?timeout_s:stage_timeout_s ?network) algorithms
-  in
+    ?(algorithms = default_chain) instance =
+  let stages = List.map (stage ?timeout_s:stage_timeout_s) algorithms in
   let better incumbent candidate =
     Matching.maxsum candidate > Matching.maxsum incumbent +. 1e-12
   in

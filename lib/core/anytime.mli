@@ -36,14 +36,12 @@ val default_chain : Solver.algorithm list
 
 val stage :
   ?timeout_s:float ->
-  ?network:Mincostflow.network ->
   Solver.algorithm ->
   (Instance.t, Matching.t) Geacc_robust.Chain.stage
 (** One chain stage running the algorithm under the budget the chain arms
     (named after {!Solver.short_name}, which also keys its
     [timeout.<name>] fault point). Algorithms without budget support run
-    to completion and always report complete. [network] selects the flow
-    construction of the {!Solver.Min_cost_flow} stage. *)
+    to completion and always report complete. *)
 
 val solve :
   ?timeout_s:float ->
@@ -51,15 +49,12 @@ val solve :
   ?max_retries:int ->
   ?backoff_s:float ->
   ?algorithms:Solver.algorithm list ->
-  ?network:Mincostflow.network ->
   Instance.t ->
   (report, Geacc_robust.Error.t) result
 (** Runs the chain ([algorithms] defaults to {!default_chain}; a singleton
     list gives plain time-budgeted solving). [timeout_s] bounds the whole
     run, [stage_timeout_s] additionally caps each stage, [max_retries] and
     [backoff_s] govern retry of transient faults (see
-    {!Geacc_robust.Chain.run}). [network] selects the flow construction of
-    any {!Solver.Min_cost_flow} stage (default
-    {!Mincostflow.default_network}). Fails with [Timeout] only when no
+    {!Geacc_robust.Chain.run}). Fails with [Timeout] only when no
     stage produced any matching in time, and with [Exhausted] when every
     stage faulted. *)

@@ -15,97 +15,42 @@
     set over their assigned events (keep in descending similarity, skip
     conflicting).
 
-    {2 Dense vs sparse networks}
+    {2 The similarity-pruned network}
 
     The paper's construction gives every (v,u) pair an arc — zero-similarity
-    ones included — so the {!Dense} network has Θ(|V|·|U|) arcs (the
-    "quartic, not scalable" algorithm). Yet the SSP loop stops before any
-    unit whose path cost reaches 1, and a zero-similarity arc costs exactly
-    1, so no unit of the final flow ever crosses one: the {!Sparse} network
-    drops them up front via the instance's NN-index candidate queries
-    ({!Instance.candidate_users}) and produces the same matching on a
-    fraction of the arcs. [Sparse] is the default; [min_sim] optionally
-    raises the gate from [sim > 0] to [sim >= τ] (a quality/speed knob that
-    {e does} change results for τ > 0). *)
+    ones included — so it has Θ(|V|·|U|) arcs (the "quartic, not scalable"
+    algorithm). Yet the SSP loop stops before any unit whose path cost
+    reaches 1, and a zero-similarity arc costs exactly 1, so no unit of the
+    final flow ever crosses one: the network here drops them up front via
+    the instance's NN-index candidate queries ({!Instance.candidate_users})
+    and reaches the same MaxSum on a fraction of the arcs. [min_sim]
+    optionally raises the gate from [sim > 0] to [sim >= τ] (a
+    quality/speed knob that {e does} change results for τ > 0).
 
-type network =
-  | Dense   (** One arc per (v,u) pair, as in the paper. *)
-  | Sparse  (** Only pairs above the similarity gate (default). *)
+    {2 Integer costs}
 
-val network_name : network -> string
-(** ["dense"] / ["sparse"]. *)
-
-val network_of_string : string -> (network, string) result
-(** Parses a {!network_name} (case-insensitive). *)
-
-val default_network : unit -> network
-(** The network used when the [?network] argument is omitted. Initially
-    the [GEACC_NETWORK] environment variable if set to a valid
-    {!network_name}, else {!Sparse}; malformed values read as {!Sparse}
-    (the env hook exists so CI can sweep whole test binaries — the CLI
-    flag validates loudly). *)
-
-val set_default_network : network -> unit
-(** Sets the process-wide default (the CLI's [--network] flag). *)
+    Arc costs [1 - sim] are rounded to the 2^30 grid at build time and the
+    SSP loop runs {!Geacc_flow.Mcf.solve_int}: integer Dijkstra over a
+    monotone bucket queue with exact integer potentials. Extraction reads
+    a pair's similarity back as [1 - q / 2^30]. See DESIGN.md §15. *)
 
 val default_min_sim : unit -> float
 
 val set_default_min_sim : float -> unit
-(** Sets the process-wide default similarity gate τ for sparse builds.
+(** Sets the process-wide default similarity gate τ (the CLI's
+    [--min-sim] flag).
     @raise Invalid_argument outside [\[0, 1\]]. *)
-
-(** {2 Cost kernels}
-
-    Arc costs [1 - sim] are rounded to the 2^30 dyadic grid at build time
-    and stored twice — the grid point [q / 2^30] in the float column, the
-    integer [q] alongside — so the SSP loop can run on either encoding of
-    the {e same} numbers: {!Float_kernel} (the reference, float-keyed
-    heap) or {!Int_kernel} (integer Dijkstra over a monotone bucket
-    queue, exact integer potentials, no float compares). Grid points are
-    exactly representable as doubles and, while magnitudes stay inside
-    {!Geacc_flow.Mcf.exactness_guard}, every sum either kernel forms is
-    exact — the kernels order every cost comparison identically and
-    produce min-cost flows of bit-identical value and cost; among exactly
-    tied trees they may route equal-cost paths differently. An integer
-    run that leaves the guarded regime silently recomputes with the float
-    kernel. See DESIGN.md §15. *)
-
-type cost_kernel =
-  | Float_kernel  (** Float-keyed Dijkstra, the reference. *)
-  | Int_kernel
-      (** Quantised integer Dijkstra with verified float fallback
-          (default). *)
-
-val kernel_name : cost_kernel -> string
-(** ["float"] / ["int"]. *)
-
-val kernel_of_string : string -> (cost_kernel, string) result
-(** Parses a {!kernel_name} (case-insensitive). *)
 
 val cost_scale : int
 (** The quantisation grid ([2^30]): arc cost [c] rounds to
-    [q = round (c * cost_scale)], and {e both} columns store it — the
-    integer [q] and the float [q / cost_scale]. *)
-
-val default_cost_kernel : unit -> cost_kernel
-(** The kernel used when the [?cost_kernel] argument is omitted.
-    Initially the [GEACC_COST_KERNEL] environment variable if set to a
-    valid {!kernel_name}, else {!Int_kernel}; malformed values read as
-    {!Int_kernel} (the env hook exists so CI can sweep whole test
-    binaries — the CLI flag validates loudly). *)
-
-val set_default_cost_kernel : cost_kernel -> unit
-(** Sets the process-wide default (the CLI's [--cost-kernel] flag). *)
+    [q = round (c * cost_scale)]. *)
 
 type net = {
   graph : Geacc_flow.Graph.t;
   source : int;
   sink : int;
   pair_arcs : int;    (** (v,u) arcs actually emitted. *)
-  dense_pairs : int;  (** |V|·|U|, what the dense construction would emit. *)
-  network_used : network;
-      (** The construction that actually ran — {!Dense} when an active
-          fault plan forced the dense sequential path. *)
+  dense_pairs : int;  (** |V|·|U|, the paper's arc count. *)
 }
 (** The Step-1 network. Event [v] is node [1 + v], user [u] is node
     [1 + |V| + u]. *)
@@ -121,51 +66,43 @@ type stats = {
                                 early: conflict resolution then ran on a
                                 min-cost flow of a smaller Δ, so the result
                                 is feasible but may miss the argmax Δ. *)
-  kernel_used : cost_kernel;
-      (** The kernel that produced the accepted flow — {!Float_kernel}
-          when the integer run fell back. *)
   int_fallback : bool;
-      (** [true] when an {!Int_kernel} run left the exactness-guarded
-          regime and the flow was recomputed in float. *)
+      (** Always [false]: there is one cost kernel and nothing to fall
+          back to. The field stays only because the benchmark in
+          [bench/suite] reads it. *)
 }
 
-val build_network :
-  ?jobs:int -> ?network:network -> ?min_sim:float -> Instance.t -> net
+val build_network : ?jobs:int -> ?min_sim:float -> Instance.t -> net
 (** The Step-1 network. [jobs] (default {!Geacc_par.Pool.default_jobs})
-    parallelises the construction — the Θ(|V|·|U|) cost table per
-    user-chunk for {!Dense}, the candidate queries per event-chunk for
-    {!Sparse}; arc emission stays sequential and v-major with u ascending,
-    so arc ids — and hence the SSP pivoting order and the final flow — are
-    byte-identical for every job count. When a fault plan is active the
-    dense sequential path is forced so [sim.*] hit counters replay in plan
-    order (the sparse builder never evaluates {!Instance.sim}). Under
-    [GEACC_AUDIT=1] a sparse build additionally proves every pruned pair
-    sits below the similarity gate. Exposed for the determinism tests,
-    audits and benchmarks.
+    parallelises the candidate queries per event-chunk; arc emission stays
+    sequential and v-major with u ascending, so arc ids — and hence the
+    SSP pivoting order and the final flow — are byte-identical for every
+    job count. When a fault plan is active the build runs with [jobs = 1]
+    so fault points hit inside the queries fire in plan order. Under
+    [GEACC_AUDIT=1] the build additionally proves every pruned pair sits
+    below the similarity gate. Exposed for the determinism tests, audits
+    and benchmarks.
     @raise Geacc_robust.Fault.Injected when the [mcf.alloc] point fires.
-    @raise Invalid_argument when [min_sim] is outside [\[0, 1\]]. *)
+    @raise Invalid_argument when [min_sim] is outside [\[0, 1\]], or when
+    a candidate pair's similarity is NaN or above 1 (the error names the
+    pair and the value). *)
 
 val solve :
   ?deadline:Geacc_robust.Budget.t ->
   ?jobs:int ->
-  ?network:network ->
   ?min_sim:float ->
-  ?cost_kernel:cost_kernel ->
   Instance.t ->
   Matching.t
 (** [deadline] (default: unlimited) is polled between augmentations of the
     underlying SSP loop; on expiry the partial flow — a valid min-cost flow
     of its own amount — is resolved into a feasible matching as usual.
-    [jobs], [network] and [min_sim] are passed to {!build_network};
-    [cost_kernel] selects the SSP arithmetic (same matching either way —
-    see {!cost_kernel}). The solve itself is sequential and its output
-    independent of the job count. *)
+    [jobs] and [min_sim] are passed to {!build_network}. The solve itself
+    is sequential and its output independent of the job count.
+    @raise Invalid_argument as {!build_network} does. *)
 
 val solve_with_stats :
   ?deadline:Geacc_robust.Budget.t ->
   ?jobs:int ->
-  ?network:network ->
   ?min_sim:float ->
-  ?cost_kernel:cost_kernel ->
   Instance.t ->
   Matching.t * stats

@@ -5,10 +5,10 @@ type arc = int
    @bounds` from the structural invariants below (seeded for the analyzer,
    runtime-verified by Audit.Flow.check_csr and the construction asserts):
 
-     0 <= count <= |next|, |dst_|, |cap_|, |initial_cap|, |cost_|, |icost_|
+     0 <= count <= |next|, |dst_|, |cap_|, |initial_cap|, |icost_|
      head/next hold arc ids in [-1, count), dst_ holds nodes in [0, num_nodes)
      csr_valid  =>  |csr_offset| = num_nodes + 1,
-                    count <= |csr_dst|, |csr_cost|, |csr_icost|, |csr_cap|,
+                    count <= |csr_dst|, |csr_icost|, |csr_cap|,
                              |csr_arc|, |arc_pos|,
                     csr_offset values in [0, count],
                     csr_arc/arc_pos a permutation pair of [0, count)
@@ -26,8 +26,7 @@ type t = {
   mutable dst_ : int array;
   mutable cap_ : int array;          (* residual capacity *)
   mutable initial_cap : int array;   (* capacity at creation, for reset/flow *)
-  mutable cost_ : float array;
-  mutable icost_ : int array;        (* quantised cost twin, see add_arc *)
+  mutable icost_ : int array;        (* integer cost per unit of flow *)
   mutable count : int;
   (* CSR mirror of the arc store, built by [finalize_csr]: positions are
      grouped per source node ([csr_offset]) and hold per-position copies of
@@ -39,7 +38,6 @@ type t = {
   mutable csr_count : int;
   mutable csr_offset : int array;    (* num_nodes + 1 *)
   mutable csr_dst : int array;
-  mutable csr_cost : float array;
   mutable csr_icost : int array;
   mutable csr_cap : int array;
   mutable csr_arc : int array;       (* position -> arc id *)
@@ -55,13 +53,11 @@ let create ~num_nodes =
     dst_ = [||];
     cap_ = [||];
     initial_cap = [||];
-    cost_ = [||];
     icost_ = [||];
     count = 0;
     csr_count = -1;
     csr_offset = [||];
     csr_dst = [||];
-    csr_cost = [||];
     csr_icost = [||];
     csr_cap = [||];
     csr_arc = [||];
@@ -76,12 +72,10 @@ let ensure_capacity t needed =
   if needed > current then begin
     let fresh = Stdlib.max needed (Stdlib.max 16 (2 * current)) in
     let grow_int a = Array.append a (Array.make (fresh - current) 0) in
-    let grow_float a = Array.append a (Array.make (fresh - current) 0.) in
     t.next <- grow_int t.next;
     t.dst_ <- grow_int t.dst_;
     t.cap_ <- grow_int t.cap_;
     t.initial_cap <- grow_int t.initial_cap;
-    t.cost_ <- grow_float t.cost_;
     t.icost_ <- grow_int t.icost_
   end
 
@@ -90,26 +84,23 @@ let reserve t ~arcs =
   (* Every add_arc consumes two slots (forward + residual partner). *)
   ensure_capacity t (t.count + (2 * arcs))
 
-let add_half t ~src ~dst ~capacity ~cost ~icost =
+let add_half t ~src ~dst ~capacity ~cost =
   let a = t.count in
   ensure_capacity t (a + 1);
   t.dst_.(a) <- dst;
   t.cap_.(a) <- capacity;
   t.initial_cap.(a) <- capacity;
-  t.cost_.(a) <- cost;
-  t.icost_.(a) <- icost;
+  t.icost_.(a) <- cost;
   t.next.(a) <- t.head.(src);
   t.head.(src) <- a;
   t.count <- a + 1;
   a
 
-let add_arc ?(icost = 0) t ~src ~dst ~capacity ~cost =
+let add_arc t ~src ~dst ~capacity ~cost =
   assert (capacity >= 0);
   assert (src >= 0 && src < t.num_nodes && dst >= 0 && dst < t.num_nodes);
-  let a = add_half t ~src ~dst ~capacity ~cost ~icost in
-  let (_ : int) =
-    add_half t ~src:dst ~dst:src ~capacity:0 ~cost:(-.cost) ~icost:(-icost)
-  in
+  let a = add_half t ~src ~dst ~capacity ~cost in
+  let (_ : int) = add_half t ~src:dst ~dst:src ~capacity:0 ~cost:(-cost) in
   a
 
 let[@inline] partner a = a lxor 1
@@ -127,11 +118,6 @@ let[@inline] src t a =
   (* The source of an arc is the destination of its partner. *)
   (* bounds: proved — arcs are paired, so partner a < count <= |dst_| *)
   A.unsafe_get t.dst_ (partner a)
-
-let[@inline] cost t a =
-  check_arc t a;
-  (* bounds: proved — check_arc gives a < count <= |cost_| *)
-  A.unsafe_get t.cost_ a
 
 let[@inline] icost t a =
   check_arc t a;
@@ -180,19 +166,6 @@ let[@inline] push t a k =
     A.unsafe_set t.csr_cap (A.unsafe_get t.arc_pos b) (A.unsafe_get t.cap_ b)
   end
 
-(* Closure-free adjacency walk for the hot paths: callers keep one cursor
-   in a pre-hoisted ref and step it with [next_out_arc] until -1, instead of
-   allocating an [iter_out_arcs] callback per relaxation round. *)
-let[@inline] first_out_arc t n =
-  assert (n >= 0 && n < t.num_nodes);
-  (* bounds: proved — n < num_nodes = |head| *)
-  A.unsafe_get t.head n
-
-let[@inline] next_out_arc t a =
-  check_arc t a;
-  (* bounds: proved — check_arc gives a < count <= |next| *)
-  A.unsafe_get t.next a
-
 let iter_out_arcs t n f =
   assert (n >= 0 && n < t.num_nodes);
   (* bounds: proved — n < num_nodes = |head| *)
@@ -228,7 +201,6 @@ let finalize_csr t =
     else Array.fill t.csr_offset 0 (n + 1) 0;
     if Array.length t.csr_arc < m then begin
       t.csr_dst <- Array.make m 0;
-      t.csr_cost <- Array.make m 0.;
       t.csr_icost <- Array.make m 0;
       t.csr_cap <- Array.make m 0;
       t.csr_arc <- Array.make m 0;
@@ -250,7 +222,6 @@ let finalize_csr t =
       let p = cursor.(s) in
       cursor.(s) <- p + 1;
       t.csr_dst.(p) <- t.dst_.(a);
-      t.csr_cost.(p) <- t.cost_.(a);
       t.csr_icost.(p) <- t.icost_.(a);
       t.csr_cap.(p) <- t.cap_.(a);
       t.csr_arc.(p) <- a;
@@ -279,11 +250,6 @@ let[@inline] pos_dst t p =
   check_pos t p;
   (* bounds: proved — check_pos gives p < count <= |csr_dst| *)
   A.unsafe_get t.csr_dst p
-
-let[@inline] pos_cost t p =
-  check_pos t p;
-  (* bounds: proved — check_pos gives p < count <= |csr_cost| *)
-  A.unsafe_get t.csr_cost p
 
 let[@inline] pos_icost t p =
   check_pos t p;
@@ -316,11 +282,6 @@ let arc_position t a =
 let[@inline] unsafe_csr_dst t =
   assert (csr_valid t);
   t.csr_dst
-
-(* bounds: proved — returns the whole slice; positions < arc_count are in bounds while csr_valid *)
-let[@inline] unsafe_csr_cost t =
-  assert (csr_valid t);
-  t.csr_cost
 
 (* bounds: proved — returns the whole slice; positions < arc_count are in bounds while csr_valid *)
 let[@inline] unsafe_csr_icost t =

@@ -1,8 +1,8 @@
 (** Residual flow network.
 
-    Arcs carry an integer capacity and a real cost per unit of flow. Every
-    call to {!add_arc} also creates the paired residual arc (zero capacity,
-    negated cost); pushing flow moves capacity between the pair. Arc ids are
+    Arcs carry an integer capacity and an integer cost per unit of flow.
+    Every call to {!add_arc} also creates the paired residual arc (zero
+    capacity, negated cost); pushing flow moves capacity between the pair. Arc ids are
     dense integers; the residual partner of arc [a] is [a lxor 1], forward
     (user-created) arcs are the even ids. *)
 
@@ -25,22 +25,17 @@ val reserve : t -> arcs:int -> unit
     allocation instead of a doubling cascade. Purely an optimisation — arc
     ids and contents are unaffected. *)
 
-val add_arc :
-  ?icost:int -> t -> src:int -> dst:int -> capacity:int -> cost:float -> arc
+val add_arc : t -> src:int -> dst:int -> capacity:int -> cost:int -> arc
 (** Adds a forward arc and its residual partner; returns the forward arc id.
-    Requires [capacity >= 0] and valid node ids. [icost] (default 0) is the
-    quantised integer twin of [cost], stored in a parallel column for the
-    integer SSP kernel; the residual partner carries its negation, exactly
-    mirroring the float cost pairing. The graph never relates the two
-    columns — the builder owns the quantisation contract. *)
+    Requires [capacity >= 0] and valid node ids. The residual partner
+    carries the negated cost. *)
 
 val src : t -> arc -> int
 val dst : t -> arc -> int
-val cost : t -> arc -> float
 
 val icost : t -> arc -> int
-(** Quantised integer cost of an arc (the [icost] given to {!add_arc},
-    negated on residual partners). *)
+(** Integer cost of an arc (the [cost] given to {!add_arc}, negated on
+    residual partners). *)
 
 val residual_capacity : t -> arc -> int
 (** Remaining capacity of [a] in the residual network. *)
@@ -63,17 +58,8 @@ val push : t -> arc -> int -> unit
     [0 <= k <= residual_capacity g a]. *)
 
 val iter_out_arcs : t -> int -> (arc -> unit) -> unit
-(** Iterates all arc ids leaving a node (forward and residual alike);
-    callers filter by {!residual_capacity}. *)
-
-val first_out_arc : t -> int -> arc
-(** First arc leaving a node, or -1 if it has none. With {!next_out_arc}
-    this is the closure-free counterpart of {!iter_out_arcs} for hot loops:
-    [let a = ref (first_out_arc g u) in while !a >= 0 do ... a :=
-    next_out_arc g !a done]. *)
-
-val next_out_arc : t -> arc -> arc
-(** Next arc leaving the same node as [a], or -1 at the end of the list. *)
+(** Iterates all arc ids leaving a node (forward and residual alike), in
+    descending arc id; callers filter by {!residual_capacity}. *)
 
 val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
 (** Folds over the user-created (even) arcs in insertion order. *)
@@ -82,15 +68,15 @@ val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
 
     {!finalize_csr} compacts the arc store into struct-of-arrays
     [dst]/[cost]/[residual_cap] arrays grouped per source node by an offset
-    table, so the traversal kernels (Bellman–Ford, Dijkstra, BFS) scan the
-    contiguous position range [\[out_begin n, out_end n)] instead of
-    chasing [next] links. Arc ids are unchanged — positions carry their arc
-    id ({!pos_arc}), the [a lxor 1] residual pairing is untouched, and
-    within a node positions enumerate arcs in exactly the order
-    {!first_out_arc}/{!next_out_arc} would (descending arc id). {!push},
-    {!unsafe_set_residual_capacity} and {!reset_flow} keep the positional
-    residual capacities current in place; only {!add_arc} invalidates the
-    form (rebuild by calling {!finalize_csr} again). *)
+    table, so the Dijkstra kernel scans the contiguous position range
+    [\[out_begin n, out_end n)] instead of chasing [next] links. Arc ids
+    are unchanged — positions carry their arc id ({!pos_arc}), the
+    [a lxor 1] residual pairing is untouched, and within a node positions
+    enumerate arcs in exactly the order {!iter_out_arcs} would (descending
+    arc id). {!push}, {!unsafe_set_residual_capacity} and {!reset_flow}
+    keep the positional residual capacities current in place; only
+    {!add_arc} invalidates the form (rebuild by calling {!finalize_csr}
+    again). *)
 
 val finalize_csr : t -> unit
 (** Builds (or rebuilds) the CSR form. O(nodes + arcs); a no-op when the
@@ -109,11 +95,8 @@ val out_end : t -> int -> int
 val pos_dst : t -> int -> int
 (** Destination of the arc at a CSR position. *)
 
-val pos_cost : t -> int -> float
-(** Cost of the arc at a CSR position. *)
-
 val pos_icost : t -> int -> int
-(** Quantised integer cost of the arc at a CSR position. *)
+(** Integer cost of the arc at a CSR position. *)
 
 val pos_residual_capacity : t -> int -> int
 (** Residual capacity of the arc at a CSR position — kept current by
@@ -134,19 +117,16 @@ val arc_position : t -> arc -> int
     no per-access validity or bounds check. Every such index site must
     carry a stage-4 licence [(* bounds: proved — ... *)] that
     [dune build @bounds] re-proves on every build; while {!csr_valid}
-    holds, every position below {!arc_count} is in bounds for all four
-    slices ([Audit.Flow.check_csr] verifies this at runtime). The slices
+    holds, every position below {!arc_count} is in bounds for every
+    slice ([Audit.Flow.check_csr] verifies this at runtime). The slices
     stay current across {!push}/{!reset_flow} and are invalidated by
     {!add_arc}, like every CSR accessor. *)
 
 val unsafe_csr_dst : t -> int array
 (** Positional [dst] slice. Requires {!csr_valid}. *)
 
-val unsafe_csr_cost : t -> float array
-(** Positional cost slice. Requires {!csr_valid}. *)
-
 val unsafe_csr_icost : t -> int array
-(** Positional quantised-integer-cost slice. Requires {!csr_valid}. *)
+(** Positional integer-cost slice. Requires {!csr_valid}. *)
 
 val unsafe_csr_cap : t -> int array
 (** Positional residual-capacity slice. Requires {!csr_valid}. *)

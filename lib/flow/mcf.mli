@@ -3,98 +3,56 @@
     Each augmentation pushes flow along a minimum-cost residual path, so
     after the k-th unit the network carries a min-cost flow of amount k —
     the per-Δ prefix property MinCostFlow-GEACC relies on (see DESIGN.md §5).
-    Negative arc costs are supported: potentials are seeded with one
-    Bellman–Ford pass; subsequent iterations use Dijkstra on reduced costs,
-    giving O(F · E log V) for total flow F. *)
+    Every pass is {!Shortest_path.dijkstra_int} on integer reduced costs
+    with exact integer potentials, giving O(F · E · 63) for total flow F. *)
 
-type outcome = {
-  flow : int;            (** Total units routed. *)
-  cost : float;          (** Total cost of the routed flow. *)
-  augmentations : int;   (** Number of augmenting paths used. *)
-  timed_out : bool;      (** [true] when [deadline] expired: the flow is a
+type int_outcome = {
+  iflow : int;           (** Total units routed. *)
+  icost : int;           (** Total cost of the routed flow. *)
+  iaugmentations : int;  (** Number of augmenting paths used. *)
+  itimed_out : bool;     (** [true] when [deadline] expired: the flow is a
                              min-cost flow of its (smaller) amount, not of
                              the requested one. *)
 }
 
-exception Negative_cycle
-(** Raised when the initial network has a negative-cost cycle reachable from
-    the source (min-cost flow is then unbounded below). *)
-
-val solve :
-  Graph.t ->
-  source:int ->
-  sink:int ->
-  ?deadline:Geacc_robust.Budget.t ->
-  ?target_flow:int ->
-  ?should_augment:(path_cost:float -> bool) ->
-  ?on_augment:(units:int -> path_cost:float -> [ `Continue | `Stop ]) ->
-  ?audit_after_dijkstra:(potential:float array -> unit) ->
-  ?audit_after_augment:(unit -> unit) ->
-  unit ->
-  outcome
-(** Augments until the sink is unreachable, [target_flow] is met,
-    [should_augment] refuses, [on_augment] answers [`Stop], or [deadline]
-    (default: unlimited) expires. The deadline is polled once per iteration,
-    {e between} augmentations — an expiry never interrupts a path push, so
-    the flow left in the graph is always consistent (capacity- and
-    conservation-clean) and optimal for its own amount; the outcome is then
-    flagged [timed_out].
-    [should_augment] is consulted {e before} pushing along a found path —
-    since path costs are non-decreasing across augmentations, refusing once
-    ends the run with the flow untouched by that path (this is how
-    MinCostFlow-GEACC stops at the Δ maximising MaxSum). [on_augment] fires
-    after each augmentation with the units pushed and the (true,
-    non-reduced) per-unit path cost. The flow pushed so far stays in the
-    graph — read it back with {!Graph.flow}.
-
-    The audit hooks default to no-ops and exist so callers can inject
-    invariant checkers (see [Geacc_check.Audit]) without this library
-    depending on them: [audit_after_dijkstra] fires once per iteration right
-    after the Johnson potentials are updated, [audit_after_augment] after
-    each augmentation's flow push. *)
-
-type int_outcome = {
-  iflow : int;           (** Total units routed. *)
-  icost : int;           (** Total cost, in quantisation-grid units. *)
-  iaugmentations : int;  (** Number of augmenting paths used. *)
-  itimed_out : bool;     (** [true] when [deadline] expired (see {!solve}). *)
-}
-
-val exactness_guard : int
-(** Default [guard] for {!solve_int} ([2^48]): while every potential stays
-    below it and the node count below [2^21], every value either kernel
-    computes stays below [2^53], where double arithmetic on the [2^30]
-    dyadic cost grid is exact. *)
+val overflow_limit : int
+(** [2^61], the magnitude every key, potential, path cost and total cost
+    of {!solve_int} stays within when its precondition holds. *)
 
 val solve_int :
   Graph.t ->
   source:int ->
   sink:int ->
   ?deadline:Geacc_robust.Budget.t ->
-  ?guard:int ->
   ?stop_below:int ->
   ?audit_after_dijkstra:(potential:int array -> unit) ->
   ?audit_after_augment:(unit -> unit) ->
   unit ->
   int_outcome option
-(** Integer twin of {!solve}, running {!Shortest_path.dijkstra_int} on the
-    quantised {!Graph.icost} column with integer potentials (exact — no
-    reduced-cost clamp, no Bellman–Ford seeding: the initial all-zero
-    potential must already reduce non-negatively, which holds for the
-    assignment networks where every forward cost is [1 - sim >= 0]).
+(** Augments until the sink is unreachable, a path costs [stop_below] or
+    more, or [deadline] (default: unlimited) expires. The network must
+    carry no flow yet. The deadline is polled once per iteration,
+    {e between} augmentations — an expiry never interrupts a path push, so
+    the flow left in the graph is always consistent (capacity- and
+    conservation-clean) and optimal for its own amount. [stop_below] is
+    checked {e before} pushing along a found path: since path costs are
+    non-decreasing, refusing once ends the run with the flow untouched by
+    that path (this is how MinCostFlow-GEACC stops at the Δ maximising
+    MaxSum, passing the quantisation scale). The flow stays in the graph —
+    read it back with {!Graph.flow}.
 
-    [stop_below] is the integer form of {!solve}'s [should_augment]: keep
-    augmenting while the integer path cost is strictly below it (for the
-    MaxSum stop rule [path_cost < 1.], pass the quantisation scale).
+    Returns [None], before touching the graph, when the network is outside
+    the kernel's domain. With [C] the largest cost of a capacitated
+    forward arc and [n] the node count, the domain is: no capacitated
+    forward arc has a negative cost (the all-zero initial potential must
+    reduce non-negatively — there is no Bellman–Ford seeding),
+    [n * C <= overflow_limit], and the source's out-capacity times the
+    largest acceptable path cost ([min (stop_below - 1) ((n - 1) * C)])
+    is at most {!overflow_limit}. Inside it no integer operation of the
+    solve can overflow (proof in DESIGN.md §15.2).
 
-    Returns [None] — with partially pushed flow still in the graph, so
-    callers must {!Graph.reset_flow} before falling back to the float
-    kernel — when the instance leaves the regime where the integer run
-    provably mirrors the float one on the same dyadic cost column: a
-    capacitated negative-[icost] arc at entry, a node count at or above
-    [2^21], or a potential reaching [guard] (default {!exactness_guard};
-    tests shrink it to force the fallback path). Within that regime both
-    kernels order every cost comparison identically, so a [Some] outcome
-    is a min-cost flow of the same value and total cost — to the bit —
-    as the float kernel's; among exactly tied shortest-path trees the two
-    may pick different (equal-cost) augmenting paths. *)
+    The audit hooks default to no-ops and exist so callers can inject
+    invariant checkers (see [Geacc_check.Audit]) without this library
+    depending on them: [audit_after_dijkstra] fires once per iteration
+    right after the potentials are updated, [audit_after_augment] after
+    each augmentation's flow push. *)

@@ -1,31 +1,8 @@
 (** Single-source shortest paths over the residual network.
 
-    Only arcs with positive residual capacity participate. Both algorithms
-    return, per node, the distance and the arc through which the node was
+    Only arcs with positive residual capacity participate. The search
+    fills, per node, the distance and the arc through which the node was
     reached (for path recovery). *)
-
-type result = {
-  dist : float array;      (** [infinity] for unreachable nodes. *)
-  parent_arc : int array;  (** Arc into the node on a shortest path; -1 at
-                               the source and unreachable nodes. *)
-}
-
-val dijkstra :
-  Graph.t -> source:int -> ?potential:float array -> ?stop_at:int -> unit ->
-  result
-(** Dijkstra over reduced costs [cost a + pi(src a) - pi(dst a)], which must
-    be non-negative for arcs with residual capacity (Johnson's trick). The
-    returned distances are the {e reduced} distances; callers converting back
-    to true distances add [pi(dst) - pi(source)]. Omitting [potential] runs
-    plain Dijkstra and requires non-negative costs. A supplied [potential]
-    must have exactly [node_count] entries (asserted at entry; the stage-4
-    bounds proofs for the relaxation kernel rest on it).
-
-    With [stop_at] the search halts as soon as that node is settled; its
-    distance and parents along its shortest path are exact, while other
-    entries are tentative upper bounds, never below [stop_at]'s distance —
-    which is exactly the property the min-cost-flow potential update
-    [pi(v) <- pi(v) + min(dist(v), dist(stop_at))] needs. *)
 
 val dijkstra_int :
   Graph.t ->
@@ -37,34 +14,31 @@ val dijkstra_int :
   ?stop_at:int ->
   unit ->
   unit
-(** Integer twin of {!dijkstra}, running on the {!Graph.icost} column with
-    a monotone bucket queue instead of the float heap. Semantics mirror
-    {!dijkstra} ([stop_at], reduced distances, tentative non-settled
-    entries) with [max_int] standing in for [infinity] and -1 for absent
-    parents, plus two exact-arithmetic shortcuts the float kernel cannot
-    take: no [settled] array (reduced costs are exactly non-negative, so
-    a popped entry is live iff its key equals the node's distance and a
-    settled node can never re-improve — asserted, not clamped) and a goal
-    bound (relaxations strictly above [stop_at]'s tentative distance are
-    dropped; they cannot reach a shortest [stop_at] path, and the SSP
-    potential update caps at that distance anyway, so later passes are
-    unaffected).
+(** Dijkstra over the integer reduced costs
+    [icost a + pi(src a) - pi(dst a)], which must be non-negative for arcs
+    with residual capacity (Johnson's trick; asserted, not clamped), with a
+    monotone bucket queue. The distances left in [dist] are the
+    {e reduced} distances ([max_int] for unreachable nodes); callers
+    converting back to true distances add [pi(dst) - pi(source)].
+    [parent_arc] holds the arc into each node on a shortest path, -1 at
+    the source and at unreachable nodes.
 
-    Exactness contract: when the float cost column stores the {e same}
-    dyadic values [icost / 2^30] (the {!Mincostflow} builder's invariant)
-    and every key stays below 2^53, the float kernel's arithmetic on
-    those costs is exact, so every comparison here orders identically to
-    its float twin — the two kernels tie exactly on the same pairs and
-    agree strictly everywhere else. {!Mcf.solve_int} enforces the
-    magnitude precondition; see DESIGN.md §15.
+    With [stop_at] the search halts as soon as that node is settled; its
+    distance and parents along its shortest path are exact, while other
+    entries are tentative upper bounds, never below [stop_at]'s distance —
+    which is exactly the property the min-cost-flow potential update
+    [pi(v) <- pi(v) + min(dist(v), dist(stop_at))] needs. Two exact-
+    arithmetic shortcuts: no [settled] array (a popped entry is live iff
+    its key equals the node's distance, and a settled node can never
+    re-improve) and a goal bound (relaxations strictly above [stop_at]'s
+    tentative distance are dropped; they cannot reach a shortest
+    [stop_at] path, and the potential update caps at that distance
+    anyway, so later passes are unaffected).
+
+    Every key must fit the queue: {!Mcf.solve_int} checks the overflow
+    precondition once per solve (see DESIGN.md §15).
 
     [dist], [parent_arc] and [queue] are caller-owned scratch (arrays of
     exactly [node_count] entries, asserted at entry — the stage-4 bounds
     proofs rest on it); the kernel re-initialises them, so one allocation
-    serves every pass of an SSP solve. Results are left in
-    [dist]/[parent_arc]. *)
-
-val bellman_ford : Graph.t -> source:int -> result option
-(** Handles negative costs; [None] if a negative-cost residual cycle is
-    reachable from [source]. O(V·E). Used as a test oracle and to initialise
-    potentials when negative arcs exist. *)
+    serves every pass of an SSP solve. *)

@@ -67,13 +67,13 @@ let sample_without_replacement t k n =
   assert (0 <= k && k <= n);
   if k = 0 then [||]
   else if 3 * k >= n then begin
-    (* Dense case: shuffle a full permutation prefix. *)
+    (* k is a large share of n: shuffle a full permutation prefix. *)
     let a = Array.init n (fun i -> i) in
     shuffle_in_place t a;
     Array.sub a 0 k
   end
   else begin
-    (* Sparse case: rejection sampling into a hash set. *)
+    (* k is a small share of n: rejection sampling into a hash set. *)
     let seen = Hashtbl.create (2 * k) in
     let out = Array.make k 0 in
     let filled = ref 0 in

@@ -107,6 +107,23 @@ let test_mcf_flow_bounded_by_capacity () =
   Alcotest.(check bool) "flow within Delta_max" true
     (stats.Mincostflow.flow_value <= bound)
 
+let test_mcf_rejects_similarity_above_one () =
+  (* Similarity.custom promises values in [0, 1]; 1.5 would make a
+     negative-cost arc no SSP pass can reduce, so the build refuses it. *)
+  let sim = Similarity.custom ~name:"too-similar" (fun _ _ -> 1.5) in
+  let entity id = Entity.make ~id ~attrs:[| 0. |] ~capacity:1 in
+  let t =
+    Instance.create ~sim ~events:[| entity 0 |] ~users:[| entity 0 |]
+      ~conflicts:(Conflict.create ~n_events:1) ()
+  in
+  match Mincostflow.solve t with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names the pair and the value"
+        "Mincostflow.build_network: similarity of (v=0, u=0) is 1.5, outside \
+         [0, 1]"
+        msg
+
 (* -- Exact search -- *)
 
 let test_exact_prune_equals_exhaustive () =
@@ -251,6 +268,8 @@ let suite =
     Alcotest.test_case "mcf optimal when CF empty (Lemma 1)" `Quick
       test_mcf_optimal_without_conflicts;
     Alcotest.test_case "mcf stats" `Quick test_mcf_stats;
+    Alcotest.test_case "mcf rejects similarity above 1" `Quick
+      test_mcf_rejects_similarity_above_one;
     Alcotest.test_case "mcf flow within Delta_max" `Quick
       test_mcf_flow_bounded_by_capacity;
     Alcotest.test_case "prune = exhaustive" `Quick

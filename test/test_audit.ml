@@ -6,8 +6,7 @@ open Geacc_core
 module Audit = Geacc_check.Audit
 module Graph = Geacc_flow.Graph
 module Binary_heap = Geacc_pqueue.Binary_heap
-module Pairing_heap = Geacc_pqueue.Pairing_heap
-module Float_int_heap = Geacc_pqueue.Float_int_heap
+module Int_bucket_queue = Geacc_pqueue.Int_bucket_queue
 module Synthetic = Geacc_datagen.Synthetic
 
 let contains haystack needle =
@@ -50,9 +49,9 @@ let test_gate_toggling () =
 (* 0 -> 1 -> 2 -> 3, unit costs, capacity 2 each. *)
 let path_graph () =
   let g = Graph.create ~num_nodes:4 in
-  let a01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:1. in
-  let a12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:1. in
-  let a23 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:2 ~cost:1. in
+  let a01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:1 in
+  let a12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:1 in
+  let a23 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:2 ~cost:1 in
   (g, a01, a12, a23)
 
 let test_flow_conservation () =
@@ -82,12 +81,13 @@ let test_flow_capacity_leak () =
 let test_flow_reduced_costs () =
   let g, _, _, _ = path_graph () in
   (* Zero potentials on non-negative costs: healthy. *)
-  Audit.Flow.check_reduced_costs ~site:"test" g ~potential:(Array.make 4 0.);
+  Audit.Flow.check_reduced_costs_int ~site:"test" g
+    ~potential:(Array.make 4 0);
   (* A potential spike makes arc 0->1 look like cost 1 + 0 - 5 < 0. *)
-  expect_violation "reduced cost" ~detail_part:"negative reduced cost"
+  expect_violation "reduced cost" ~detail_part:"negative integer reduced cost"
     (fun () ->
-      Audit.Flow.check_reduced_costs ~site:"test" g
-        ~potential:[| 0.; 5.; 0.; 0. |])
+      Audit.Flow.check_reduced_costs_int ~site:"test" g
+        ~potential:[| 0; 5; 0; 0 |])
 
 (* -- heaps --
 
@@ -105,21 +105,13 @@ let test_binary_heap_invariant () =
   expect_violation "binary heap" ~detail_part:"binary heap order" (fun () ->
       Audit.Heap.check_binary ~site:"test" h)
 
-let test_pairing_heap_invariant () =
-  let flip = ref false in
-  let cmp a b = if !flip then Int.compare b a else Int.compare a b in
-  let h = Pairing_heap.of_list ~cmp [ 5; 1; 4; 2; 3 ] in
-  Audit.Heap.check_pairing ~site:"test" h;
-  flip := true;
-  expect_violation "pairing heap" ~detail_part:"pairing heap" (fun () ->
-      Audit.Heap.check_pairing ~site:"test" h)
-
-let test_float_int_heap_invariant () =
-  let h = Float_int_heap.create () in
-  List.iteri (fun i k -> Float_int_heap.push h k i) [ 0.5; 0.1; 0.9; 0.3 ];
-  Audit.Heap.check_float_int ~site:"test" h;
-  Alcotest.(check bool) "float-int heap healthy" true
-    (Float_int_heap.check_invariant h)
+let test_bucket_queue_invariant () =
+  let q = Int_bucket_queue.create () in
+  List.iteri (fun i k -> Int_bucket_queue.push q k i) [ 50; 10; 90; 30 ];
+  ignore (Int_bucket_queue.pop q);
+  Audit.Heap.check_bucket ~site:"test" q;
+  Alcotest.(check bool) "bucket queue healthy" true
+    (Int_bucket_queue.check_invariant q)
 
 (* -- matchings -- *)
 
@@ -226,10 +218,8 @@ let suite =
     Alcotest.test_case "flow reduced costs" `Quick test_flow_reduced_costs;
     Alcotest.test_case "binary heap invariant" `Quick
       test_binary_heap_invariant;
-    Alcotest.test_case "pairing heap invariant" `Quick
-      test_pairing_heap_invariant;
-    Alcotest.test_case "float-int heap invariant" `Quick
-      test_float_int_heap_invariant;
+    Alcotest.test_case "bucket queue invariant" `Quick
+      test_bucket_queue_invariant;
     Alcotest.test_case "matching conflict detected" `Quick
       test_matching_conflict_detected;
     Alcotest.test_case "matching over capacity detected" `Quick

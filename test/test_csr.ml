@@ -7,12 +7,13 @@
    - the positional capacity mirror tracks [push] / residual-capacity
      writes and [reset_flow];
    - adding an arc invalidates the CSR and re-finalizing repairs it;
-   - shortest-path/flow results are unchanged by when (or how often)
-     finalization runs. *)
+   - the Dijkstra and SSP kernels run on the CSR form and keep it
+     current. *)
 
 module Graph = Geacc_flow.Graph
 module Shortest_path = Geacc_flow.Shortest_path
-module Maxflow = Geacc_flow.Maxflow
+module Mcf = Geacc_flow.Mcf
+module Int_bucket_queue = Geacc_pqueue.Int_bucket_queue
 module Rng = Geacc_util.Rng
 
 (* A random multigraph with parallel arcs and isolated nodes — the shapes
@@ -26,7 +27,7 @@ let random_graph ~seed ~nodes ~arcs =
     let (_ : Graph.arc) =
       Graph.add_arc g ~src:s ~dst:d
         ~capacity:(1 + Rng.int rng 4)
-        ~cost:(Rng.float rng 1.)
+        ~cost:(Rng.int rng 1000)
     in
     ()
   done;
@@ -64,10 +65,9 @@ let check_csr_structure ~label g =
       Alcotest.(check int)
         (Printf.sprintf "%s: pos %d dst" label p)
         (Graph.dst g a) (Graph.pos_dst g p);
-      Alcotest.(check int64)
-        (Printf.sprintf "%s: pos %d cost bits" label p)
-        (Int64.bits_of_float (Graph.cost g a))
-        (Int64.bits_of_float (Graph.pos_cost g p));
+      Alcotest.(check int)
+        (Printf.sprintf "%s: pos %d cost" label p)
+        (Graph.icost g a) (Graph.pos_icost g p);
       Alcotest.(check int)
         (Printf.sprintf "%s: pos %d residual cap" label p)
         (Graph.residual_capacity g a)
@@ -123,9 +123,9 @@ let test_residual_pairing_preserved () =
 
 let test_push_updates_mirror () =
   let g = Graph.create ~num_nodes:4 in
-  let a0 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~cost:0.5 in
-  let a1 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:0.25 in
-  let _a2 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~cost:0.125 in
+  let a0 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~cost:4 in
+  let a1 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:2 in
+  let _a2 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~cost:1 in
   Graph.finalize_csr g;
   Graph.push g a0 2;
   Graph.push g a1 1;
@@ -148,65 +148,64 @@ let test_push_updates_mirror () =
 let test_add_arc_invalidates () =
   let g = Graph.create ~num_nodes:3 in
   let (_ : Graph.arc) =
-    Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:0.
+    Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:0
   in
   Graph.finalize_csr g;
   Alcotest.(check bool) "valid after finalize" true (Graph.csr_valid g);
   let (_ : Graph.arc) =
-    Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:0.
+    Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:0
   in
   Alcotest.(check bool) "stale after add_arc" false (Graph.csr_valid g);
   Graph.finalize_csr g;
   check_csr_structure ~label:"re-finalized" g
 
 let test_flow_round_trip () =
-  (* A 2x2 transport instance driven through the CSR-backed solvers: the
-     cheapest augmenting path is s->1->3->t (0.1), then s->2->4->t (0.2)
-     after one unit is pushed along the first. *)
+  (* A 2x2 transport instance driven through the CSR-backed kernels: the
+     cheapest augmenting path is s->1->3->t (1), then s->2->4->t (2) after
+     one unit is pushed along the first. *)
   let g = Graph.create ~num_nodes:6 in
   let s = 0 and t = 5 in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:s ~dst:1 ~capacity:2 ~cost:0. in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:s ~dst:2 ~capacity:2 ~cost:0. in
-  let (_ : Graph.arc) =
-    Graph.add_arc g ~src:1 ~dst:3 ~capacity:1 ~cost:0.1
-  in
-  let (_ : Graph.arc) =
-    Graph.add_arc g ~src:1 ~dst:4 ~capacity:1 ~cost:0.4
-  in
-  let (_ : Graph.arc) =
-    Graph.add_arc g ~src:2 ~dst:4 ~capacity:2 ~cost:0.2
-  in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:3 ~dst:t ~capacity:2 ~cost:0. in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:4 ~dst:t ~capacity:2 ~cost:0. in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:s ~dst:1 ~capacity:2 ~cost:0 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:s ~dst:2 ~capacity:2 ~cost:0 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:1 ~dst:3 ~capacity:1 ~cost:1 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:1 ~dst:4 ~capacity:1 ~cost:4 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:2 ~dst:4 ~capacity:2 ~cost:2 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:3 ~dst:t ~capacity:2 ~cost:0 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:4 ~dst:t ~capacity:2 ~cost:0 in
+  let n = Graph.node_count g in
+  let dist = Array.make n 0 and parent_arc = Array.make n 0 in
+  let queue = Int_bucket_queue.create () in
+  (* Johnson potentials, updated as the SSP loop does, keep the residual
+     reverse arcs' reduced costs non-negative for the second pass. *)
+  let pi = Array.make n 0 in
   let augment_cheapest expected_cost =
-    let r = Shortest_path.dijkstra g ~source:s () in
-    Alcotest.(check (float 1e-12))
-      (Printf.sprintf "path cost %g" expected_cost)
-      expected_cost r.Shortest_path.dist.(t);
+    Shortest_path.dijkstra_int g ~source:s ~pi ~dist ~parent_arc ~queue ();
+    Alcotest.(check int)
+      (Printf.sprintf "path cost %d" expected_cost)
+      expected_cost
+      (dist.(t) + pi.(t) - pi.(s));
+    let cap = dist.(t) in
+    Array.iteri (fun v d -> pi.(v) <- pi.(v) + Int.min d cap) dist;
     (* Walk parents back from the sink pushing one unit. *)
     let v = ref t in
     while !v <> s do
-      let a = r.Shortest_path.parent_arc.(!v) in
+      let a = parent_arc.(!v) in
       Graph.push g a 1;
       v := Graph.src g a
     done
   in
-  augment_cheapest 0.1;
+  augment_cheapest 1;
   check_csr_structure ~label:"after first augmentation" g;
-  augment_cheapest 0.2;
+  augment_cheapest 2;
   check_csr_structure ~label:"after second augmentation" g;
-  let b = Shortest_path.bellman_ford g ~source:s in
-  (match b with
-  | None -> Alcotest.fail "unexpected negative cycle"
-  | Some r ->
-      Alcotest.(check (float 1e-12))
-        "bellman-ford agrees on residual" 0.2
-        r.Shortest_path.dist.(t));
   Graph.reset_flow g;
   check_csr_structure ~label:"after reset" g;
-  let flow_only = Maxflow.solve g ~source:s ~sink:t in
-  Alcotest.(check int) "max flow via BFS" 3 flow_only;
-  check_csr_structure ~label:"after maxflow" g
+  (match Mcf.solve_int g ~source:s ~sink:t () with
+  | None -> Alcotest.fail "non-negative costs are in the domain"
+  | Some o ->
+      Alcotest.(check int) "max flow" 3 o.Mcf.iflow;
+      Alcotest.(check int) "min cost" 5 o.Mcf.icost);
+  check_csr_structure ~label:"after solve_int" g
 
 let suite =
   [

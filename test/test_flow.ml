@@ -1,21 +1,20 @@
-(* Flow substrate: residual graph mechanics, shortest paths (Dijkstra vs
-   Bellman-Ford), Edmonds-Karp, and the SSP min-cost-flow solver checked
-   against brute-force assignment enumeration. *)
+(* Flow substrate: residual graph mechanics, the integer Dijkstra kernel,
+   and the SSP min-cost-flow solver checked against brute-force assignment
+   enumeration and the Bellman–Ford reference (Ref_mcf). *)
 
 open Geacc_flow
 module Rng = Geacc_util.Rng
 
 let test_graph_basics () =
   let g = Graph.create ~num_nodes:3 in
-  let a = Graph.add_arc g ~src:0 ~dst:1 ~capacity:5 ~cost:2. in
-  let b = Graph.add_arc g ~src:1 ~dst:2 ~capacity:3 ~cost:(-1.) in
+  let a = Graph.add_arc g ~src:0 ~dst:1 ~capacity:5 ~cost:2 in
+  let b = Graph.add_arc g ~src:1 ~dst:2 ~capacity:3 ~cost:(-1) in
   Alcotest.(check int) "node count" 3 (Graph.node_count g);
   Alcotest.(check int) "arcs incl. residuals" 4 (Graph.arc_count g);
   Alcotest.(check int) "src" 0 (Graph.src g a);
   Alcotest.(check int) "dst" 1 (Graph.dst g a);
-  Alcotest.(check (float 0.)) "cost" 2. (Graph.cost g a);
-  Alcotest.(check (float 0.)) "residual cost negated" (-2.)
-    (Graph.cost g (a lxor 1));
+  Alcotest.(check int) "cost" 2 (Graph.icost g a);
+  Alcotest.(check int) "residual cost negated" (-2) (Graph.icost g (a lxor 1));
   Alcotest.(check int) "residual capacity" 5 (Graph.residual_capacity g a);
   Alcotest.(check int) "partner starts empty" 0
     (Graph.residual_capacity g (a lxor 1));
@@ -32,8 +31,8 @@ let test_graph_basics () =
 
 let test_graph_excess () =
   let g = Graph.create ~num_nodes:4 in
-  let a1 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:0. in
-  let a2 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:0. in
+  let a1 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:0 in
+  let a2 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:0 in
   Graph.push g a1 2;
   Graph.push g a2 1;
   Alcotest.(check int) "inner node excess" 1 (Graph.excess g 1);
@@ -41,106 +40,126 @@ let test_graph_excess () =
   Alcotest.(check int) "sink side" 1 (Graph.excess g 2);
   Alcotest.(check int) "isolated node" 0 (Graph.excess g 3)
 
+(* One integer Dijkstra pass from zero potentials, on fresh scratch. *)
+let dijkstra g ~source ?stop_at () =
+  let n = Graph.node_count g in
+  let dist = Array.make n 0 and parent_arc = Array.make n 0 in
+  Shortest_path.dijkstra_int g ~source ~pi:(Array.make n 0) ~dist ~parent_arc
+    ~queue:(Geacc_pqueue.Int_bucket_queue.create ())
+    ?stop_at ();
+  (dist, parent_arc)
+
 (* A small fixed graph with a known shortest-path structure. *)
 let diamond () =
   let g = Graph.create ~num_nodes:4 in
-  (* 0 -> 1 (1.0), 0 -> 2 (4.0), 1 -> 2 (2.0), 1 -> 3 (6.0), 2 -> 3 (1.0) *)
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:10 ~cost:1.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:10 ~cost:4.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:10 ~cost:2.);
-  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:10 ~cost:6.);
-  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:10 ~cost:1.);
+  (* 0 -> 1 (1), 0 -> 2 (4), 1 -> 2 (2), 1 -> 3 (6), 2 -> 3 (1) *)
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:10 ~cost:1);
+  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:10 ~cost:4);
+  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:10 ~cost:2);
+  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:10 ~cost:6);
+  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:10 ~cost:1);
   g
 
 let test_dijkstra_diamond () =
   let g = diamond () in
-  let { Shortest_path.dist; parent_arc } =
-    Shortest_path.dijkstra g ~source:0 ()
-  in
-  Alcotest.(check (array (float 1e-9))) "distances" [| 0.; 1.; 3.; 4. |] dist;
+  let dist, parent_arc = dijkstra g ~source:0 () in
+  Alcotest.(check (array int)) "distances" [| 0; 1; 3; 4 |] dist;
   (* Path to 3 goes through 2. *)
   Alcotest.(check int) "parent of 3 comes from 2" 2
     (Graph.src g parent_arc.(3))
 
 let test_dijkstra_respects_capacity () =
   let g = diamond () in
-  (* Saturate 1 -> 2; shortest to 2 becomes the direct 4.0 arc. *)
+  (* Close 1 -> 2 (without opening a negative-cost reverse arc, which
+     zero potentials could not reduce); shortest to 2 becomes the direct 4
+     arc. *)
   Graph.iter_out_arcs g 1 (fun a ->
-      if Graph.dst g a = 2 && a land 1 = 0 then Graph.push g a 10);
-  let { Shortest_path.dist; _ } = Shortest_path.dijkstra g ~source:0 () in
-  Alcotest.(check (float 1e-9)) "rerouted distance" 4. dist.(2)
+      if Graph.dst g a = 2 && a land 1 = 0 then
+        Graph.unsafe_set_residual_capacity g a 0);
+  let dist, _ = dijkstra g ~source:0 () in
+  Alcotest.(check int) "rerouted distance" 4 dist.(2)
 
 let test_dijkstra_unreachable () =
   let g = Graph.create ~num_nodes:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:1.);
-  let { Shortest_path.dist; _ } = Shortest_path.dijkstra g ~source:0 () in
-  Alcotest.(check bool) "node 2 unreachable" true (dist.(2) = infinity)
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:1);
+  let dist, parent_arc = dijkstra g ~source:0 () in
+  Alcotest.(check int) "node 2 unreachable" max_int dist.(2);
+  Alcotest.(check int) "and has no parent" (-1) parent_arc.(2)
 
-let test_bellman_ford_negative () =
-  let g = Graph.create ~num_nodes:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:5.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:1 ~cost:1.);
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:1 ~cost:(-3.));
-  match Shortest_path.bellman_ford g ~source:0 with
+(* The reference's own Bellman–Ford: negative arcs are relaxed, negative
+   cycles refused. *)
+let test_reference_negative_arc () =
+  let arcs =
+    [
+      { Ref_mcf.src = 0; dst = 1; cap = 1; cost = 5 };
+      { Ref_mcf.src = 0; dst = 2; cap = 1; cost = 1 };
+      { Ref_mcf.src = 2; dst = 1; cap = 1; cost = -3 };
+    ]
+  in
+  match Ref_mcf.distances ~n:3 ~source:0 arcs with
   | None -> Alcotest.fail "no negative cycle here"
-  | Some { Shortest_path.dist; _ } ->
-      Alcotest.(check (float 1e-9)) "negative arc used" (-2.) dist.(1)
+  | Some dist -> Alcotest.(check int) "negative arc used" (-2) dist.(1)
 
-let test_bellman_ford_detects_cycle () =
-  let g = Graph.create ~num_nodes:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:1.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:5 ~cost:(-4.));
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:5 ~cost:1.);
+let test_reference_detects_cycle () =
+  let arcs =
+    [
+      { Ref_mcf.src = 0; dst = 1; cap = 1; cost = 1 };
+      { Ref_mcf.src = 1; dst = 2; cap = 5; cost = -4 };
+      { Ref_mcf.src = 2; dst = 1; cap = 5; cost = 1 };
+    ]
+  in
   Alcotest.(check bool) "negative cycle detected" true
-    (Shortest_path.bellman_ford g ~source:0 = None)
+    (Ref_mcf.distances ~n:3 ~source:0 arcs = None)
 
-let random_graph rng ~n ~arcs =
+(* The same random multigraph as a Graph.t and as the reference's arc
+   list. *)
+let random_graph rng ~n ~arcs ~max_cost =
   let g = Graph.create ~num_nodes:n in
+  let listed = ref [] in
   for _ = 1 to arcs do
     let src = Rng.int rng n and dst = Rng.int rng n in
-    if src <> dst then
-      ignore
-        (Graph.add_arc g ~src ~dst
-           ~capacity:(1 + Rng.int rng 5)
-           ~cost:(Rng.float rng 10.))
+    if src <> dst then begin
+      let cap = 1 + Rng.int rng 5 and cost = Rng.int rng (max_cost + 1) in
+      ignore (Graph.add_arc g ~src ~dst ~capacity:cap ~cost);
+      listed := { Ref_mcf.src; dst; cap; cost } :: !listed
+    end
   done;
-  g
+  (g, List.rev !listed)
 
-let test_dijkstra_agrees_with_bellman_ford () =
+let test_dijkstra_agrees_with_reference () =
   let rng = Rng.create ~seed:4 in
   for _ = 1 to 50 do
-    let g = random_graph rng ~n:8 ~arcs:20 in
-    let d = Shortest_path.dijkstra g ~source:0 () in
-    match Shortest_path.bellman_ford g ~source:0 with
+    let g, arcs = random_graph rng ~n:8 ~arcs:20 ~max_cost:10 in
+    let dist, _ = dijkstra g ~source:0 () in
+    match Ref_mcf.distances ~n:8 ~source:0 arcs with
     | None -> Alcotest.fail "non-negative costs cannot cycle"
-    | Some b ->
-        Array.iteri
-          (fun i dd ->
-            if dd = infinity then
-              Alcotest.(check bool)
-                "both unreachable" true
-                (b.Shortest_path.dist.(i) = infinity)
-            else
-              Alcotest.(check (float 1e-6))
-                "distance agreement" b.Shortest_path.dist.(i) dd)
-          d.Shortest_path.dist
+    | Some reference ->
+        Alcotest.(check (array int)) "distance agreement" reference dist
   done
 
 let test_maxflow_known () =
-  (* Classic: two disjoint augmenting paths plus a cross arc. *)
+  (* Classic: two disjoint augmenting paths plus a cross arc; with zero
+     costs the SSP run is a plain max-flow. *)
   let g = Graph.create ~num_nodes:4 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~cost:0.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:2 ~cost:0.);
-  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~cost:0.);
-  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:3 ~cost:0.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:0.);
-  Alcotest.(check int) "max flow 5" 5 (Maxflow.solve g ~source:0 ~sink:3)
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~cost:0);
+  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:2 ~cost:0);
+  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~cost:0);
+  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:3 ~cost:0);
+  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:0);
+  match Mcf.solve_int g ~source:0 ~sink:3 () with
+  | None -> Alcotest.fail "zero costs are in the domain"
+  | Some o -> Alcotest.(check int) "max flow 5" 5 o.Mcf.iflow
+
+let solve_exn g ~source ~sink ?stop_below ?audit_after_dijkstra () =
+  match Mcf.solve_int g ~source ~sink ?stop_below ?audit_after_dijkstra () with
+  | Some o -> o
+  | None -> Alcotest.fail "network unexpectedly outside the kernel's domain"
 
 let test_maxflow_conservation () =
   let rng = Rng.create ~seed:5 in
   for _ = 1 to 30 do
-    let g = random_graph rng ~n:7 ~arcs:15 in
-    let f = Maxflow.solve g ~source:0 ~sink:6 in
+    let g, _ = random_graph rng ~n:7 ~arcs:15 ~max_cost:10 in
+    let f = (solve_exn g ~source:0 ~sink:6 ()).Mcf.iflow in
     Alcotest.(check bool) "non-negative value" true (f >= 0);
     for n = 1 to 5 do
       Alcotest.(check int) "conservation at inner nodes" 0 (Graph.excess g n)
@@ -148,23 +167,26 @@ let test_maxflow_conservation () =
     Alcotest.(check int) "sink receives the flow" f (Graph.excess g 6)
   done
 
-(* Brute-force minimum-cost perfect assignment over permutations. *)
-let brute_force_assignment costs =
+(* Brute-force minimum cost of a matching with exactly [k] pairs (every
+   row and column used at most once). *)
+let brute_force_assignment ?k costs =
   let n = Array.length costs in
-  let best = ref infinity in
-  let rec go used acc i =
-    if acc >= !best then ()
-    else if i = n then best := acc
-    else
+  let k = Option.value k ~default:n in
+  let best = ref max_int in
+  let rec go used acc i picked =
+    if picked = k then best := Int.min !best acc
+    else if i < n && n - i >= k - picked then begin
+      go used acc (i + 1) picked;
       for j = 0 to n - 1 do
         if not used.(j) then begin
           used.(j) <- true;
-          go used (acc +. costs.(i).(j)) (i + 1);
+          go used (acc + costs.(i).(j)) (i + 1) (picked + 1);
           used.(j) <- false
         end
       done
+    end
   in
-  go (Array.make n false) 0. 0;
+  go (Array.make n false) 0 0 0;
   !best
 
 let assignment_graph costs =
@@ -172,8 +194,8 @@ let assignment_graph costs =
   let g = Graph.create ~num_nodes:(2 + (2 * n)) in
   let src = 0 and sink = 1 in
   for i = 0 to n - 1 do
-    ignore (Graph.add_arc g ~src ~dst:(2 + i) ~capacity:1 ~cost:0.);
-    ignore (Graph.add_arc g ~src:(2 + n + i) ~dst:sink ~capacity:1 ~cost:0.)
+    ignore (Graph.add_arc g ~src ~dst:(2 + i) ~capacity:1 ~cost:0);
+    ignore (Graph.add_arc g ~src:(2 + n + i) ~dst:sink ~capacity:1 ~cost:0)
   done;
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -184,114 +206,138 @@ let assignment_graph costs =
   done;
   (g, src, sink)
 
+let random_costs rng n =
+  Array.init n (fun _ -> Array.init n (fun _ -> Rng.int rng 1000))
+
 let test_mcf_matches_brute_force () =
   let rng = Rng.create ~seed:6 in
   for _ = 1 to 25 do
     let n = 2 + Rng.int rng 4 in
-    let costs =
-      Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.))
-    in
+    let costs = random_costs rng n in
     let g, source, sink = assignment_graph costs in
-    let outcome = Mcf.solve g ~source ~sink () in
-    Alcotest.(check int) "perfect assignment" n outcome.Mcf.flow;
-    Alcotest.(check (float 1e-6)) "optimal cost" (brute_force_assignment costs)
-      outcome.Mcf.cost
+    let outcome = solve_exn g ~source ~sink () in
+    Alcotest.(check int) "perfect assignment" n outcome.Mcf.iflow;
+    Alcotest.(check int) "optimal cost" (brute_force_assignment costs)
+      outcome.Mcf.icost
   done
 
-let test_mcf_per_unit_prefix () =
-  (* After the k-th unit, the flow must be a min-cost flow of value k:
-     solving from scratch with target k gives the same cost. *)
-  let rng = Rng.create ~seed:7 in
-  let n = 4 in
-  let costs = Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.)) in
-  let cumulative = ref [] in
-  let acc = ref 0. in
+(* After an update the sink's potential is the true cost of the path just
+   accepted (DESIGN.md §15.2), so the audit hook sees every path cost. *)
+let path_costs costs =
   let g, source, sink = assignment_graph costs in
-  let (_ : Mcf.outcome) =
-    Mcf.solve g ~source ~sink
-      ~on_augment:(fun ~units ~path_cost ->
-        acc := !acc +. (float_of_int units *. path_cost);
-        cumulative := (!acc) :: !cumulative;
-        `Continue)
+  let seen = ref [] in
+  let (_ : Mcf.int_outcome) =
+    solve_exn g ~source ~sink
+      ~audit_after_dijkstra:(fun ~potential -> seen := potential.(sink) :: !seen)
       ()
   in
+  List.rev !seen
+
+let test_mcf_per_unit_prefix () =
+  (* After the k-th unit the flow must be a min-cost flow of value k: the
+     first k path costs (unit capacities, one unit per path) sum to the
+     cheapest k-pair assignment. *)
+  let rng = Rng.create ~seed:7 in
+  let n = 4 in
+  let costs = random_costs rng n in
+  let acc = ref 0 in
   List.iteri
-    (fun i expected ->
-      let k = List.length !cumulative - i in
-      let g2, source, sink = assignment_graph costs in
-      let outcome = Mcf.solve g2 ~source ~sink ~target_flow:k () in
-      Alcotest.(check int) "target reached" k outcome.Mcf.flow;
-      Alcotest.(check (float 1e-6)) "prefix optimality" expected
-        outcome.Mcf.cost)
-    !cumulative
+    (fun i c ->
+      acc := !acc + c;
+      Alcotest.(check int) "prefix optimality"
+        (brute_force_assignment ~k:(i + 1) costs)
+        !acc)
+    (path_costs costs)
 
 let test_mcf_path_costs_non_decreasing () =
   let rng = Rng.create ~seed:8 in
   for _ = 1 to 20 do
-    let n = 3 + Rng.int rng 3 in
-    let costs = Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.)) in
-    let g, source, sink = assignment_graph costs in
-    let last = ref neg_infinity in
-    let (_ : Mcf.outcome) =
-      Mcf.solve g ~source ~sink
-        ~on_augment:(fun ~units:_ ~path_cost ->
-          Alcotest.(check bool) "non-decreasing path costs" true
-            (path_cost >= !last -. 1e-9);
-          last := path_cost;
-          `Continue)
-        ()
-    in
-    ()
+    let costs = random_costs rng (3 + Rng.int rng 3) in
+    ignore
+      (List.fold_left
+         (fun last c ->
+           Alcotest.(check bool) "non-decreasing path costs" true (c >= last);
+           c)
+         0 (path_costs costs))
   done
 
-let test_mcf_should_augment_stops_before_push () =
-  let costs = [| [| 0.1; 0.9 |]; [| 0.8; 0.95 |] |] in
+let test_mcf_stop_below_stops_before_push () =
+  let costs = [| [| 10; 90 |]; [| 80; 95 |] |] in
   let g, source, sink = assignment_graph costs in
-  (* Refuse any path costing more than 0.5: only the 0.1 unit goes through. *)
-  let outcome =
-    Mcf.solve g ~source ~sink
-      ~should_augment:(fun ~path_cost -> path_cost < 0.5)
-      ()
-  in
-  Alcotest.(check int) "one unit" 1 outcome.Mcf.flow;
-  Alcotest.(check (float 1e-9)) "its cost" 0.1 outcome.Mcf.cost
+  (* Refuse any path costing 50 or more: only the 10 unit goes through. *)
+  let outcome = solve_exn g ~source ~sink ~stop_below:50 () in
+  Alcotest.(check int) "one unit" 1 outcome.Mcf.iflow;
+  Alcotest.(check int) "its cost" 10 outcome.Mcf.icost
 
 let test_mcf_negative_costs () =
-  (* A negative-cost arc forces the Bellman-Ford potential bootstrap. *)
+  (* No Bellman–Ford seeding: a capacitated negative arc is outside the
+     domain, refused before the graph is touched. *)
   let g = Graph.create ~num_nodes:4 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:2.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:1 ~cost:0.);
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:1 ~cost:(-1.5));
-  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~cost:0.);
-  let outcome = Mcf.solve g ~source:0 ~sink:3 () in
-  Alcotest.(check int) "both units routed" 2 outcome.Mcf.flow;
-  Alcotest.(check (float 1e-9)) "cost uses the negative arc" 0.5
-    outcome.Mcf.cost
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:2);
+  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:1 ~cost:0);
+  let neg = Graph.add_arc g ~src:2 ~dst:1 ~capacity:1 ~cost:(-1) in
+  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~cost:0);
+  Alcotest.(check bool) "refused" true
+    (Mcf.solve_int g ~source:0 ~sink:3 () = None);
+  Alcotest.(check int) "no flow pushed" 0 (Graph.excess g 3);
+  (* A negative arc without capacity can never carry flow: accepted. *)
+  Graph.unsafe_set_residual_capacity g neg 0;
+  Alcotest.(check bool) "uncapacitated negative arc accepted" true
+    (Mcf.solve_int g ~source:0 ~sink:3 () <> None)
 
-let test_mcf_negative_cycle_raises () =
+let test_mcf_negative_cycle () =
   let g = Graph.create ~num_nodes:4 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:0.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:5 ~cost:(-2.));
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:5 ~cost:1.);
-  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~cost:0.);
-  Alcotest.check_raises "negative cycle" Mcf.Negative_cycle (fun () ->
-      ignore (Mcf.solve g ~source:0 ~sink:3 ()))
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:0);
+  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:5 ~cost:(-2));
+  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:5 ~cost:1);
+  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~cost:0);
+  Alcotest.(check bool) "negative cycle outside the domain" true
+    (Mcf.solve_int g ~source:0 ~sink:3 () = None)
 
-let test_mcf_agrees_with_maxflow () =
+let test_mcf_agrees_with_reference () =
   let rng = Rng.create ~seed:9 in
-  for _ = 1 to 20 do
-    let g = random_graph rng ~n:8 ~arcs:18 in
-    let g' = Graph.create ~num_nodes:8 in
-    (* Duplicate structure for the max-flow oracle. *)
-    Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
-        ignore
-          (Graph.add_arc g' ~src:(Graph.src g a) ~dst:(Graph.dst g a)
-             ~capacity:(Graph.residual_capacity g a) ~cost:0.));
-    let mf = Maxflow.solve g' ~source:0 ~sink:7 in
-    let outcome = Mcf.solve g ~source:0 ~sink:7 () in
-    Alcotest.(check int) "saturating MCF routes the max flow" mf
-      outcome.Mcf.flow
+  for _ = 1 to 40 do
+    let g, arcs = random_graph rng ~n:8 ~arcs:18 ~max_cost:20 in
+    let stop_below = if Rng.int rng 2 = 0 then None else Some 25 in
+    let reference = Ref_mcf.solve ~n:8 ~source:0 ~sink:7 ?stop_below arcs in
+    let outcome = solve_exn g ~source:0 ~sink:7 ?stop_below () in
+    Alcotest.(check int) "flow value" reference.Ref_mcf.flow outcome.Mcf.iflow;
+    Alcotest.(check int) "flow cost" reference.Ref_mcf.cost outcome.Mcf.icost
   done
+
+(* The overflow precondition, just inside and just outside: on the path
+   0 -> 1 -> 2 -> 3 (n = 4) every arc may cost up to 2^61 / 4. *)
+let test_mcf_overflow_bound () =
+  let path cost =
+    let g = Graph.create ~num_nodes:4 in
+    for v = 0 to 2 do
+      ignore (Graph.add_arc g ~src:v ~dst:(v + 1) ~capacity:1 ~cost)
+    done;
+    g
+  in
+  let c = Mcf.overflow_limit / 4 in
+  (match Mcf.solve_int (path c) ~source:0 ~sink:3 () with
+  | None -> Alcotest.fail "n * C = 2^61 is inside the bound"
+  | Some o ->
+      Alcotest.(check int) "flow" 1 o.Mcf.iflow;
+      Alcotest.(check int) "exact cost" (3 * c) o.Mcf.icost);
+  Alcotest.(check bool) "n * C > 2^61 is refused" true
+    (Mcf.solve_int (path (c + 1)) ~source:0 ~sink:3 () = None);
+  (* Total cost: source out-capacity times the largest path cost. *)
+  let wide cap cost =
+    let g = Graph.create ~num_nodes:2 in
+    ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:cap ~cost);
+    g
+  in
+  let cap = Mcf.overflow_limit / 1024 in
+  (match Mcf.solve_int (wide cap 1024) ~source:0 ~sink:1 () with
+  | None -> Alcotest.fail "F * P = 2^61 is inside the bound"
+  | Some o -> Alcotest.(check int) "total cost" Mcf.overflow_limit o.Mcf.icost);
+  Alcotest.(check bool) "F * P > 2^61 is refused" true
+    (Mcf.solve_int (wide (cap + 1) 1024) ~source:0 ~sink:1 () = None);
+  Alcotest.(check bool) "unless stop_below caps the path cost" true
+    (Mcf.solve_int (wide (cap + 1) 1024) ~source:0 ~sink:1 ~stop_below:1024 ()
+    <> None)
 
 let suite =
   [
@@ -302,11 +348,11 @@ let suite =
       test_dijkstra_respects_capacity;
     Alcotest.test_case "dijkstra unreachable" `Quick test_dijkstra_unreachable;
     Alcotest.test_case "bellman-ford negative arc" `Quick
-      test_bellman_ford_negative;
+      test_reference_negative_arc;
     Alcotest.test_case "bellman-ford cycle detection" `Quick
-      test_bellman_ford_detects_cycle;
+      test_reference_detects_cycle;
     Alcotest.test_case "dijkstra = bellman-ford" `Quick
-      test_dijkstra_agrees_with_bellman_ford;
+      test_dijkstra_agrees_with_reference;
     Alcotest.test_case "maxflow known value" `Quick test_maxflow_known;
     Alcotest.test_case "maxflow conservation" `Quick test_maxflow_conservation;
     Alcotest.test_case "mcf = brute force assignment" `Quick
@@ -316,10 +362,10 @@ let suite =
     Alcotest.test_case "mcf path costs non-decreasing" `Quick
       test_mcf_path_costs_non_decreasing;
     Alcotest.test_case "mcf should_augment pre-push" `Quick
-      test_mcf_should_augment_stops_before_push;
+      test_mcf_stop_below_stops_before_push;
     Alcotest.test_case "mcf negative costs" `Quick test_mcf_negative_costs;
-    Alcotest.test_case "mcf negative cycle" `Quick
-      test_mcf_negative_cycle_raises;
+    Alcotest.test_case "mcf negative cycle" `Quick test_mcf_negative_cycle;
     Alcotest.test_case "mcf saturates to max flow" `Quick
-      test_mcf_agrees_with_maxflow;
+      test_mcf_agrees_with_reference;
+    Alcotest.test_case "mcf overflow bound" `Quick test_mcf_overflow_bound;
   ]

@@ -113,19 +113,22 @@ let test_differential () =
   done;
   write_digest ()
 
-(* ---------- dense vs sparse flow networks ---------- *)
+(* ---------- MinCostFlow-GEACC against the reference oracle ---------- *)
 
-(* The sparse (similarity-pruned) network must match the paper's dense one
-   on the objective: bit-identical MaxSum and Validate-clean — per
-   attribute model (uniform / Zipf / normal mixture) and for jobs ∈
-   {1, 2, 4}. The pair sets themselves may legitimately differ: both flows
-   are min-cost of the same value, and when several augmenting paths tie,
-   the dense network's extra (never-augmented) arcs can steer Dijkstra to a
-   different optimum among equals. Instances come in two flavours:
-   Equation-1 similarity (cutoff = attribute-space diameter, so nothing
-   prunes) and a re-wrap of the same entities under a range/4 euclidean
-   profile, which drives a large fraction of pairs to similarity exactly 0
-   and makes the pruning path do real work. *)
+(* The production path — similarity-pruned network, integer SSP over the
+   bucket queue, conflict resolution — checked against Ref_mcf run on the
+   paper's complete network (one arc per (v,u) pair, zero-similarity ones
+   included) with the same quantised costs. Both flows are min-cost for the
+   smallest Δ maximising MaxSum, so the flow value and the integer cost
+   must be exactly equal. The pair sets may legitimately differ: among
+   exactly tied shortest paths the two searches can route differently, so
+   MaxSum after conflict resolution is compared within 1e-6. Per attribute
+   model (uniform / Zipf / normal mixture) and for jobs ∈ {1, 2, 4}.
+   Instances come in two flavours: Equation-1 similarity (cutoff =
+   attribute-space diameter, so nothing prunes) and a re-wrap of the same
+   entities under a range/4 euclidean profile, which drives a large
+   fraction of pairs to similarity exactly 0 and makes the pruning path do
+   real work. *)
 let tighten instance =
   Instance.create
     ~sim:
@@ -136,7 +139,55 @@ let tighten instance =
     ~conflicts:(Instance.conflicts instance)
     ()
 
-let test_dense_sparse_identical () =
+(* Ref_mcf on the complete network, then the paper's conflict resolution
+   (per user, keep events in descending similarity, skip conflicting). *)
+let oracle instance =
+  let n_v = Instance.n_events instance and n_u = Instance.n_users instance in
+  let scale = float_of_int Mincostflow.cost_scale in
+  let sink = n_v + n_u + 1 in
+  let pairs =
+    List.concat_map
+      (fun v -> List.init n_u (fun u -> (v, u)))
+      (List.init n_v Fun.id)
+  in
+  let arcs =
+    List.init n_v (fun v ->
+        { Ref_mcf.src = 0; dst = 1 + v; cap = Instance.event_capacity instance v;
+          cost = 0 })
+    @ List.map
+        (fun (v, u) ->
+          let s = Instance.sim instance ~v ~u in
+          { Ref_mcf.src = 1 + v; dst = 1 + n_v + u; cap = 1;
+            cost = int_of_float (Float.round ((1. -. s) *. scale)) })
+        pairs
+    @ List.init n_u (fun u ->
+          { Ref_mcf.src = 1 + n_v + u; dst = sink;
+            cap = Instance.user_capacity instance u; cost = 0 })
+  in
+  let r =
+    Ref_mcf.solve ~n:(sink + 1) ~source:0 ~sink
+      ~stop_below:Mincostflow.cost_scale arcs
+  in
+  let m = Matching.create instance in
+  let routed =
+    List.filteri (fun i _ -> r.Ref_mcf.flows.(n_v + i) = 1) pairs
+    |> List.map (fun (v, u) -> (u, v, Instance.sim instance ~v ~u))
+    |> List.filter (fun (_, _, s) -> s > 0.)
+    |> List.sort (fun (u1, v1, s1) (u2, v2, s2) ->
+           let c = Int.compare u1 u2 in
+           if c <> 0 then c
+           else
+             let c = Float.compare s2 s1 in
+             if c <> 0 then c else Int.compare v1 v2)
+  in
+  List.iter
+    (fun (u, v, _) ->
+      if not (Matching.user_conflicts_with m ~u ~v) then
+        ignore (Matching.add_exn m ~v ~u : float))
+    routed;
+  (r, m)
+
+let test_oracle_differential () =
   let attr_models =
     [
       ("uniform", Synthetic.Attr_uniform);
@@ -170,35 +221,32 @@ let test_dense_sparse_identical () =
                   Printf.sprintf "%s/%s seed=%d %s" model_name flavour seed s)
                 fmt
             in
-            let reference, ref_stats =
-              Mincostflow.solve_with_stats ~jobs:1
-                ~network:Mincostflow.Dense instance
-            in
-            let ref_bits = Int64.bits_of_float (Matching.maxsum reference) in
+            let reference, ref_matching = oracle instance in
             List.iter
               (fun jobs ->
-                let m, stats =
-                  Mincostflow.solve_with_stats ~jobs
-                    ~network:Mincostflow.Sparse instance
-                in
+                let m, stats = Mincostflow.solve_with_stats ~jobs instance in
                 (match Validate.check_matching m with
                 | [] -> ()
                 | violations ->
                     Alcotest.failf "%s: %d violations"
                       (label "jobs=%d" jobs)
                       (List.length violations));
-                Alcotest.(check int64)
-                  (label "maxsum bits, jobs=%d" jobs)
-                  ref_bits
-                  (Int64.bits_of_float (Matching.maxsum m));
-                if stats.Mincostflow.pair_arcs > stats.Mincostflow.dense_pairs
-                then
-                  Alcotest.failf "%s: sparse has more arcs than dense"
-                    (label "jobs=%d" jobs);
+                Alcotest.(check int)
+                  (label "flow value, jobs=%d" jobs)
+                  reference.Ref_mcf.flow stats.Mincostflow.flow_value;
+                Alcotest.(check int)
+                  (label "integer flow cost, jobs=%d" jobs)
+                  reference.Ref_mcf.cost
+                  (int_of_float
+                     (stats.Mincostflow.flow_cost
+                     *. float_of_int Mincostflow.cost_scale));
+                Alcotest.(check (float 1e-6))
+                  (label "maxsum, jobs=%d" jobs)
+                  (Matching.maxsum ref_matching) (Matching.maxsum m);
                 pruned_pairs_seen :=
-                  !pruned_pairs_seen + stats.Mincostflow.dropped_pairs)
-              jobs_under_test;
-            ignore ref_stats)
+                  !pruned_pairs_seen + stats.Mincostflow.dense_pairs
+                  - stats.Mincostflow.pair_arcs)
+              jobs_under_test)
           [ ("eq1", base); ("tight", tighten base) ]
       done)
     attr_models;
@@ -206,117 +254,10 @@ let test_dense_sparse_identical () =
   if !pruned_pairs_seen = 0 then
     Alcotest.fail "no pair was ever pruned — tight instances too loose"
 
-(* ---------- integer vs float cost kernels ---------- *)
-
-(* The exactness contract of DESIGN.md §15, checked end to end: on the
-   same network the integer and float SSP kernels must produce matchings
-   with bit-identical MaxSum, the certified integer run must never fall
-   back, and a guard shrunk to 0 (via GEACC_INT_KERNEL_GUARD) must force
-   every integer run through the verified float-recompute path while
-   still returning the float kernel's exact result. Re-uses the
-   dense/sparse sweep's instance flavours so both the no-prune (eq1) and
-   heavily-pruned (tight) cost distributions are covered. *)
-let test_int_float_kernels () =
-  let certified = ref 0 in
-  let with_guard v f =
-    (match v with
-    | Some g -> Unix.putenv "GEACC_INT_KERNEL_GUARD" (string_of_int g)
-    | None -> Unix.putenv "GEACC_INT_KERNEL_GUARD" "");
-    Fun.protect ~finally:(fun () -> Unix.putenv "GEACC_INT_KERNEL_GUARD" "") f
-  in
-  for seed = 1 to 6 do
-    let cfg =
-      {
-        Synthetic.default with
-        Synthetic.n_events = 3 + (seed mod 4);
-        n_users = 12 + (4 * seed);
-        dim = 1 + (seed mod 3);
-        attrs = (if seed mod 2 = 0 then Synthetic.Attr_zipf 1.3 else Synthetic.Attr_uniform);
-        event_capacity = Synthetic.Cap_uniform 3;
-        user_capacity = Synthetic.Cap_uniform 2;
-        conflict_ratio = 0.3;
-      }
-    in
-    let base = Synthetic.generate ~seed cfg in
-    List.iter
-      (fun (flavour, instance) ->
-        let label fmt =
-          Printf.ksprintf
-            (fun s -> Printf.sprintf "%s seed=%d %s" flavour seed s)
-            fmt
-        in
-        let reference, ref_stats =
-          Mincostflow.solve_with_stats ~jobs:1
-            ~cost_kernel:Mincostflow.Float_kernel instance
-        in
-        Alcotest.(check bool)
-          (label "float run never falls back")
-          false ref_stats.Mincostflow.int_fallback;
-        let ref_bits = Int64.bits_of_float (Matching.maxsum reference) in
-        (* Certified integer run: same MaxSum to the bit, no fallback. *)
-        let m, stats =
-          Mincostflow.solve_with_stats ~jobs:1
-            ~cost_kernel:Mincostflow.Int_kernel instance
-        in
-        (match Validate.check_matching m with
-        | [] -> ()
-        | violations ->
-            Alcotest.failf "%s: %d violations" (label "int kernel")
-              (List.length violations));
-        (* The exactness contract (Mcf.solve_int): flow value and total
-           cost bit-equal; among exactly tied trees the kernels may route
-           different equal-cost paths, so MaxSum — a sum of true sims
-           over the chosen pairs — is only tie-equivalent, not bitwise. *)
-        Alcotest.(check int)
-          (label "int = float flow value")
-          ref_stats.Mincostflow.flow_value stats.Mincostflow.flow_value;
-        Alcotest.(check int64)
-          (label "int = float flow cost bits")
-          (Int64.bits_of_float ref_stats.Mincostflow.flow_cost)
-          (Int64.bits_of_float stats.Mincostflow.flow_cost);
-        Alcotest.(check (float 1e-6))
-          (label "int = float maxsum (tie-equivalent)")
-          (Matching.maxsum reference) (Matching.maxsum m);
-        if not stats.Mincostflow.int_fallback then incr certified;
-        Alcotest.(check string)
-          (label "kernel actually used")
-          (if stats.Mincostflow.int_fallback then "float" else "int")
-          (Mincostflow.kernel_name stats.Mincostflow.kernel_used);
-        (* Guard forced to 0: the integer run must leave the certified
-           regime on pass one, recompute in float, and still agree. *)
-        with_guard (Some 0) (fun () ->
-            let m', stats' =
-              Mincostflow.solve_with_stats ~jobs:1
-                ~cost_kernel:Mincostflow.Int_kernel instance
-            in
-            Alcotest.(check bool)
-              (label "guard=0 forces the fallback")
-              true stats'.Mincostflow.int_fallback;
-            Alcotest.(check string)
-              (label "guard=0 accepted kernel")
-              "float"
-              (Mincostflow.kernel_name stats'.Mincostflow.kernel_used);
-            (match Validate.check_matching m' with
-            | [] -> ()
-            | violations ->
-                Alcotest.failf "%s: %d violations" (label "fallback")
-                  (List.length violations));
-            Alcotest.(check int64)
-              (label "fallback maxsum bits")
-              ref_bits
-              (Int64.bits_of_float (Matching.maxsum m'))))
-      [ ("eq1", base); ("tight", tighten base) ]
-  done;
-  (* The sweep must exercise the certified path, not just the fallback. *)
-  if !certified = 0 then
-    Alcotest.fail "no integer run stayed in the certified regime"
-
 let suite =
   [
     Alcotest.test_case "200-instance differential sweep" `Slow
       test_differential;
-    Alcotest.test_case "dense vs sparse networks identical" `Slow
-      test_dense_sparse_identical;
-    Alcotest.test_case "int vs float cost kernels identical" `Slow
-      test_int_float_kernels;
+    Alcotest.test_case "sparse mcf = reference oracle" `Slow
+      test_oracle_differential;
   ]

@@ -1,5 +1,5 @@
-(* Priority queues: heap-sort behaviour, invariants, cross-implementation
-   agreement, plus QCheck properties. *)
+(* Priority queues: heap-sort behaviour, invariants, the bucket queue
+   against a sorted-list oracle, plus QCheck properties. *)
 
 open Geacc_pqueue
 
@@ -56,60 +56,6 @@ let test_binary_clear () =
   Binary_heap.push h 10;
   Alcotest.(check (option int)) "usable after clear" (Some 10)
     (Binary_heap.pop h)
-
-let test_pairing_basic () =
-  let h = Pairing_heap.of_list ~cmp:int_cmp [ 5; 1; 3 ] in
-  Alcotest.(check int) "length" 3 (Pairing_heap.length h);
-  Alcotest.(check (option int)) "peek" (Some 1) (Pairing_heap.peek h);
-  Alcotest.(check (list int)) "sorted" [ 1; 3; 5 ]
-    (Pairing_heap.to_sorted_list h);
-  (* Persistence: the original heap is unchanged by pop. *)
-  (match Pairing_heap.pop h with
-  | Some (x, rest) ->
-      Alcotest.(check int) "popped min" 1 x;
-      Alcotest.(check int) "rest smaller" 2 (Pairing_heap.length rest);
-      Alcotest.(check int) "original untouched" 3 (Pairing_heap.length h)
-  | None -> Alcotest.fail "expected an element");
-  ()
-
-let test_pairing_merge () =
-  let a = Pairing_heap.of_list ~cmp:int_cmp [ 4; 8 ]
-  and b = Pairing_heap.of_list ~cmp:int_cmp [ 1; 6 ] in
-  let m = Pairing_heap.merge a b in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 4; 6; 8 ]
-    (Pairing_heap.to_sorted_list m)
-
-let test_pairing_deep () =
-  (* A long ascending push sequence produces a degenerate spine; draining
-     must not overflow the stack. *)
-  let h =
-    List.fold_left Pairing_heap.push
-      (Pairing_heap.empty ~cmp:int_cmp)
-      (List.init 200_000 (fun i -> i))
-  in
-  Alcotest.(check int) "length" 200_000 (Pairing_heap.length h);
-  match Pairing_heap.pop h with
-  | Some (x, _) -> Alcotest.(check int) "min" 0 x
-  | None -> Alcotest.fail "non-empty"
-
-let test_float_int_heap () =
-  let h = Float_int_heap.create () in
-  Alcotest.(check bool) "empty" true (Float_int_heap.is_empty h);
-  Float_int_heap.push h 2.5 1;
-  Float_int_heap.push h 0.5 2;
-  Float_int_heap.push h 1.5 3;
-  Alcotest.(check int) "length" 3 (Float_int_heap.length h);
-  let keys = ref [] in
-  let rec drain () =
-    match Float_int_heap.pop h with
-    | None -> ()
-    | Some (k, _) ->
-        keys := k :: !keys;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list (float 0.))) "ascending keys" [ 0.5; 1.5; 2.5 ]
-    (List.rev !keys)
 
 let test_bucket_basic () =
   let q = Int_bucket_queue.create () in
@@ -180,81 +126,50 @@ let prop_binary_sorts =
       List.iter (Binary_heap.push h) xs;
       Binary_heap.pop_all_sorted h = List.sort compare xs)
 
-let prop_implementations_agree =
-  QCheck.Test.make ~name:"binary and pairing heaps agree" ~count:200
-    QCheck.(list small_int)
-    (fun xs ->
-      let b = Binary_heap.of_array ~cmp:int_cmp (Array.of_list xs) in
-      let p = Pairing_heap.of_list ~cmp:int_cmp xs in
-      Binary_heap.pop_all_sorted b = Pairing_heap.to_sorted_list p)
-
-let prop_float_int_matches_sort =
-  QCheck.Test.make ~name:"float-int heap drains keys sorted" ~count:200
-    QCheck.(list (pair (float_bound_inclusive 1000.) small_int))
-    (fun kvs ->
-      let h = Float_int_heap.create () in
-      List.iter (fun (k, v) -> Float_int_heap.push h k v) kvs;
-      let rec drain acc =
-        match Float_int_heap.pop h with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare (List.map fst kvs))
-
-let prop_bucket_matches_float_heap =
+let prop_bucket_matches_sorted =
   (* Random monotone streams: interleave pushes (key = current floor + a
      small delta, keeping the bucket queue's contract satisfied) with
-     pops, mirrored into a Float_int_heap. Popped key sequences must be
-     identical, and the popped (key, payload) multisets must agree —
-     payload order among equal keys is unspecified in both structures, so
-     ties are normalised by sorting. *)
-  QCheck.Test.make ~name:"bucket queue matches float-int heap" ~count:300
+     pops. Each pop must return the smallest key pushed and not yet popped
+     — checked against a sorted list of the live keys — and the popped
+     (key, payload) multiset must be exactly the pushed one (payload order
+     among equal keys is unspecified, so ties are normalised by
+     sorting). *)
+  QCheck.Test.make ~name:"bucket queue matches sorted oracle" ~count:300
     QCheck.(list (option (pair (int_bound 1000) small_int)))
     (fun ops ->
       let q = Int_bucket_queue.create () in
-      let h = Float_int_heap.create () in
-      let floor = ref 0 and next = ref 0 in
-      let bucket_pops = ref [] and heap_pops = ref [] in
-      let keys_agree = ref true in
+      let live = ref [] and floor = ref 0 and next = ref 0 in
+      let pushed = ref [] and popped = ref [] in
+      let ok = ref true in
+      let pop () =
+        match (Int_bucket_queue.pop q, List.sort compare !live) with
+        | None, [] -> false
+        | Some (k, p), smallest :: rest ->
+            if k <> smallest then ok := false;
+            live := rest;
+            floor := k;
+            popped := (k, p) :: !popped;
+            true
+        | _ ->
+            ok := false;
+            false
+      in
       List.iter
         (function
           | Some (delta, _tag) ->
               let k = !floor + delta in
-              let p = !next in
-              incr next;
-              Int_bucket_queue.push q k p;
-              Float_int_heap.push h (float_of_int k) p
-          | None -> (
-              match (Int_bucket_queue.pop q, Float_int_heap.pop h) with
-              | None, None -> ()
-              | Some (kq, pq), Some (kh, ph) ->
-                  floor := kq;
-                  if float_of_int kq <> kh then keys_agree := false;
-                  bucket_pops := (kq, pq) :: !bucket_pops;
-                  heap_pops := (int_of_float kh, ph) :: !heap_pops
-              | _ -> keys_agree := false))
+              Int_bucket_queue.push q k !next;
+              live := k :: !live;
+              pushed := (k, !next) :: !pushed;
+              incr next
+          | None -> ignore (pop ()))
         ops;
-      let rec drain_q () =
-        match Int_bucket_queue.pop q with
-        | None -> ()
-        | Some (k, p) ->
-            bucket_pops := (k, p) :: !bucket_pops;
-            drain_q ()
-      in
-      let rec drain_h () =
-        match Float_int_heap.pop h with
-        | None -> ()
-        | Some (k, p) ->
-            heap_pops := (int_of_float k, p) :: !heap_pops;
-            drain_h ()
-      in
-      drain_q ();
-      drain_h ();
-      !keys_agree
+      while pop () do
+        ()
+      done;
+      !ok
       && Int_bucket_queue.check_invariant q
-      && List.map fst (List.rev !bucket_pops)
-         = List.map fst (List.rev !heap_pops)
-      && List.sort compare !bucket_pops = List.sort compare !heap_pops)
+      && List.sort compare !pushed = List.sort compare !popped)
 
 let prop_interleaved_ops =
   (* Random push/pop interleavings preserve the heap invariant. *)
@@ -277,17 +192,11 @@ let suite =
     Alcotest.test_case "binary duplicates" `Quick test_binary_duplicates;
     Alcotest.test_case "binary max-heap" `Quick test_binary_max_heap;
     Alcotest.test_case "binary clear" `Quick test_binary_clear;
-    Alcotest.test_case "pairing basic" `Quick test_pairing_basic;
-    Alcotest.test_case "pairing merge" `Quick test_pairing_merge;
-    Alcotest.test_case "pairing deep spine" `Quick test_pairing_deep;
-    Alcotest.test_case "float-int heap" `Quick test_float_int_heap;
     Alcotest.test_case "bucket queue basic" `Quick test_bucket_basic;
     Alcotest.test_case "bucket queue one bucket" `Quick test_bucket_one_bucket;
     Alcotest.test_case "bucket queue clear reuse" `Quick
       test_bucket_clear_reuse;
     QCheck_alcotest.to_alcotest prop_binary_sorts;
-    QCheck_alcotest.to_alcotest prop_bucket_matches_float_heap;
-    QCheck_alcotest.to_alcotest prop_implementations_agree;
-    QCheck_alcotest.to_alcotest prop_float_int_matches_sort;
+    QCheck_alcotest.to_alcotest prop_bucket_matches_sorted;
     QCheck_alcotest.to_alcotest prop_interleaved_ops;
   ]

@@ -94,10 +94,10 @@ let norm_unit m =
 
 (* A value reference as a (module, name) call-graph key. [Pident] is a
    same-unit (or local) name; [Pdot] a cross-module access, keyed by the
-   last module component so both an alias path (Geacc_flow.Graph.cost) and
-   a mangled direct path (Geacc_flow__Graph.cost) land on "Graph".
-   [aliases] maps the unit's own module aliases (module Heap =
-   Geacc_pqueue.Float_int_heap) to the real unit name. *)
+   last module component so both an alias path (Geacc_flow.Graph.icost) and
+   a mangled direct path (Geacc_flow__Graph.icost) land on "Graph".
+   [aliases] maps the unit's own module aliases (module Q =
+   Geacc_pqueue.Int_bucket_queue) to the real unit name. *)
 let ref_target ~unit_name ~aliases path =
   match path with
   | Path.Pident id -> Some (unit_name, Ident.name id)

@@ -26,9 +26,9 @@
    single symbolic values, interval bounds kept as *lists* of affine
    conjuncts, and an append-only per-definition fact base of
    [affine <= affine] pairs discovered from asserts, guards and seeded
-   structural invariants. The seeds (Graph CSR geometry, Float_int_heap
-   size/capacity) are exactly the invariants Audit.Flow.check_csr and
-   Float_int_heap.check_invariant re-verify at runtime — the proofs are
+   structural invariants. The seeds (Graph CSR geometry, Int_bucket_queue
+   column geometry) are exactly the invariants Audit.Flow.check_csr and
+   Int_bucket_queue.check_invariant re-verify at runtime — the proofs are
    conditional on them, the audits keep them honest. See DESIGN.md §13.
 
    Rules: bounds-unlicensed, bounds-unproved, bounds-out-of-bounds,
@@ -600,7 +600,6 @@ let materialize_graph env r =
   let env, dst_ = get_path env r "dst_" ~mut:true `Arr in
   let env, cap_ = get_path env r "cap_" ~mut:true `Arr in
   let env, icap = get_path env r "initial_cap" ~mut:true `Arr in
-  let env, cost_ = get_path env r "cost_" ~mut:true `Arr in
   let env, icost_ = get_path env r "icost_" ~mut:true `Arr in
   let n = exact_int nv and c = exact_int cv in
   let env = fact_le env (Some (const 0)) n in
@@ -609,7 +608,6 @@ let materialize_graph env r =
   let env = fact_le env c (len_of dst_) in
   let env = fact_le env c (len_of cap_) in
   let env = fact_le env c (len_of icap) in
-  let env = fact_le env c (len_of cost_) in
   let env = fact_le env c (len_of icost_) in
   let env = fact_le env n (len_of head) in
   let env = fact_le env (len_of head) n in
@@ -627,7 +625,6 @@ let seed_csr env r =
   let env = materialize_graph env r in
   let env, off = get_path env r "csr_offset" ~mut:true `Arr in
   let env, cdst = get_path env r "csr_dst" ~mut:true `Arr in
-  let env, ccost = get_path env r "csr_cost" ~mut:true `Arr in
   let env, cicost = get_path env r "csr_icost" ~mut:true `Arr in
   let env, ccap = get_path env r "csr_cap" ~mut:true `Arr in
   let env, carc = get_path env r "csr_arc" ~mut:true `Arr in
@@ -638,7 +635,6 @@ let seed_csr env r =
   let env = fact_le env np1 (len_of off) in
   let env = fact_le env (len_of off) np1 in
   let env = fact_le env c (len_of cdst) in
-  let env = fact_le env c (len_of ccost) in
   let env = fact_le env c (len_of cicost) in
   let env = fact_le env c (len_of ccap) in
   let env = fact_le env c (len_of carc) in
@@ -653,19 +649,6 @@ let seed_csr env r =
   { env with csr = SMap.add r () env.csr }
 
 let csr_known env r = SMap.mem r env.csr
-
-(* Heap core: [0 <= size <= |keys| = |payloads|], runtime-verified by
-   Float_int_heap.check_invariant. *)
-let materialize_heap env r =
-  let env, sv = get_path env r "size" ~mut:true `Int in
-  let env, kv = get_path env r "keys" ~mut:true `Arr in
-  let env, pv = get_path env r "payloads" ~mut:true `Arr in
-  let s = exact_int sv in
-  let env = fact_le env (Some (const 0)) s in
-  let env = fact_le env s (len_of kv) in
-  let env = fact_le env (len_of kv) (len_of pv) in
-  let env = fact_le env (len_of pv) (len_of kv) in
-  env
 
 (* Bucket-queue core: the three per-bucket columns have exactly 64
    ([Int_bucket_queue.buckets]) slots, fixed at creation. The per-bucket
@@ -781,7 +764,6 @@ let read_label ss env r (lbl : Types.label_description) =
   let env =
     match label_type_key ~unit_name:ss.ss_unit lbl with
     | Some "Graph.t" -> materialize_graph env r
-    | Some "Float_int_heap.t" -> materialize_heap env r
     | Some "Int_bucket_queue.t" -> materialize_bucket env r
     | _ -> env
   in
@@ -1192,43 +1174,6 @@ and cond ss env (e : Typedtree.expression) bsense : env =
                     | Some r when bsense -> seed_csr env r
                     | _ -> env)
                 | _ -> fst (eval ss env e))
-            | Some ("Float_int_heap", "is_empty") -> (
-                match argl with
-                | [ t ] -> (
-                    let env, tv = eval ss env t in
-                    match root_of_value tv with
-                    | Some r -> (
-                        let env = materialize_heap env r in
-                        let key = r ^ "#size" in
-                        match SMap.find_opt key env.paths with
-                        | Some (Int iv, mut) ->
-                            if bsense then
-                              let env =
-                                fact_le env (exact_of iv) (Some (const 0))
-                              in
-                              {
-                                env with
-                                paths =
-                                  SMap.add key
-                                    (Int (mk_iv iv.los (const 0 :: iv.his)), mut)
-                                    env.paths;
-                              }
-                            else
-                              let env =
-                                match exact_of iv with
-                                | Some x -> add_fact env (const 1) x
-                                | None -> env
-                              in
-                              {
-                                env with
-                                paths =
-                                  SMap.add key
-                                    (Int (mk_iv (const 1 :: iv.los) iv.his), mut)
-                                    env.paths;
-                              }
-                        | _ -> env)
-                    | None -> env)
-                | _ -> fst (eval ss env e))
             | _ -> fst (eval ss env e))
         | Some p, args ->
             if debug_all then
@@ -1494,10 +1439,6 @@ and call_named ss env e (base, name) argl =
       match graph_model ss env e name argl with
       | Some r -> r
       | None -> unknown_call ss env e argl)
-  | "Float_int_heap" -> (
-      match heap_model ss env e name argl with
-      | Some r -> r
-      | None -> unknown_call ss env e argl)
   | "Int_bucket_queue" -> (
       match bucket_model ss env e name argl with
       | Some r -> r
@@ -1651,7 +1592,7 @@ and graph_model ss env e name argl =
           let env, n, c = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred c) in
           Some (env, bounds (Some (const 0)) (pred n)))
-  | "cost" | "icost" ->
+  | "icost" ->
       with_root (fun env r rest ->
           let env, _, c = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred c) in
@@ -1705,16 +1646,6 @@ and graph_model ss env e name argl =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           Some (seed_csr (havoc_root env r) r, Top))
-  | "first_out_arc" ->
-      with_root (fun env r rest ->
-          let env, n, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred n) in
-          Some (env, bounds (Some (const (-1))) (pred c)))
-  | "next_out_arc" ->
-      with_root (fun env r rest ->
-          let env, _, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred c) in
-          Some (env, bounds (Some (const (-1))) (pred c)))
   | "out_begin" | "out_end" ->
       with_root (fun env r rest ->
           let env = seed_csr env r in
@@ -1727,7 +1658,7 @@ and graph_model ss env e name argl =
           let env, n, c = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred c) in
           Some (env, bounds (Some (const 0)) (pred n)))
-  | "pos_cost" | "pos_icost" | "pos_residual_capacity" ->
+  | "pos_icost" | "pos_residual_capacity" ->
       with_root (fun env r rest ->
           let env = seed_csr env r in
           let env, _, c = counts env r in
@@ -1739,8 +1670,8 @@ and graph_model ss env e name argl =
           let env, _, c = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred c) in
           Some (env, bounds (Some (const 0)) (pred c)))
-  | "unsafe_csr_dst" | "unsafe_csr_cost" | "unsafe_csr_icost" | "unsafe_csr_cap"
-  | "unsafe_csr_arc" ->
+  | "unsafe_csr_dst" | "unsafe_csr_icost" | "unsafe_csr_cap" | "unsafe_csr_arc"
+    ->
       with_root (fun env r rest ->
           (* The licence must hold *at the call*: the caller owes the
              analyzer an established csr_valid (finalize_csr or a guard)
@@ -1779,52 +1710,6 @@ and graph_model ss env e name argl =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           ret_default (full_havoc env))
-  | _ -> None
-
-(* ---------- the Float_int_heap model ---------- *)
-
-and heap_model ss env e name argl =
-  let ret_default env = Some (default_value env e.exp_type) in
-  let with_root k =
-    match argl with
-    | te :: rest -> (
-        let env, tv = eval ss env te in
-        let env, rest_env_done =
-          ( List.fold_left (fun env a -> fst (eval ss env a)) env rest,
-            () )
-        in
-        ignore rest_env_done;
-        match root_of_value tv with
-        | Some r -> k env r
-        | None -> ret_default env)
-    | [] -> ret_default env
-  in
-  match name with
-  | "create" ->
-      let env, _ = eval_list ss env argl in
-      Some (env, Root (fresh_root ()))
-  | "push" | "drop_min" | "clear" ->
-      with_root (fun env r -> Some (havoc_root env r, Top))
-  | "pop" -> with_root (fun env r -> ret_default (havoc_root env r))
-  | "grow" ->
-      with_root (fun env r ->
-          let env = havoc_root env r in
-          let env = materialize_heap env r in
-          let env, sv = get_path env r "size" ~mut:true `Int in
-          let env, kv = get_path env r "keys" ~mut:true `Arr in
-          let env =
-            fact_le env (exact_int sv)
-              (Option.map (fun l -> aff_shift l (-1)) (len_of kv))
-          in
-          Some (env, Top))
-  | "length" ->
-      with_root (fun env r ->
-          let env = materialize_heap env r in
-          let env, sv = get_path env r "size" ~mut:true `Int in
-          Some (env, sv))
-  | "is_empty" | "check_invariant" -> with_root (fun env _r -> Some (env, Top))
-  | "min_key" -> with_root (fun env _r -> Some (env, Top))
-  | "min_payload" -> with_root (fun env _r -> ret_default env)
   | _ -> None
 
 (* ---------- the Int_bucket_queue model ---------- *)

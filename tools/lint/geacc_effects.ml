@@ -31,7 +31,7 @@
                            call closure, so the loop cannot be cancelled by
                            a deadline.
    - [csr-mirror-write]    (T) a direct write to a [Graph.t] arc-store or
-                           CSR-mirror field ([csr_cost], [csr_cap], [cap_],
+                           CSR-mirror field ([csr_icost], [csr_cap], [cap_],
                            ...) outside the trusted lib/flow + lib/check
                            modules, which would desynchronise the positional
                            mirror behind [Graph.push]'s back.
@@ -62,8 +62,8 @@ let mirror_trusted path =
    arc store and its positional CSR mirror. *)
 let graph_protected_fields =
   [
-    "next"; "dst_"; "cap_"; "initial_cap"; "cost_"; "count";
-    "csr_count"; "csr_offset"; "csr_dst"; "csr_cost"; "csr_cap";
+    "next"; "dst_"; "cap_"; "initial_cap"; "icost_"; "count";
+    "csr_count"; "csr_offset"; "csr_dst"; "csr_icost"; "csr_cap";
     "csr_arc"; "arc_pos";
   ]
 

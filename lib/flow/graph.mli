@@ -7,6 +7,11 @@
     (user-created) arcs are the even ids. *)
 
 type t
+(** Kept abstract on purpose: outside [graph.ml] no code can name a field
+    of [t], so every write to the arc store and its positional CSR mirror
+    goes through this interface ({!push}, {!reset_flow}, {!finalize_csr},
+    ...) and the two cannot drift apart. The compiler enforces this; the
+    [obj-magic] rule of [geacc_lint] closes the one way around it. *)
 
 type arc = int
 (** Arc identifier, index into the graph's arc store. *)

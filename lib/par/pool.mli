@@ -57,7 +57,7 @@
     state owned by their own index/chunk and observe no ambient
     nondeterminism (global [Random] state, domain identity, clocks,
     std-channel output, hashtable iteration order, physical equality on
-    boxed values). [geacc_effects] ([dune build @effects]) checks both
+    boxed values). [geacc_analyze] ([dune build @analyze]) checks both
     obligations interprocedurally at every call site of the three
     combinators — rules [par-shared-write] and [par-nondet]; see
     DESIGN.md §12. *)

@@ -17,8 +17,8 @@
     thread-safe. {!unlimited} is the shared disarmed budget; polling it is a
     single load-and-branch and mutates nothing.
 
-    Polling is a static obligation, not a convention: [geacc_effects]
-    ([dune build @effects], rule [poll-missing]) requires every outermost
+    Polling is a static obligation, not a convention: [geacc_analyze]
+    ([dune build @analyze], rule [poll-missing]) requires every outermost
     loop under [lib/core] / [lib/flow] to reach {!check} or {!check_now}
     in its call closure, so a solver hot loop that cannot be cancelled by
     a deadline fails the build. See DESIGN.md §12. *)

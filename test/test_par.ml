@@ -146,11 +146,11 @@ let test_reduce_bitwise_identical () =
 
 (* A deliberately planted shared-capture bug, kept test-only: the chunk
    body below mutates a captured accumulator — exactly the shape
-   geacc_effects' [par-shared-write] rule rejects (the [ref_direct]
+   geacc_analyze's [par-shared-write] rule rejects (the [ref_direct]
    fixture in test/lint/effects.t flags this statically). The pool makes
    no ordering promise for such writes, and this test proves the analyzer
    is guarding something real: the order the chunks append in diverges
-   between jobs=1 and jobs=4. The @effects alias scans lib/, bin/ and
+   between jobs=1 and jobs=4. The @analyze alias scans lib/, bin/ and
    bench/, so production code cannot ship this shape; the mutex keeps the
    demonstration a pure ordering nondeterminism rather than a torn
    write. *)

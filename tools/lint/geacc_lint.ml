@@ -1,6 +1,7 @@
-(* geacc_lint — stage 1 of the project analyzer: compiler-libs parse trees.
-   Stage 2 (geacc_analyze) works on typedtrees; see that file and DESIGN.md
-   §7. Shared span/suppression/report plumbing lives in Lint_core.
+(* geacc_lint — the project analyzer's source pass: compiler-libs parse
+   trees. The typedtree pass (geacc_analyze) works on .cmt files; see that
+   file and DESIGN.md §7. Shared span/suppression/report plumbing lives in
+   Lint_core.
 
    Usage: geacc_lint [--format text|json] DIR...
 

@@ -1,4 +1,4 @@
-(* Shared plumbing for the two analyzer stages: geacc_lint (parsetree pass)
+(* Shared plumbing for the two analyzer passes: geacc_lint (parsetree pass)
    and geacc_analyze (typedtree/.cmt pass). One diagnostic shape, one
    suppression-tag parser, one pair of output formats, one directory walk —
    so the two tools cannot drift apart on spans, tags or report syntax. *)
@@ -46,10 +46,10 @@ let read_lines path =
 
 (* ---------- suppression tags ---------- *)
 
-(* Both stages share one tag grammar: a comment containing "<tag>: ok" on
+(* Both passes share one tag grammar: a comment containing "<tag>: ok" on
    the offending line or the line directly above suppresses the diagnostic.
-   geacc_lint recognises the tag "lint", geacc_analyze the tag "alloc"; a
-   caller passes every tag it honours. *)
+   geacc_lint recognises the tag "lint", geacc_analyze's hot-loop rules the
+   tag "alloc"; a caller passes every tag it honours. *)
 
 let line_has_tag ~tags lines l =
   l >= 1
@@ -63,12 +63,13 @@ let suppressed ~tags lines l =
 
 (* ---------- reasoned suppression tags and licences ---------- *)
 
-(* geacc_effects tags must justify themselves: "<tag>: ok — <reason>". A
-   bare "<tag>: ok" is itself a diagnostic (suppress-no-reason), so an
-   exemption can never silently outlive its justification. geacc_bounds
-   reuses the same grammar with the marker "bounds: proved" — a licence
-   rather than a suppression, since the analyzer re-verifies the claim —
-   so both go through the generic marker machinery below. *)
+(* geacc_analyze's effects tags must justify themselves: "<tag>: ok —
+   <reason>". A bare "<tag>: ok" is itself a diagnostic
+   (suppress-no-reason), so an exemption can never silently outlive its
+   justification. Its bounds rules reuse the same grammar with the marker
+   "bounds: proved" — a licence rather than a suppression, since the
+   analyzer re-verifies the claim — so both go through the generic marker
+   machinery below. *)
 
 type tag_status = No_tag | Tag_with_reason | Tag_without_reason
 
@@ -110,7 +111,7 @@ let line_tag_status ~tag lines l = line_marker_status ~marker:(tag ^ ": ok") lin
 (* Same placement grammar as [suppressed]: the offending line or the line
    directly above, nearest line wins. Returns the matched line alongside
    the status so licence consumers can track which markers were used
-   (geacc_bounds reports the unused ones as orphans). *)
+   (geacc_analyze reports the unused ones as orphans). *)
 let reasoned_marker_status ~marker lines l =
   match line_marker_status ~marker lines l with
   | No_tag -> (line_marker_status ~marker lines (l - 1), l - 1)
@@ -183,10 +184,10 @@ let emit ~format ~tool diags =
 
 (* ---------- command line ---------- *)
 
-(* Every stage accepts:  TOOL [--format text|json] [--list-rules] DIR...
+(* Both passes accept:  TOOL [--format text|json] [--list-rules] DIR...
    [--list-rules] prints the tool's rule ids one per line and exits 0, so
-   CI problem-matcher configs and docs can be checked against the binaries
-   instead of drifting silently. *)
+   CI checks the problem-matcher config against the binaries instead of
+   letting it drift silently. *)
 let parse_argv ~tool ?(rules = []) argv =
   let usage () =
     Printf.eprintf "usage: %s [--format text|json] [--list-rules] DIR...\n"

@@ -146,6 +146,50 @@ let mcf_build_test ~jobs =
          let instance = Lazy.force mcf_instance in
          ignore (Geacc_core.Mincostflow.build_network ~jobs instance)))
 
+(* One SSP pass in mid-solve: the TABLE III default assignment network
+   (100 events x 1000 users) after 1000 unit augmentations, with the
+   potentials they left. Unlike the ring above it has cost spread on the
+   pair arcs and live residual arcs, so it times the lazy forward walk and
+   the residual runs the min-cost-flow solver actually scans. The
+   augmentations run once, before timing starts (a [uniq] resource). *)
+let mid_solve_pass () =
+  let net =
+    Geacc_core.Mincostflow.build_network ~jobs:1 (Lazy.force mcf_instance)
+  in
+  let g = net.Geacc_core.Mincostflow.graph in
+  let source = net.Geacc_core.Mincostflow.source
+  and sink = net.Geacc_core.Mincostflow.sink in
+  let n = Geacc_flow.Graph.node_count g in
+  let pi = Array.make n 0
+  and dist = Array.make n 0
+  and parent_arc = Array.make n 0
+  and queue = Geacc_pqueue.Int_bucket_queue.create () in
+  let pass () =
+    Geacc_flow.Shortest_path.dijkstra_int g ~source ~pi ~dist ~parent_arc
+      ~queue ~stop_at:sink ()
+  in
+  for _ = 1 to 1000 do
+    pass ();
+    let d = dist.(sink) in
+    let path_cost = d + pi.(sink) - pi.(source) in
+    if d = max_int || path_cost >= Geacc_core.Mincostflow.cost_scale then
+      invalid_arg "micro: assignment network saturated early";
+    Array.iteri (fun v dv -> pi.(v) <- pi.(v) + Int.min dv d) dist;
+    let v = ref sink in
+    while !v <> source do
+      let a = parent_arc.(!v) in
+      Geacc_flow.Graph.push g a 1;
+      v := Geacc_flow.Graph.src g a
+    done
+  done;
+  pass
+
+let mid_solve_pass_test =
+  Test.make_with_resource
+    ~name:"dijkstra_int pass (100x1000 network, 1k units routed)" Test.uniq
+    ~allocate:mid_solve_pass ~free:ignore
+    (Staged.stage (fun pass -> pass ()))
+
 let kd_build_points =
   lazy
     (Array.init 50_000 (fun i ->
@@ -184,6 +228,7 @@ let tests =
       heap_test;
       bucket_queue_test;
       dijkstra_test;
+      mid_solve_pass_test;
       conflict_probe_test;
       kd_test;
       mcf_build_test ~jobs:1;

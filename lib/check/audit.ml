@@ -124,6 +124,40 @@ module Flow = struct
             a
             (G.residual_capacity g a)
       done
+    done;
+    (* Slice layout: [forward arcs, cost-ascending | live residual arcs |
+       dead residual arcs], the live run being exactly the residual
+       positions with capacity > 0. *)
+    for v = 0 to n - 1 do
+      let fb = G.out_begin g v and rb = G.res_begin g v in
+      let le = G.live_end g v and oe = G.out_end g v in
+      if not (fb <= rb && rb <= le && le <= oe) then
+        failf ~site "CSR boundaries of node %d out of order: %d %d %d %d" v
+          fb rb le oe;
+      for p = fb to rb - 1 do
+        let a = G.pos_arc g p in
+        if a land 1 <> 0 then
+          failf ~site "CSR forward run of node %d holds residual arc %d" v a;
+        if p > fb then begin
+          let b = G.pos_arc g (p - 1) in
+          let cb = G.pos_icost g (p - 1) and ca = G.pos_icost g p in
+          if cb > ca || (cb = ca && b > a) then
+            failf ~site
+              "CSR forward run of node %d not cost-ascending at position %d"
+              v p
+        end
+      done;
+      for p = rb to oe - 1 do
+        let a = G.pos_arc g p in
+        if a land 1 = 0 then
+          failf ~site "CSR residual run of node %d holds forward arc %d" v a;
+        if p < le <> (G.pos_residual_capacity g p > 0) then
+          failf ~site
+            "CSR residual arc %d of node %d (capacity %d) is on the wrong \
+             side of the live run"
+            a v
+            (G.pos_residual_capacity g p)
+      done
     done
 
   (* The integer potentials telescope exactly, so there is no slack — any

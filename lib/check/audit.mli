@@ -66,7 +66,11 @@ module Flow : sig
       [\[0, arc_count)], positions are a permutation of the arc ids whose
       dst/icost agree with the arc store, and the positional
       residual capacities mirror the arc-indexed ones (the invariant
-      {!Geacc_flow.Graph.push} maintains in place). Fails when
+      {!Geacc_flow.Graph.push} maintains in place), and every node's slice
+      has the documented layout: forward (even) arcs by ascending cost,
+      ties by ascending id, then the residual (odd) arcs, with
+      [\[res_begin, live_end)] exactly the residual positions of capacity
+      > 0. Fails when
       {!Geacc_flow.Graph.csr_valid} is false — run it only after
       [finalize_csr]. *)
 end

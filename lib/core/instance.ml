@@ -189,16 +189,19 @@ let user_neighbor t ~u ~rank =
 let prepare_event_queries t = ignore (event_source t : source)
 
 (* Similarity-pruned candidate set of one event, for the sparse network
-   builder: every user with [sim > 0] (and [>= min_sim]), ascending user
-   id. Unlike [event_neighbor] this touches no per-node caches — the
-   indexed path opens a fresh stream per call and the scanned path computes
-   directly — so after [prepare_event_queries] has forced the shared
-   (read-only) index, concurrent calls from pool workers are safe.
+   builder: every user with [sim > 0] (and [>= min_sim]). Unlike
+   [event_neighbor] this touches no per-node caches — the indexed path
+   opens a fresh stream per call and the scanned path computes directly —
+   so after [prepare_event_queries] has forced the shared (read-only)
+   index, concurrent calls from pool workers are safe.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
    bitwise-identical to [sim t ~v ~u]; monotonicity lets the collection
-   stop at the first rank whose similarity falls below the gate. *)
+   stop at the first rank whose similarity falls below the gate, and
+   keeps the stream's order, descending similarity — the cost-ascending
+   order [Graph.finalize_csr] lays each event's arcs out in. The scanned
+   path yields ascending user id. *)
 let candidate_users t ~v ~min_sim =
   match t.event_queries with
   | None ->
@@ -228,9 +231,6 @@ let candidate_users t ~v ~min_sim =
           decr count;
           a.(!count) <- c)
         !acc;
-      (* Streams yield descending similarity; arc emission wants ascending
-         user id. *)
-      Array.sort (fun (u1, _) (u2, _) -> Int.compare u1 u2) a;
       a
   | Some (Scanned _) ->
       let n = n_users t in

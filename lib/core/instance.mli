@@ -67,10 +67,14 @@ val prepare_event_queries : t -> unit
 
 val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
 (** The similarity-pruned candidate users of event [v]: every [(u, s)] with
-    [s = sim t ~v ~u], [s > 0] and [s >= min_sim], in ascending user id.
-    Similarities are bitwise-identical to {!sim} (when no fault plan is
-    poisoning it). Unlike {!event_neighbor} this writes no per-node caches:
-    after {!prepare_event_queries}, concurrent calls are safe.
+    [s = sim t ~v ~u], [s > 0] and [s >= min_sim]. Indexed instances
+    (similarity with a distance profile) return them in NN-stream order:
+    descending similarity, equal similarities in the order the stream
+    yields them, the same order {!event_neighbor} ranks them in. Scanned
+    instances return them in ascending user id. Similarities are
+    bitwise-identical to {!sim} (when no fault plan is poisoning it).
+    Unlike {!event_neighbor} this writes no per-node caches: after
+    {!prepare_event_queries}, concurrent calls are safe.
     @raise Invalid_argument before {!prepare_event_queries} has run. *)
 
 val with_backend : t -> Geacc_index.Nn_backend.t -> t

@@ -98,8 +98,10 @@ let build_network ?jobs ?min_sim instance =
      |V|·|U|. The per-event candidate sets are computed in parallel per
      event-chunk (each cell a function of its event id alone, so
      byte-identical for every job count); degree counting then pre-sizes
-     the arc store exactly, and the sequential v-major, u-ascending
-     emission fixes arc ids by (v, u) rank. *)
+     the arc store exactly, and the sequential v-major emission in
+     candidate order fixes arc ids. On indexed instances that order is
+     descending similarity, so each event's arcs arrive cost-ascending
+     and [Graph.finalize_csr] only checks their order. *)
   Instance.prepare_event_queries instance;
   let candidates =
     (* Chunks tile [0, n_v) contiguously in order, so after concatenation

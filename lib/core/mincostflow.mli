@@ -75,13 +75,14 @@ type stats = {
 val build_network : ?jobs:int -> ?min_sim:float -> Instance.t -> net
 (** The Step-1 network. [jobs] (default {!Geacc_par.Pool.default_jobs})
     parallelises the candidate queries per event-chunk; arc emission stays
-    sequential and v-major with u ascending, so arc ids — and hence the
-    SSP pivoting order and the final flow — are byte-identical for every
-    job count. When a fault plan is active the build runs with [jobs = 1]
-    so fault points hit inside the queries fire in plan order. Under
-    [GEACC_AUDIT=1] the build additionally proves every pruned pair sits
-    below the similarity gate. Exposed for the determinism tests, audits
-    and benchmarks.
+    sequential, v-major, each event's arcs in {!Instance.candidate_users}
+    order (cost-ascending on indexed instances), so arc ids — and hence
+    the SSP pivoting order and the final flow — are byte-identical for
+    every job count. When a fault plan is active the build runs with
+    [jobs = 1] so fault points hit inside the queries fire in plan order.
+    Under [GEACC_AUDIT=1] the build additionally proves every pruned pair
+    sits below the similarity gate. Exposed for the determinism tests,
+    audits and benchmarks.
     @raise Geacc_robust.Fault.Injected when the [mcf.alloc] point fires.
     @raise Invalid_argument when [min_sim] is outside [\[0, 1\]], or when
     a candidate pair's similarity is NaN or above 1 (the error names the

@@ -50,8 +50,9 @@ val initial_capacity : t -> arc -> int
 
 val unsafe_set_residual_capacity : t -> arc -> int -> unit
 (** Overwrites [a]'s residual capacity {e without} touching its partner,
-    breaking the pair-conservation invariant. Fault injection for audit
-    tests only — never call this from algorithm code. *)
+    breaking the pair-conservation invariant (the CSR form, live run
+    included, stays current). Fault injection for audit tests only —
+    never call this from algorithm code. *)
 
 val flow : t -> arc -> int
 (** Flow currently carried by a {e forward} arc: capacity moved to its
@@ -60,11 +61,10 @@ val flow : t -> arc -> int
 val push : t -> arc -> int -> unit
 (** [push g a k] sends [k] units along [a]: decreases [a]'s residual
     capacity, increases its partner's. Requires
-    [0 <= k <= residual_capacity g a]. *)
-
-val iter_out_arcs : t -> int -> (arc -> unit) -> unit
-(** Iterates all arc ids leaving a node (forward and residual alike), in
-    descending arc id; callers filter by {!residual_capacity}. *)
+    [0 <= k <= residual_capacity g a]. While {!csr_valid} holds it also
+    keeps the CSR form current: the positional capacities, and the live
+    residual run of the pair's residual arc (an O(1) position swap when
+    that arc's capacity crosses zero). *)
 
 val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
 (** Folds over the user-created (even) arcs in insertion order. *)
@@ -73,19 +73,29 @@ val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
 
     {!finalize_csr} compacts the arc store into struct-of-arrays
     [dst]/[cost]/[residual_cap] arrays grouped per source node by an offset
-    table, so the Dijkstra kernel scans the contiguous position range
-    [\[out_begin n, out_end n)] instead of chasing [next] links. Arc ids
-    are unchanged — positions carry their arc id ({!pos_arc}), the
-    [a lxor 1] residual pairing is untouched, and within a node positions
-    enumerate arcs in exactly the order {!iter_out_arcs} would (descending
-    arc id). {!push}, {!unsafe_set_residual_capacity} and {!reset_flow}
-    keep the positional residual capacities current in place; only
-    {!add_arc} invalidates the form (rebuild by calling {!finalize_csr}
-    again). *)
+    table, so the Dijkstra kernel scans contiguous position ranges. Arc
+    ids are unchanged — positions carry their arc id ({!pos_arc}) and the
+    [a lxor 1] residual pairing is untouched. Each node's slice
+    [\[out_begin n, out_end n)] is laid out in three runs:
+
+    - [\[out_begin n, res_begin n)]: the forward (even) arcs, by ascending
+      {!icost}, ties by ascending arc id;
+    - [\[res_begin n, live_end n)]: the residual (odd) arcs with residual
+      capacity > 0, in no particular order;
+    - [\[live_end n, out_end n)]: the other residual arcs.
+
+    {!push}, {!unsafe_set_residual_capacity} and {!reset_flow} keep the
+    positional residual capacities and the live run current in place;
+    forward arcs never move, residual arcs move only across the live-run
+    boundary. Only {!add_arc} invalidates the form (rebuild by calling
+    {!finalize_csr} again). *)
 
 val finalize_csr : t -> unit
-(** Builds (or rebuilds) the CSR form. O(nodes + arcs); a no-op when the
-    form is already current. *)
+(** Builds (or rebuilds) the CSR form; a no-op when the form is already
+    current. O(nodes + arcs) when every forward run already arrives in
+    cost order, as the GEACC network builder emits them on indexed
+    instances; a run that does not is heap-sorted in place, O(k log k)
+    for a run of [k] arcs. *)
 
 val csr_valid : t -> bool
 (** [true] when the CSR form reflects the current arc store (no arcs added
@@ -96,6 +106,16 @@ val out_begin : t -> int -> int
 
 val out_end : t -> int -> int
 (** One past the last CSR position of the arcs leaving a node. *)
+
+val res_begin : t -> int -> int
+(** First residual position of a node's slice: one past its forward run.
+    [out_begin n <= res_begin n <= live_end n <= out_end n]. Requires
+    {!csr_valid}. *)
+
+val live_end : t -> int -> int
+(** One past the last live residual position of a node's slice: the
+    positions [\[res_begin n, live_end n)] hold exactly the node's
+    residual arcs with capacity > 0. Requires {!csr_valid}. *)
 
 val pos_dst : t -> int -> int
 (** Destination of the arc at a CSR position. *)
@@ -124,8 +144,9 @@ val arc_position : t -> arc -> int
     [dune build @bounds] re-proves on every build; while {!csr_valid}
     holds, every position below {!arc_count} is in bounds for every
     slice ([Audit.Flow.check_csr] verifies this at runtime). The slices
-    stay current across {!push}/{!reset_flow} and are invalidated by
-    {!add_arc}, like every CSR accessor. *)
+    stay current across {!push}/{!reset_flow} (which may swap two residual
+    positions of one node) and are invalidated by {!add_arc}, like every
+    CSR accessor. *)
 
 val unsafe_csr_dst : t -> int array
 (** Positional [dst] slice. Requires {!csr_valid}. *)
@@ -140,7 +161,7 @@ val unsafe_csr_arc : t -> int array
 (** Positional arc-id slice. Requires {!csr_valid}. *)
 
 val reset_flow : t -> unit
-(** Returns every arc to zero flow. *)
+(** Returns every arc to zero flow (and so empties every live run). *)
 
 val excess : t -> int -> int
 (** Net inflow minus outflow at a node (flow-conservation check hook). *)

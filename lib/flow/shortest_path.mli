@@ -24,9 +24,10 @@ val dijkstra_int :
     the source and at unreachable nodes.
 
     With [stop_at] the search halts as soon as that node is settled; its
-    distance and parents along its shortest path are exact, while other
-    entries are tentative upper bounds, never below [stop_at]'s distance —
-    which is exactly the property the min-cost-flow potential update
+    distance and parents along its shortest path are exact, as is every
+    distance below it, while other entries are tentative upper bounds,
+    never below [stop_at]'s distance — which is exactly the property the
+    min-cost-flow potential update
     [pi(v) <- pi(v) + min(dist(v), dist(stop_at))] needs. Two exact-
     arithmetic shortcuts: no [settled] array (a popped entry is live iff
     its key equals the node's distance, and a settled node can never
@@ -34,6 +35,17 @@ val dijkstra_int :
     tentative distance are dropped; they cannot reach a shortest
     [stop_at] path, and the potential update caps at that distance
     anyway, so later passes are unaffected).
+
+    Relaxation is lazy and reads the slice layout of {!Graph.finalize_csr}.
+    A settled node relaxes its live residual run at once, then walks its
+    cost-ascending forward run only while
+    [dist u + icost a + pi(u) - max pi] — a lower bound on the key the arc
+    would produce — is at most the popped key; the rest of the run waits
+    in the queue as one entry keyed by that bound (or is dropped when the
+    bound exceeds [stop_at]'s tentative distance) and resumes when popped.
+    The settled distances, hence the potentials the update above
+    computes, are exactly a full scan's; among exactly tied shortest
+    paths [parent_arc] may pick a different one (DESIGN.md §15.4).
 
     Every key must fit the queue: {!Mcf.solve_int} checks the overflow
     precondition once per solve (see DESIGN.md §15).

@@ -1,9 +1,10 @@
 (* CSR finalization invariants on the flow graph:
 
    - offsets are monotone, contiguous, and cover every arc exactly once;
-   - positions and arc ids are mutually inverse permutations, and the
-     per-node position order reproduces the linked-list traversal order
-     exactly (same arc ids, same sequence);
+   - positions and arc ids are mutually inverse permutations, and every
+     node's slice is laid out as [forward arcs, cost-ascending | live
+     residual arcs | dead residual arcs], through pushes, raw capacity
+     writes and [reset_flow];
    - the positional capacity mirror tracks [push] / residual-capacity
      writes and [reset_flow];
    - adding an arc invalidates the CSR and re-finalizing repairs it;
@@ -89,22 +90,87 @@ let test_structure () =
         g)
     [ (1, 1, 0); (2, 5, 1); (3, 9, 40); (4, 30, 200); (5, 12, 12) ]
 
-let test_matches_linked_list_order () =
-  let g = random_graph ~seed:6 ~nodes:15 ~arcs:80 in
-  Graph.finalize_csr g;
+(* The slice layout: forward (even) arcs by (cost, arc id), then the
+   residual (odd) arcs, the live run [res_begin, live_end) holding exactly
+   the ones with capacity > 0. *)
+let check_layout ~label g =
   for v = 0 to Graph.node_count g - 1 do
-    (* Walk the intrusive adjacency list and the CSR range in lockstep:
-       the CSR must replay the exact traversal the solvers used before. *)
-    let p = ref (Graph.out_begin g v) in
-    Graph.iter_out_arcs g v (fun a ->
-        Alcotest.(check int)
-          (Printf.sprintf "node %d position %d arc id" v !p)
-          a (Graph.pos_arc g !p);
-        incr p);
-    Alcotest.(check int)
-      (Printf.sprintf "node %d arc range exhausted" v)
-      (Graph.out_end g v) !p
+    let fb = Graph.out_begin g v and rb = Graph.res_begin g v in
+    let le = Graph.live_end g v and oe = Graph.out_end g v in
+    if not (fb <= rb && rb <= le && le <= oe) then
+      Alcotest.failf "%s: node %d boundaries %d <= %d <= %d <= %d broken"
+        label v fb rb le oe;
+    for p = fb to rb - 1 do
+      let a = Graph.pos_arc g p in
+      if a land 1 <> 0 then
+        Alcotest.failf "%s: node %d forward run holds residual arc %d" label
+          v a;
+      if p > fb then begin
+        let b = Graph.pos_arc g (p - 1) in
+        let cb = Graph.icost g b and ca = Graph.icost g a in
+        if cb > ca || (cb = ca && b > a) then
+          Alcotest.failf "%s: node %d forward run out of order at %d" label
+            v p
+      end
+    done;
+    for p = rb to oe - 1 do
+      let a = Graph.pos_arc g p in
+      if a land 1 = 0 then
+        Alcotest.failf "%s: node %d residual run holds forward arc %d" label
+          v a;
+      if p < le <> (Graph.residual_capacity g a > 0) then
+        Alcotest.failf
+          "%s: node %d residual arc %d (capacity %d) on the wrong side of \
+           the live run"
+          label v a
+          (Graph.residual_capacity g a)
+    done
   done
+
+let test_layout () =
+  List.iter
+    (fun (seed, nodes, arcs) ->
+      let label what = Printf.sprintf "seed=%d %s" seed what in
+      let g = random_graph ~seed ~nodes ~arcs in
+      Graph.finalize_csr g;
+      check_csr_structure ~label:(label "finalize") g;
+      check_layout ~label:(label "finalize") g;
+      (* Random pushes along either arc of a pair, so residual arcs enter
+         and leave their live runs. *)
+      let rng = Rng.create ~seed:(seed + 100) in
+      let m = Graph.arc_count g in
+      for _ = 1 to 4 * arcs do
+        let a = Rng.int rng m in
+        let r = Graph.residual_capacity g a in
+        if r > 0 then Graph.push g a (1 + Rng.int rng r)
+      done;
+      check_csr_structure ~label:(label "pushes") g;
+      check_layout ~label:(label "pushes") g;
+      (* Raw writes, negative ones included, cross the boundary both
+         ways. *)
+      for _ = 1 to arcs do
+        Graph.unsafe_set_residual_capacity g (Rng.int rng m)
+          (Rng.int rng 4 - 1)
+      done;
+      check_csr_structure ~label:(label "raw writes") g;
+      check_layout ~label:(label "raw writes") g;
+      Graph.reset_flow g;
+      check_csr_structure ~label:(label "reset_flow") g;
+      check_layout ~label:(label "reset_flow") g;
+      (* A graph finalized while it carries flow starts with live runs. *)
+      for _ = 1 to arcs do
+        let a = 2 * Rng.int rng (m / 2) in
+        let r = Graph.residual_capacity g a in
+        if r > 0 then Graph.push g a r
+      done;
+      let (_ : Graph.arc) =
+        Graph.add_arc g ~src:0 ~dst:(nodes - 1) ~capacity:1 ~cost:0
+      in
+      Graph.finalize_csr g;
+      check_csr_structure ~label:(label "re-finalize under flow") g;
+      check_layout ~label:(label "re-finalize under flow") g)
+    [ (1, 1, 0); (2, 5, 1); (3, 9, 40); (4, 30, 200); (5, 12, 12); (6, 15, 80);
+      (7, 3, 600) ]
 
 let test_residual_pairing_preserved () =
   let g = random_graph ~seed:7 ~nodes:10 ~arcs:60 in
@@ -210,8 +276,7 @@ let test_flow_round_trip () =
 let suite =
   [
     Alcotest.test_case "offsets/permutation structure" `Quick test_structure;
-    Alcotest.test_case "CSR replays linked-list order" `Quick
-      test_matches_linked_list_order;
+    Alcotest.test_case "CSR slice layout" `Quick test_layout;
     Alcotest.test_case "residual pairing preserved" `Quick
       test_residual_pairing_preserved;
     Alcotest.test_case "push keeps positional mirror in sync" `Quick

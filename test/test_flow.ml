@@ -73,9 +73,11 @@ let test_dijkstra_respects_capacity () =
   (* Close 1 -> 2 (without opening a negative-cost reverse arc, which
      zero potentials could not reduce); shortest to 2 becomes the direct 4
      arc. *)
-  Graph.iter_out_arcs g 1 (fun a ->
-      if Graph.dst g a = 2 && a land 1 = 0 then
-        Graph.unsafe_set_residual_capacity g a 0);
+  Graph.finalize_csr g;
+  for p = Graph.out_begin g 1 to Graph.res_begin g 1 - 1 do
+    let a = Graph.pos_arc g p in
+    if Graph.dst g a = 2 then Graph.unsafe_set_residual_capacity g a 0
+  done;
   let dist, _ = dijkstra g ~source:0 () in
   Alcotest.(check int) "rerouted distance" 4 dist.(2)
 
@@ -135,6 +137,57 @@ let test_dijkstra_agrees_with_reference () =
     | None -> Alcotest.fail "non-negative costs cannot cycle"
     | Some reference ->
         Alcotest.(check (array int)) "distance agreement" reference dist
+  done
+
+(* Mid-solve, where the lazy walk has something to defer: non-zero
+   potentials, live reverse arcs and a stop bound. Every node whose exact
+   reduced distance [delta v - pi v] (Bellman–Ford over the residual arcs;
+   [pi source] stays 0) lies below the sink's must be settled at exactly
+   that distance — what the capped potential update reads. *)
+let test_dijkstra_mid_solve () =
+  let rng = Rng.create ~seed:11 in
+  for _ = 1 to 40 do
+    let n = 10 in
+    let g, _ = random_graph rng ~n ~arcs:30 ~max_cost:20 in
+    let sink = n - 1 in
+    let pi = Array.make n 0 and dist = Array.make n 0 in
+    let parent_arc = Array.make n 0 in
+    let queue = Geacc_pqueue.Int_bucket_queue.create () in
+    let rounds = ref 0 in
+    while !rounds < 6 do
+      Shortest_path.dijkstra_int g ~source:0 ~pi ~dist ~parent_arc ~queue
+        ~stop_at:sink ();
+      if dist.(sink) = max_int then rounds := 6
+      else begin
+        let residual = ref [] in
+        for a = Graph.arc_count g - 1 downto 0 do
+          if Graph.residual_capacity g a > 0 then
+            residual :=
+              { Ref_mcf.src = Graph.src g a; dst = Graph.dst g a;
+                cap = Graph.residual_capacity g a; cost = Graph.icost g a }
+              :: !residual
+        done;
+        (match Ref_mcf.distances ~n ~source:0 !residual with
+        | None -> Alcotest.fail "a min-cost flow's residual has no negative cycle"
+        | Some delta ->
+            Array.iteri
+              (fun v dv ->
+                if dv < max_int && dv - pi.(v) < dist.(sink) then
+                  Alcotest.(check int)
+                    (Printf.sprintf "round %d node %d settled exactly" !rounds v)
+                    (dv - pi.(v)) dist.(v))
+              delta);
+        let cap = dist.(sink) in
+        Array.iteri (fun v d -> pi.(v) <- pi.(v) + Int.min d cap) dist;
+        let v = ref sink in
+        while !v <> 0 do
+          let a = parent_arc.(!v) in
+          Graph.push g a 1;
+          v := Graph.src g a
+        done;
+        incr rounds
+      end
+    done
   done
 
 let test_maxflow_known () =
@@ -353,6 +406,8 @@ let suite =
       test_reference_detects_cycle;
     Alcotest.test_case "dijkstra = bellman-ford" `Quick
       test_dijkstra_agrees_with_reference;
+    Alcotest.test_case "dijkstra = bellman-ford mid-solve" `Quick
+      test_dijkstra_mid_solve;
     Alcotest.test_case "maxflow known value" `Quick test_maxflow_known;
     Alcotest.test_case "maxflow conservation" `Quick test_maxflow_conservation;
     Alcotest.test_case "mcf = brute force assignment" `Quick

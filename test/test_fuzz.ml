@@ -7,7 +7,9 @@
    - the exact solvers agree with each other and dominate every
      approximation/baseline on MaxSum;
    - the heap greedy and the sort-all-pairs naive greedy produce identical
-     arrangements (shared tie-breaking contract, see Greedy_naive docs).
+     arrangements (shared tie-breaking contract, see Greedy_naive docs);
+   - MinCostFlow routes the reference oracle's flow value at its integer
+     cost ([Ref_mcf] on the paper's complete network, below).
 
    Deterministic: instance shapes are derived from a seeded RNG, and every
    solver consumes a freshly-seeded RNG of its own. *)
@@ -64,81 +66,6 @@ let write_digest () =
       output_string oc (Buffer.contents digest_buf);
       close_out oc
 
-let check_instance ~seed t =
-  let label a = Printf.sprintf "seed %d %s" seed (Solver.short_name a) in
-  let results =
-    List.map
-      (fun a ->
-        let rng = Rng.create ~seed:(seed + 7919) in
-        let m = Solver.run ~rng a t in
-        (a, m))
-      Solver.all
-  in
-  record_digest ~seed results;
-  (* 1. Feasibility, for every algorithm. *)
-  List.iter
-    (fun (a, m) ->
-      match Validate.check_matching m with
-      | [] -> ()
-      | violations ->
-          Alcotest.failf "%s: %d feasibility violations" (label a)
-            (List.length violations))
-    results;
-  (* 2. The exact solvers agree and dominate everything else. *)
-  let maxsum a = Matching.maxsum (List.assoc a results) in
-  let opt = maxsum Solver.Prune in
-  Alcotest.(check (float 1e-6))
-    (Printf.sprintf "seed %d: prune = exhaustive" seed)
-    opt
-    (maxsum Solver.Exhaustive);
-  List.iter
-    (fun (a, m) ->
-      if not (List.mem a exact) then
-        let got = Matching.maxsum m in
-        if got > opt +. 1e-6 then
-          Alcotest.failf "%s: beats the optimum (%.9f > %.9f)" (label a) got
-            opt)
-    results;
-  (* 3. Identical greedy arrangements, not just equal objectives. *)
-  Alcotest.(check (list (pair int int)))
-    (Printf.sprintf "seed %d: greedy = naive greedy" seed)
-    (Matching.pairs (List.assoc Solver.Greedy results))
-    (Matching.pairs (List.assoc Solver.Greedy_naive results))
-
-let test_differential () =
-  let shape_rng = Rng.create ~seed:20150413 in
-  for seed = 1 to n_instances do
-    let t = Synthetic.generate ~seed (config_of shape_rng) in
-    check_instance ~seed t
-  done;
-  write_digest ()
-
-(* ---------- MinCostFlow-GEACC against the reference oracle ---------- *)
-
-(* The production path — similarity-pruned network, integer SSP over the
-   bucket queue, conflict resolution — checked against Ref_mcf run on the
-   paper's complete network (one arc per (v,u) pair, zero-similarity ones
-   included) with the same quantised costs. Both flows are min-cost for the
-   smallest Δ maximising MaxSum, so the flow value and the integer cost
-   must be exactly equal. The pair sets may legitimately differ: among
-   exactly tied shortest paths the two searches can route differently, so
-   MaxSum after conflict resolution is compared within 1e-6. Per attribute
-   model (uniform / Zipf / normal mixture) and for jobs ∈ {1, 2, 4}.
-   Instances come in two flavours: Equation-1 similarity (cutoff =
-   attribute-space diameter, so nothing prunes) and a re-wrap of the same
-   entities under a range/4 euclidean profile, which drives a large
-   fraction of pairs to similarity exactly 0 and makes the pruning path do
-   real work. *)
-let tighten instance =
-  Instance.create
-    ~sim:
-      (Similarity.euclidean ~dim:(Instance.dim instance)
-         ~range:(Synthetic.default.Synthetic.t_max /. 4.))
-    ~events:(Instance.events instance)
-    ~users:(Instance.users instance)
-    ~conflicts:(Instance.conflicts instance)
-    ()
-
 (* Ref_mcf on the complete network, then the paper's conflict resolution
    (per user, keep events in descending similarity, skip conflicting). *)
 let oracle instance =
@@ -186,6 +113,93 @@ let oracle instance =
         ignore (Matching.add_exn m ~v ~u : float))
     routed;
   (r, m)
+
+let check_instance ~seed t =
+  let label a = Printf.sprintf "seed %d %s" seed (Solver.short_name a) in
+  let results =
+    List.map
+      (fun a ->
+        let rng = Rng.create ~seed:(seed + 7919) in
+        let m = Solver.run ~rng a t in
+        (a, m))
+      Solver.all
+  in
+  record_digest ~seed results;
+  (* 1. Feasibility, for every algorithm. *)
+  List.iter
+    (fun (a, m) ->
+      match Validate.check_matching m with
+      | [] -> ()
+      | violations ->
+          Alcotest.failf "%s: %d feasibility violations" (label a)
+            (List.length violations))
+    results;
+  (* 2. The exact solvers agree and dominate everything else. *)
+  let maxsum a = Matching.maxsum (List.assoc a results) in
+  let opt = maxsum Solver.Prune in
+  Alcotest.(check (float 1e-6))
+    (Printf.sprintf "seed %d: prune = exhaustive" seed)
+    opt
+    (maxsum Solver.Exhaustive);
+  List.iter
+    (fun (a, m) ->
+      if not (List.mem a exact) then
+        let got = Matching.maxsum m in
+        if got > opt +. 1e-6 then
+          Alcotest.failf "%s: beats the optimum (%.9f > %.9f)" (label a) got
+            opt)
+    results;
+  (* 3. Identical greedy arrangements, not just equal objectives. *)
+  Alcotest.(check (list (pair int int)))
+    (Printf.sprintf "seed %d: greedy = naive greedy" seed)
+    (Matching.pairs (List.assoc Solver.Greedy results))
+    (Matching.pairs (List.assoc Solver.Greedy_naive results));
+  (* 4. MinCostFlow's flow is the reference oracle's: same value, same
+     integer cost (the routed pairs may differ among tied paths). *)
+  let reference, _ = oracle t in
+  let _, stats = Mincostflow.solve_with_stats t in
+  Alcotest.(check int)
+    (Printf.sprintf "seed %d: mcf flow value = oracle" seed)
+    reference.Ref_mcf.flow stats.Mincostflow.flow_value;
+  Alcotest.(check int)
+    (Printf.sprintf "seed %d: mcf integer cost = oracle" seed)
+    reference.Ref_mcf.cost
+    (int_of_float
+       (stats.Mincostflow.flow_cost *. float_of_int Mincostflow.cost_scale))
+
+let test_differential () =
+  let shape_rng = Rng.create ~seed:20150413 in
+  for seed = 1 to n_instances do
+    let t = Synthetic.generate ~seed (config_of shape_rng) in
+    check_instance ~seed t
+  done;
+  write_digest ()
+
+(* ---------- MinCostFlow-GEACC against the reference oracle ---------- *)
+
+(* The production path — similarity-pruned network, integer SSP over the
+   bucket queue, conflict resolution — checked against Ref_mcf run on the
+   paper's complete network (one arc per (v,u) pair, zero-similarity ones
+   included) with the same quantised costs. Both flows are min-cost for the
+   smallest Δ maximising MaxSum, so the flow value and the integer cost
+   must be exactly equal. The pair sets may legitimately differ: among
+   exactly tied shortest paths the two searches can route differently, so
+   MaxSum after conflict resolution is compared within 1e-6. Per attribute
+   model (uniform / Zipf / normal mixture) and for jobs ∈ {1, 2, 4}.
+   Instances come in two flavours: Equation-1 similarity (cutoff =
+   attribute-space diameter, so nothing prunes) and a re-wrap of the same
+   entities under a range/4 euclidean profile, which drives a large
+   fraction of pairs to similarity exactly 0 and makes the pruning path do
+   real work. *)
+let tighten instance =
+  Instance.create
+    ~sim:
+      (Similarity.euclidean ~dim:(Instance.dim instance)
+         ~range:(Synthetic.default.Synthetic.t_max /. 4.))
+    ~events:(Instance.events instance)
+    ~users:(Instance.users instance)
+    ~conflicts:(Instance.conflicts instance)
+    ()
 
 let test_oracle_differential () =
   let attr_models =

@@ -527,14 +527,12 @@ let fact_le env va vb =
 
 let len_of v = Option.map len_aff (tok_of v)
 
-(* Graph core: num_nodes/count/head plus the five arc-store arrays, with
-   the invariants from graph.ml's header. Idempotent — existing snapshots
+(* Graph core: num_nodes/count plus the four arc-store arrays, with the
+   invariants from graph.ml's header. Idempotent — existing snapshots
    (including ones from a literal record construction) are reused. *)
 let materialize_graph env r =
   let env, nv = get_path env r "num_nodes" ~mut:false `Int in
   let env, cv = get_path env r "count" ~mut:true `Int in
-  let env, head = get_path env r "head" ~mut:false `Arr in
-  let env, next = get_path env r "next" ~mut:true `Arr in
   let env, dst_ = get_path env r "dst_" ~mut:true `Arr in
   let env, cap_ = get_path env r "cap_" ~mut:true `Arr in
   let env, icap = get_path env r "initial_cap" ~mut:true `Arr in
@@ -542,19 +540,13 @@ let materialize_graph env r =
   let n = exact_int nv and c = exact_int cv in
   let env = fact_le env (Some (const 0)) n in
   let env = fact_le env (Some (const 0)) c in
-  let env = fact_le env c (len_of next) in
   let env = fact_le env c (len_of dst_) in
   let env = fact_le env c (len_of cap_) in
   let env = fact_le env c (len_of icap) in
   let env = fact_le env c (len_of icost_) in
-  let env = fact_le env n (len_of head) in
-  let env = fact_le env (len_of head) n in
-  (match (n, c) with
-  | Some n, Some c ->
-      seed_content dst_ (const 0) (aff_shift n (-1));
-      seed_content head (const (-1)) (aff_shift c (-1));
-      seed_content next (const (-1)) (aff_shift c (-1))
-  | _ -> ());
+  (match n with
+  | Some n -> seed_content dst_ (const 0) (aff_shift n (-1))
+  | None -> ());
   env
 
 (* CSR geometry, valid only while [csr_valid t] — callers establish that
@@ -562,6 +554,8 @@ let materialize_graph env r =
 let seed_csr env r =
   let env = materialize_graph env r in
   let env, off = get_path env r "csr_offset" ~mut:true `Arr in
+  let env, res = get_path env r "csr_res" ~mut:true `Arr in
+  let env, live = get_path env r "csr_live" ~mut:true `Arr in
   let env, cdst = get_path env r "csr_dst" ~mut:true `Arr in
   let env, cicost = get_path env r "csr_icost" ~mut:true `Arr in
   let env, ccap = get_path env r "csr_cap" ~mut:true `Arr in
@@ -572,6 +566,10 @@ let seed_csr env r =
   let np1 = Option.map (fun a -> aff_shift a 1) n in
   let env = fact_le env np1 (len_of off) in
   let env = fact_le env (len_of off) np1 in
+  let env = fact_le env n (len_of res) in
+  let env = fact_le env (len_of res) n in
+  let env = fact_le env n (len_of live) in
+  let env = fact_le env (len_of live) n in
   let env = fact_le env c (len_of cdst) in
   let env = fact_le env c (len_of cicost) in
   let env = fact_le env c (len_of ccap) in
@@ -581,6 +579,8 @@ let seed_csr env r =
   | Some n, Some c ->
       seed_content cdst (const 0) (aff_shift n (-1));
       seed_content off (const 0) c;
+      seed_content res (const 0) c;
+      seed_content live (const 0) c;
       seed_content carc (const 0) (aff_shift c (-1));
       seed_content apos (const 0) (aff_shift c (-1))
   | _ -> ());
@@ -1638,7 +1638,12 @@ and graph_model ss env e name argl =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           Some (seed_csr (havoc_root env r) r, Top))
-  | "out_begin" | "out_end" ->
+  | "out_begin" | "res_begin" | "live_end" | "out_end" ->
+      (* A node's slice boundaries, out_begin <= res_begin <= live_end <=
+         out_end <= count. The domain has no relation between two calls'
+         results, so each is summarised by the range every one lies in,
+         [0, count]; that is all a position walk between two of them
+         needs, and Audit.Flow.check_csr checks the order at runtime. *)
       with_root (fun env r rest ->
           let env = seed_csr env r in
           let env, n, c = counts env r in
@@ -1696,7 +1701,7 @@ and graph_model ss env e name argl =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           Some (env, v))
-  | "iter_out_arcs" | "fold_forward_arcs" ->
+  | "fold_forward_arcs" ->
       with_root (fun env _r rest ->
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest

@@ -471,18 +471,10 @@ let serve_cmd =
       value & opt string "incremental"
       & info [ "repair" ] ~docv:"MODE"
           ~doc:
-            "Arrangement maintenance: $(b,incremental) (replay the dirty \
-             suffix, bit-identical to full), $(b,full) (replay every user \
-             each batch) or $(b,offline) (re-solve with the anytime \
-             mincostflow -> greedy chain).")
-  in
-  let dirty_threshold =
-    Arg.(
-      value & opt float 0.5
-      & info [ "dirty-threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Dirty-suffix fraction above which the incremental stage is \
-             skipped in favour of a direct full replay.")
+            "Arrangement maintenance: $(b,incremental) (re-walk only the \
+             users whose seats the batch changed, bit-identical to full), \
+             $(b,full) (re-walk every user each batch) or $(b,offline) \
+             (re-solve with the anytime mincostflow -> greedy chain).")
   in
   let batch_timeout =
     Arg.(
@@ -531,7 +523,7 @@ let serve_cmd =
             "Write the final state digest to FILE (crash-recovery CI \
              compares these across runs).")
   in
-  let run () trace_path state_dir repair_mode dirty_threshold batch_timeout
+  let run () trace_path state_dir repair_mode batch_timeout
       queue_cap snapshot_every max_retries no_fsync digest_file =
     check_fault_plan ();
     let mode =
@@ -562,7 +554,6 @@ let serve_cmd =
       {
         (Serve.Serve_loop.default ~state_dir) with
         Serve.Serve_loop.mode;
-        dirty_threshold;
         batch_timeout_s = batch_timeout;
         queue_cap;
         snapshot_every;
@@ -592,13 +583,14 @@ let serve_cmd =
                 output_string oc (report.Serve.Serve_loop.digest ^ "\n")));
         Printf.eprintf
           "serve: batches=%d admitted=%d shed=%d skipped=%d applied=%d \
-           errors=%d degraded=%d full-replays=%d snapshots=%d retries=%d \
-           replayed=%d injected-faults=%d\n"
+           errors=%d degraded=%d full-replays=%d rewalked=%d snapshots=%d \
+           retries=%d replayed=%d injected-faults=%d\n"
           report.Serve.Serve_loop.batches report.Serve.Serve_loop.admitted
           report.Serve.Serve_loop.shed report.Serve.Serve_loop.skipped
           report.Serve.Serve_loop.applied report.Serve.Serve_loop.errors
           report.Serve.Serve_loop.degraded_batches
           report.Serve.Serve_loop.full_replays
+          report.Serve.Serve_loop.rewalked
           report.Serve.Serve_loop.snapshots report.Serve.Serve_loop.retries
           report.Serve.Serve_loop.replayed
           (Robust.Fault.fires ());
@@ -610,7 +602,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ logs_term $ trace_arg $ state_arg $ repair_arg
-      $ dirty_threshold $ batch_timeout $ queue_cap $ snapshot_every
+      $ batch_timeout $ queue_cap $ snapshot_every
       $ max_retries $ no_fsync $ digest_arg)
   in
   Cmd.v

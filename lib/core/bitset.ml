@@ -58,4 +58,22 @@ let first_common a b =
   !found
 
 let clear t = Array.fill t 0 (Array.length t) 0
+
+let iter t f =
+  Array.iteri
+    (fun i w ->
+      if w <> 0 then
+        for b = 0 to width - 1 do
+          if w land (1 lsl b) <> 0 then f ((i * width) + b)
+        done)
+    t
+
+let grow t ~bits =
+  let words = (bits + width - 1) / width in
+  if words <= Array.length t then t
+  else begin
+    let g = Array.make words 0 in
+    Array.blit t 0 g 0 (Array.length t);
+    g
+  end
 let copy = Array.copy

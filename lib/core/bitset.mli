@@ -25,5 +25,13 @@ val first_common : t -> t -> int
 
 val clear : t -> unit
 
+val iter : t -> (int -> unit) -> unit
+(** Members in ascending order. Skips zero words. *)
+
+val grow : t -> bits:int -> t
+(** A set over at least [bits] indices with the same members: [t] itself
+    when its range already covers them, else a zero-extended copy. Lets a
+    set follow an index range that only grows (serving-layer events). *)
+
 val copy : t -> t
 (** Independent copy ({!Matching.copy} / {!Conflict.copy} support). *)

@@ -1,17 +1,33 @@
 module Nn_backend = Geacc_index.Nn_backend
 
+(* Per-querying-node caches. A source can be shared by the instance values
+   [with_entities] re-wraps, whose querying side may grow, so the slots
+   grow on demand; an instance never asks for a node beyond its own side. *)
+type 'a slots = { mutable cells : 'a option array }
+
+let slot s node = if node < Array.length s.cells then s.cells.(node) else None
+
+let set_slot s node x =
+  let n = Array.length s.cells in
+  if node >= n then begin
+    let g = Array.make (Stdlib.max (node + 1) (2 * n)) None in
+    Array.blit s.cells 0 g 0 n;
+    s.cells <- g
+  end;
+  s.cells.(node) <- Some x
+
 (* Lazily-built neighbour source for one direction of queries (e.g. events
    querying users). [Indexed] serves ranks from an incremental NN stream of
    the instance's index backend per querying node; [Scanned] caches a full
    sorted scan per node (fallback for similarities that are not monotone in
-   distance). *)
+   distance). Either depends only on the attribute vectors of both sides. *)
 type source =
   | Indexed of {
       profile : Similarity.profile;
       index : Nn_backend.index;
-      streams : Nn_backend.stream option array;  (* per querying node *)
+      streams : Nn_backend.stream slots;
     }
-  | Scanned of { sorted : (int * float) array option array }
+  | Scanned of { sorted : (int * float) array slots }
 
 type t = {
   events : Entity.t array;
@@ -96,19 +112,16 @@ let max_event_capacity t = max_capacity t.events
 let max_user_capacity t = max_capacity t.users
 
 let build_source t ~targets =
+  let n_queriers =
+    if targets == t.users then Array.length t.events else Array.length t.users
+  in
+  let slots () = { cells = Array.make n_queriers None } in
   match Similarity.dist_profile t.similarity with
   | Some profile ->
       let points = Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets in
       let index = t.backend.Nn_backend.build points in
-      let n_queriers =
-        if targets == t.users then Array.length t.events else Array.length t.users
-      in
-      Indexed { profile; index; streams = Array.make n_queriers None }
-  | None ->
-      let n_queriers =
-        if targets == t.users then Array.length t.events else Array.length t.users
-      in
-      Scanned { sorted = Array.make n_queriers None }
+      Indexed { profile; index; streams = slots () }
+  | None -> Scanned { sorted = slots () }
 
 let event_source t =
   match t.event_queries with
@@ -148,7 +161,7 @@ let neighbor t source ~query_is_event ~node ~rank =
   match source with
   | Indexed { profile; index; streams } ->
       let stream =
-        match streams.(node) with
+        match slot streams node with
         | Some s -> s
         | None ->
             let query =
@@ -159,7 +172,7 @@ let neighbor t source ~query_is_event ~node ~rank =
               index.Nn_backend.stream ~query
                 ~max_dist:profile.Similarity.cutoff
             in
-            streams.(node) <- Some s;
+            set_slot streams node s;
             s
       in
       (match stream.Nn_backend.get rank with
@@ -171,11 +184,11 @@ let neighbor t source ~query_is_event ~node ~rank =
           if s > 0. then Some (idx, s) else None)
   | Scanned { sorted } ->
       let a =
-        match sorted.(node) with
+        match slot sorted node with
         | Some a -> a
         | None ->
             let a = scan_sorted t ~query_is_event ~node in
-            sorted.(node) <- Some a;
+            set_slot sorted node a;
             a
       in
       if rank <= Array.length a then Some a.(rank - 1) else None
@@ -247,20 +260,59 @@ let side_work = function
       (* Streams are opaque across backends; count the ones opened. *)
       Array.fold_left
         (fun acc s -> match s with None -> acc | Some _ -> acc + 1)
-        0 streams
+        0 streams.cells
   | Some (Scanned { sorted }) ->
       Array.fold_left
         (fun acc s -> match s with None -> acc | Some a -> acc + Array.length a)
-        0 sorted
+        0 sorted.cells
 
 let neighbor_work t = (side_work t.event_queries, side_work t.user_queries)
 
 let with_backend t backend =
   { t with backend; event_queries = None; user_queries = None }
 
-(* The prepared query sources depend only on the entities, which are
-   unchanged — swapping the conflicts keeps the (expensive) NN state. *)
-let with_conflicts t conflicts = { t with conflicts }
+(* [old] and [side] hold the same attribute vectors (physically) on
+   [old]'s ids; appended entities are validated like [create] does. *)
+let same_prefix ~name ~dim old side =
+  let n = Array.length old in
+  if Array.length side < n then
+    invalid_arg (Printf.sprintf "Instance.with_entities: the %s side shrank" name);
+  for i = n to Array.length side - 1 do
+    let e = side.(i) in
+    if e.Entity.id <> i || Entity.dim e <> dim then
+      invalid_arg
+        (Printf.sprintf "Instance.with_entities: bad appended %s %d" name i)
+  done;
+  (* poll: ok — one pointer comparison per existing entity *)
+  let rec kept i =
+    i >= n || (side.(i).Entity.attrs == old.(i).Entity.attrs && kept (i + 1))
+  in
+  (Array.length side = n, kept 0)
+
+(* A source stays valid while its targets keep their attribute vectors and
+   count, and its querying side keeps its vectors (it may grow: the slots
+   extend on demand). *)
+let with_entities t ~events ~users ~conflicts =
+  if Conflict.n_events conflicts <> Array.length events then
+    invalid_arg
+      "Instance.with_entities: conflict set ranges over a different event count";
+  let ev_same_count, ev_kept = same_prefix ~name:"event" ~dim:t.dim t.events events
+  and us_same_count, us_kept = same_prefix ~name:"user" ~dim:t.dim t.users users in
+  let keep ~targets_same ~queriers_kept source =
+    if targets_same && queriers_kept then source else None
+  in
+  {
+    t with
+    events;
+    users;
+    conflicts;
+    user_queries =
+      keep ~targets_same:(ev_same_count && ev_kept) ~queriers_kept:us_kept
+        t.user_queries;
+    event_queries =
+      keep ~targets_same:(us_same_count && us_kept) ~queriers_kept:ev_kept
+        t.event_queries;
+  }
 
 let pp_summary ppf t =
   Format.fprintf ppf

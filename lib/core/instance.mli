@@ -81,16 +81,28 @@ val with_backend : t -> Geacc_index.Nn_backend.t -> t
 (** Same instance data served by a different NN backend, with fresh (cold)
     neighbour caches. The original is untouched. *)
 
-val with_conflicts : t -> Conflict.t -> t
-(** The same instance (entities, similarity, prepared neighbour-query
-    state all shared) under a different conflict graph. Used by the
-    serving layer to refresh its cached instance on conflict-only
-    batches without rebuilding the NN index. *)
+val with_entities :
+  t -> events:Entity.t array -> users:Entity.t array -> conflicts:Conflict.t -> t
+(** The same world after it grew or changed capacities, sharing what is
+    still valid: each side's array must extend the current one (appended
+    entities are validated like {!create}'s; existing ones may change
+    capacity). A neighbour source is kept — shared with [t], not copied —
+    while its targets keep their count and attribute vectors (compared
+    physically) and its querying side keeps its vectors: so arrivals,
+    departures (capacity-0 tombstones keeping their vectors), closures and
+    capacity changes keep the user-side source (the event index and every
+    user's ranked stream, which then extends to arriving users), and only
+    a new event rebuilds it. The event-side source survives only when no
+    user arrived. [t] itself is untouched and stays valid.
+    @raise Invalid_argument when a side shrank, an appended entity is
+    malformed, or [conflicts] ranges over another event count. *)
 
 val neighbor_work : t -> int * int
 (** Diagnostic: how many (event-side, user-side) neighbour streams have
     been opened so far by index-backed solvers on this instance (for
-    scanned sources: total entries cached). *)
+    scanned sources: total entries cached). A source shared through
+    {!with_entities} counts the streams opened through every instance
+    sharing it. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line description: sizes, capacities, conflict ratio, similarity. *)

@@ -6,15 +6,17 @@ type reject =
   | Duplicate
 
 type t = {
-  instance : Instance.t;
-  present : (int, unit) Hashtbl.t;  (* key: v * n_users + u *)
-  event_load : int array;
-  user_load : int array;
-  user_events : int list array;
+  mutable instance : Instance.t;
+  (* Per-side arrays may run longer than the instance's sides: {!extend}
+     grows them with slack as the serving layer's world grows. *)
+  mutable event_load : int array;
+  mutable user_load : int array;
+  mutable user_events : int list array;
   (* Bitset twin of [user_events]: the conflict feasibility probe
      intersects a user's assigned-event set against an event's conflict
-     row (one word-AND scan) instead of walking the list per pair. *)
-  user_bits : Bitset.t array;
+     row (one word-AND scan) instead of walking the list per pair. It is
+     also the membership index: (v,u) is present iff bit v of u's set is. *)
+  mutable user_bits : Bitset.t array;
   mutable size : int;
   mutable maxsum : float;
 }
@@ -23,7 +25,6 @@ let create instance =
   let n_events = Instance.n_events instance in
   {
     instance;
-    present = Hashtbl.create 64;
     event_load = Array.make n_events 0;
     user_load = Array.make (Instance.n_users instance) 0;
     user_events = Array.make (Instance.n_users instance) [];
@@ -36,9 +37,39 @@ let create instance =
 
 let instance t = t.instance
 
-let key t ~v ~u = (v * Instance.n_users t.instance) + u
+let mem t ~v ~u = Bitset.mem t.user_bits.(u) v
 
-let mem t ~v ~u = Hashtbl.mem t.present (key t ~v ~u)
+(* Amortised doubling, so a world growing one entity per batch pays O(1)
+   per arrival. *)
+let grown a ~len ~fill =
+  if len <= Array.length a then a
+  else begin
+    let g = Array.make (Stdlib.max len (2 * Array.length a)) fill in
+    Array.blit a 0 g 0 (Array.length a);
+    g
+  end
+
+let extend t instance =
+  let n_events = Instance.n_events instance
+  and n_users = Instance.n_users instance in
+  if n_events < Instance.n_events t.instance || n_users < Instance.n_users t.instance
+  then invalid_arg "Matching.extend: the instance shrank";
+  t.event_load <- grown t.event_load ~len:n_events ~fill:0;
+  t.user_load <- grown t.user_load ~len:n_users ~fill:0;
+  t.user_events <- grown t.user_events ~len:n_users ~fill:[];
+  let rows = Array.length t.user_bits in
+  if n_users > rows then begin
+    let g = grown t.user_bits ~len:n_users ~fill:(Bitset.create ~bits:0) in
+    for u = rows to Array.length g - 1 do
+      g.(u) <- Bitset.create ~bits:n_events
+    done;
+    t.user_bits <- g
+  end;
+  if n_events > Instance.n_events t.instance then
+    Array.iteri
+      (fun u row -> t.user_bits.(u) <- Bitset.grow row ~bits:n_events)
+      t.user_bits;
+  t.instance <- instance
 
 let user_conflicts_with t ~u ~v =
   let cf = Instance.conflicts t.instance in
@@ -65,7 +96,6 @@ let add t ~v ~u =
   | Some reason -> Error reason
   | None ->
       let s = Instance.sim t.instance ~v ~u in
-      Hashtbl.replace t.present (key t ~v ~u) ();
       t.event_load.(v) <- t.event_load.(v) + 1;
       t.user_load.(u) <- t.user_load.(u) + 1;
       t.user_events.(u) <- v :: t.user_events.(u);
@@ -79,7 +109,6 @@ let add t ~v ~u =
    and prove the audit checkers catch them. *)
 (* bounds: proved — audit-harness contract: callers pass v < num_events, u < num_users; loads arrays have those lengths *)
 let unsafe_add t ~v ~u =
-  Hashtbl.replace t.present (key t ~v ~u) ();
   t.event_load.(v) <- t.event_load.(v) + 1;
   t.user_load.(u) <- t.user_load.(u) + 1;
   t.user_events.(u) <- v :: t.user_events.(u);
@@ -117,7 +146,6 @@ let remove_first x list =
 let remove_exn t ~v ~u =
   if not (mem t ~v ~u) then
     invalid_arg (Printf.sprintf "Matching.remove_exn: pair (%d,%d) absent" v u);
-  Hashtbl.remove t.present (key t ~v ~u);
   t.event_load.(v) <- t.event_load.(v) - 1;
   t.user_load.(u) <- t.user_load.(u) - 1;
   t.user_events.(u) <- remove_first v t.user_events.(u);
@@ -130,9 +158,11 @@ let size t = t.size
 let maxsum t = t.maxsum
 
 let pairs t =
-  let n_users = Instance.n_users t.instance in
-  Hashtbl.fold (fun k () acc -> (k / n_users, k mod n_users) :: acc) t.present []
-  |> List.sort compare
+  let acc = ref [] in
+  for u = Instance.n_users t.instance - 1 downto 0 do
+    List.iter (fun v -> acc := (v, u) :: !acc) t.user_events.(u)
+  done;
+  List.sort compare !acc
 
 let maxsum_recomputed t =
   List.fold_left
@@ -152,7 +182,6 @@ let remaining_user_capacity t u =
 let copy t =
   {
     instance = t.instance;
-    present = Hashtbl.copy t.present;
     event_load = Array.copy t.event_load;
     user_load = Array.copy t.user_load;
     user_events = Array.copy t.user_events;

@@ -2,7 +2,8 @@
 
     Tracks, incrementally: pair membership, per-side remaining capacities,
     per-user assigned events (for O(deg) conflict checks) and the running
-    MaxSum. {!add} enforces every GEACC constraint, so a matching built
+    MaxSum. Membership lives in the per-user assigned-event bitsets, so it
+    does not depend on the side sizes and survives {!extend}. {!add} enforces every GEACC constraint, so a matching built
     through this interface is feasible by construction; solvers that
     backtrack undo with {!remove_exn}. *)
 
@@ -21,6 +22,16 @@ val create : Instance.t -> t
 (** Empty arrangement for the instance. *)
 
 val instance : t -> Instance.t
+
+val extend : t -> Instance.t -> unit
+(** Re-points the arrangement at a grown world: the new instance has at
+    least as many events and users, and every existing id keeps its
+    meaning (capacities may differ — the arrangement is not re-checked
+    against them). Pairs, loads and MaxSum carry over; per-side arrays
+    grow in place with amortised doubling, so a world that grows by one
+    user per step pays O(1) per step. The serving layer keeps its one live
+    arrangement current this way instead of re-adding every pair.
+    @raise Invalid_argument when the instance has fewer events or users. *)
 
 val check_add : t -> v:int -> u:int -> reject option
 (** [None] iff [{v,u}] can be added right now. *)

@@ -32,10 +32,12 @@ val serve_user :
     [deadline] is polled before every neighbour step; every prefix of the
     walk leaves the matching feasible, so a cut-short serve is safe.
 
-    This is the repair primitive of the serving loop ([Geacc_serve]): the
-    online arrangement is {e prefix-stable} — a user's assignment depends
-    only on users served before them — so re-serving a suffix of the
-    arrival order reproduces exactly what a full replay would compute. *)
+    This is what a full replay ({!solve}) runs, and so the oracle the
+    serving loop ([Geacc_serve]) is held to: its incremental repair re-walks
+    single users with the same walk, testing each event's seat against the
+    holders below the user instead of the event's load. The online
+    arrangement is {e prefix-stable} — a user's assignment depends only on
+    users served before them. *)
 
 val solve :
   ?order:int array ->

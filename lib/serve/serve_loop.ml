@@ -1,4 +1,5 @@
 open Geacc_core
+module Audit = Geacc_check.Audit
 module Budget = Geacc_robust.Budget
 module Chain = Geacc_robust.Chain
 module Error = Geacc_robust.Error
@@ -40,7 +41,7 @@ let default ~state_dir =
   {
     state_dir;
     mode = Incremental;
-    dirty_threshold = 0.5;
+    dirty_threshold = infinity;
     batch_timeout_s = 0.;
     queue_cap = 64;
     snapshot_every = 32;
@@ -58,6 +59,7 @@ type report = {
   errors : int;
   degraded_batches : int;
   full_replays : int;
+  rewalked : int;
   snapshots : int;
   retries : int;
   replayed : int;
@@ -82,38 +84,40 @@ let ensure_dir path =
 
 (* -- Repair dispatch -------------------------------------------------- *)
 
-(* The serving arrangement is canonical (Online greedy in id order), so the
-   incremental stage and the full stage compute the same pairs — the chain
-   only decides how much gets replayed and what happens under deadline
-   pressure or injected faults. Offline mode instead re-solves with the
-   anytime chain (MinCostFlow -> Greedy) on every batch: better MaxSum,
-   no incrementality. *)
+(* The serving arrangement is canonical (Online greedy in id order). The
+   incremental stage propagates from the users the batch touched; the full
+   stage re-walks everyone, and is the whole chain in [Full] mode. Both
+   repair the one live arrangement in place, so the later stage's value is
+   the one that describes it: [better] always takes it. Offline mode
+   instead re-solves with the anytime chain (MinCostFlow -> Greedy) on
+   every batch: better MaxSum, no incrementality. *)
 
 let chain_repair c state ~timeout_s =
-  let n = Serve_state.n_users state in
-  let from = Serve_state.dirty_from state in
-  let want_full =
-    c.mode = Full
-    || (n > 0 && float_of_int (n - from) >= c.dirty_threshold *. float_of_int n)
-  in
   let stage name from =
     Chain.stage ~name (fun state ~budget ->
         let r = Serve_state.repair ?from state ~deadline:budget in
         { Chain.value = r; complete = r.Serve_state.complete })
   in
   let stages =
-    if want_full then [ stage "repair-full" (Some 0) ]
-    else [ stage "repair" None; stage "repair-full" (Some 0) ]
-  in
-  let better (a : Serve_state.repair) (b : Serve_state.repair) =
-    match (a.Serve_state.matching, b.Serve_state.matching) with
-    | Some ma, Some mb ->
-        Matching.maxsum_recomputed mb > Matching.maxsum_recomputed ma
-    | None, Some _ -> true
-    | _, None -> false
+    match c.mode with
+    | Full -> [ stage "repair-full" (Some 0) ]
+    | Incremental | Offline -> [ stage "repair" None; stage "repair-full" (Some 0) ]
   in
   Chain.run ?timeout_s ~max_retries:c.max_retries ~backoff_s:c.backoff_s
-    ~better stages state
+    ~better:(fun _ _ -> true) stages state
+
+(* Why a degraded batch is short: the last stage that failed — the one the
+   committed (last) value came from, or, when a later stage completed, the
+   head stage that did not. *)
+let degraded_reason (o : _ Chain.outcome) =
+  List.fold_left
+    (fun acc (e : Chain.trace_entry) ->
+      match e.Chain.t_verdict with
+      | Chain.Completed -> acc
+      | Chain.Timed_out -> Some (Printf.sprintf "stage %s timed out" e.Chain.t_stage)
+      | Chain.Faulted x ->
+          Some (Printf.sprintf "stage %s faulted: %s" e.Chain.t_stage x))
+    None o.Chain.trace
 
 let offline_repair c state ~timeout_s =
   match Serve_state.instance state with
@@ -124,6 +128,7 @@ let offline_repair c state ~timeout_s =
             served_to = 0;
             complete = true;
             replayed_from = 0;
+            rewalked = 0;
           },
           Chain.Complete,
           None,
@@ -143,6 +148,7 @@ let offline_repair c state ~timeout_s =
                 served_to = Serve_state.n_users state;
                 complete = rep.Anytime.status = Chain.Complete;
                 replayed_from = 0;
+                rewalked = 0;
               },
               rep.Anytime.status,
               rep.Anytime.reason,
@@ -156,8 +162,45 @@ let attempt_repair c state ~timeout_s =
       match chain_repair c state ~timeout_s with
       | Error _ as e -> e
       | Ok (o : Serve_state.repair Chain.outcome) ->
-          Ok (o.Chain.value, o.Chain.status, o.Chain.reason, o.Chain.retries))
+          let reason =
+            match o.Chain.status with
+            | Chain.Complete -> None
+            | Chain.Degraded -> degraded_reason o
+          in
+          Ok (o.Chain.value, o.Chain.status, reason, o.Chain.retries))
   | Offline -> offline_repair c state ~timeout_s
+
+(* Adopts a repair. Under [GEACC_AUDIT] a canonical mode also checks the
+   result against a full [Online] replay of the current instance: the pairs
+   of every user below the new cursor, and when the repair completed, all
+   pairs and the MaxSum bits. This is the guard behind the propagation
+   rules (DESIGN.md §14.3). *)
+let commit c state (r : Serve_state.repair) =
+  Serve_state.commit state r;
+  if Audit.enabled () && c.mode <> Offline then
+    match Serve_state.instance state with
+    | None -> ()
+    | Some inst -> (
+        match Online.solve inst with
+        | Error e -> Audit.failf ~site:"serve.commit" "replay failed: %s" (Error.to_string e)
+        | Ok m ->
+            let cursor = Serve_state.cursor state in
+            let below = List.filter (fun (_, u) -> u < cursor) in
+            let want = below (Matching.pairs m)
+            and got = below (Serve_state.pairs state) in
+            if want <> got then
+              Audit.failf ~site:"serve.commit"
+                "seq %d: committed pairs below user %d differ from a full replay \
+                 (%d vs %d pairs)"
+                (Serve_state.seq state) cursor (List.length got) (List.length want);
+            if r.Serve_state.complete then begin
+              let bits x = Int64.bits_of_float x in
+              let want = Matching.maxsum_recomputed m and got = Serve_state.maxsum state in
+              if bits want <> bits got then
+                Audit.failf ~site:"serve.commit"
+                  "seq %d: committed MaxSum %h differs from a full replay's %h"
+                  (Serve_state.seq state) got want
+            end)
 
 (* -- Startup recovery ------------------------------------------------- *)
 
@@ -207,11 +250,11 @@ let recover c ~sim =
                           match
                             attempt_repair c state ~timeout_s:None
                           with
-                          | Ok (r, _, _, _) -> Serve_state.commit state r
+                          | Ok (r, _, _, _) -> commit c state r
                           | Error _ ->
                               (* No deadline is armed during recovery, so the
                                  chain can only fail through injected faults;
-                                 leave the batch uncommitted — the dirty bound
+                                 leave the batch uncommitted — its pending set
                                  carries it into the next repair. *)
                               ()));
                       replay (n + 1) rest)
@@ -250,6 +293,7 @@ let run c ~out trace =
       and errors = ref 0
       and degraded_batches = ref 0
       and full_replays = ref 0
+      and rewalked = ref 0
       and snapshots = ref 0
       and retries = ref 0 in
       let latencies = ref [] and journal_s = ref 0. in
@@ -273,7 +317,7 @@ let run c ~out trace =
           (Serve_state.live_events state)
           (Serve_state.n_events state)
           (Serve_state.n_conflicts state)
-          (List.length (Serve_state.pairs state))
+          (Serve_state.n_pairs state)
           (Serve_state.maxsum state)
       in
       let serve_batch (batch : Trace.batch) =
@@ -294,8 +338,8 @@ let run c ~out trace =
             match attempt_repair c state ~timeout_s with
             | Error e ->
                 (* Nothing usable before the deadline (or every stage
-                   faulted): the batch stays applied but unserved; the
-                   dirty bound rolls into the next batch's repair. *)
+                   faulted): the batch stays applied but unserved; its
+                   pending set rolls into the next batch's repair. *)
                 incr degraded_batches;
                 health := Degraded;
                 p "degraded %d served %d/%d reason %s" batch.Trace.seq
@@ -306,10 +350,11 @@ let run c ~out trace =
                 (match repair.Serve_state.matching with
                 | Some m -> Validate.audit_matching ~site:"serve.commit" m
                 | None -> ());
-                Serve_state.commit state repair;
+                commit c state repair;
                 retries := !retries + stage_retries;
+                rewalked := !rewalked + repair.Serve_state.rewalked;
                 if
-                  repair.Serve_state.replayed_from = 0
+                  repair.Serve_state.rewalked = Serve_state.n_users state
                   && Serve_state.n_users state > 0
                 then incr full_replays;
                 Fault.inject "serve.crash";
@@ -318,7 +363,7 @@ let run c ~out trace =
                     health := Healthy;
                     p "ok %d from %d pairs %d maxsum %g" batch.Trace.seq
                       repair.Serve_state.replayed_from
-                      (List.length (Serve_state.pairs state))
+                      (Serve_state.n_pairs state)
                       (Serve_state.maxsum state)
                 | Chain.Degraded ->
                     incr degraded_batches;
@@ -375,6 +420,7 @@ let run c ~out trace =
           errors = !errors;
           degraded_batches = !degraded_batches;
           full_replays = !full_replays;
+          rewalked = !rewalked;
           snapshots = !snapshots;
           retries = !retries;
           replayed;

@@ -3,9 +3,9 @@
     For every admitted batch the loop (1) appends the batch to the
     write-ahead journal and fsyncs — the durability point — then (2)
     applies it to the state, (3) repairs the arrangement under the batch
-    deadline through a [Geacc_robust.Chain] (incremental suffix replay
-    first, full replay as fallback; transient faults retried with
-    backoff), (4) commits and acknowledges, and (5) once [snapshot_every]
+    deadline through a [Geacc_robust.Chain] (propagation from the users
+    the batch touched first, a full re-walk as fallback; transient faults
+    retried with backoff), (4) commits and acknowledges, and (5) once [snapshot_every]
     journal appends have accumulated since the last truncation (recovered
     backlog included) snapshots the state and truncates the journal — the
     cadence counts appends, not applied batches, so rejected and
@@ -48,8 +48,11 @@ type config = {
   state_dir : string;  (** Holds [journal.wal] and [snapshot.geacc]. *)
   mode : mode;
   dirty_threshold : float;
-      (** Fraction of users: when the dirty suffix reaches it, skip the
-          incremental stage and replay from 0 directly (default 0.5). *)
+      (** Ignored by the loop: repair always propagates from the touched
+          users, which is never costlier than a full replay. The field
+          (default [infinity]) remains only because the benchmark's serve
+          replica reads it; it goes when ROADMAP item 2 deletes the
+          replicas. *)
   batch_timeout_s : float;  (** Per-batch deadline; [<= 0] = unlimited. *)
   queue_cap : int;  (** Admission bound per timestamp group. *)
   snapshot_every : int;
@@ -61,7 +64,7 @@ type config = {
 }
 
 val default : state_dir:string -> config
-(** Incremental mode, threshold 0.5, no deadline, queue cap 64, snapshot
+(** Incremental mode, no deadline, queue cap 64, snapshot
     every 32 journal appends, 2 retries, no backoff, fsync on. *)
 
 type report = {
@@ -72,7 +75,8 @@ type report = {
   applied : int;
   errors : int;  (** Batches rejected by validation. *)
   degraded_batches : int;
-  full_replays : int;  (** Committed repairs that replayed from 0. *)
+  full_replays : int;  (** Committed repairs that re-walked every user. *)
+  rewalked : int;  (** Users re-walked by the committed repairs. *)
   snapshots : int;
   retries : int;
   replayed : int;  (** Journal records replayed during startup recovery. *)

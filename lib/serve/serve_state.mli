@@ -1,32 +1,35 @@
 (** The serving loop's mutable world: a growing instance plus its canonical
-    arrangement.
+    arrangement, both kept live between batches.
 
     The state owns dynamic user/event sides (ids assigned by arrival order,
     never reused — departures and closures become capacity-0 {e tombstones},
     so every historical id stays addressable), the conflict set, the
-    committed arrangement and the replay bookkeeping ([seq] of the last
-    applied batch, [cursor] of the first not-fully-served user).
+    committed arrangement and the repair bookkeeping ([seq] of the last
+    applied batch, [cursor] of the first not-fully-served user, and the
+    pending set: the users the applied ops touched plus a dirty bound).
 
     {2 The canonical arrangement, and why repair is exact}
 
     The arrangement maintained is {e defined} as what [Online] greedy
     produces when the current users are served in id order against the
-    current events. Because each user's walk depends only on the state left
-    by smaller ids (prefix stability), the arrangement after any batch can
-    be recomputed from any position [p] that is at or below the first user
-    whose walk could have changed: keep the committed pairs of users
-    [< p], replay users [>= p]. {!apply_batch} maintains that first-dirty
-    bound per operation — an arrival or departure dirties its own id; a
-    newly opened event its smallest candidate user (positive similarity); a
-    close its smallest holder; a capacity decrease to [c] its [(c+1)]-th
-    holder; an increase the smallest candidate not already holding the
-    event; a new conflict the smallest user that is a candidate of both
-    ends (only such a user can hold one end while attempting the other) —
-    so {!repair} from the bound is bit-identical to a full re-solve, which
-    is exactly [repair] after {!mark_all_dirty}. Budget expiry mid-repair is
-    safe for the same reason: re-walking a partially served user skips its
-    held events as duplicates and continues where the walk stopped, so the
-    [cursor] marks an exact resume point. *)
+    current events. Users never release a seat, so when user [u] walks,
+    event [v] has a seat iff fewer than [c_v] of [v]'s final holders have
+    an id below [u] ({e seat-at-turn}). A walk is therefore a function of
+    the user's own ranks and capacity, the conflicts among its examined
+    prefix, and the seat of each examined event at its turn — nothing
+    else. {!apply_batch} seeds the users an op changes directly (the
+    arriving or departing user, holders that lose a seat, the first user
+    a freed seat reaches, holders a new conflict constrains, users whose
+    prefix a new event may enter); {!repair} re-walks them in id order
+    with the seat test, and each re-walk seeds the users {e it} changes: a
+    later holder it evicts from a seat, the next user a seat it gave up or
+    passed over reaches. DESIGN.md §14.3 argues each rule; the per-batch
+    oracle tests and the [GEACC_AUDIT] commit check hold the result to a
+    full [Online] replay, bit for bit.
+
+    A repair cut short by its deadline keeps the canonical pairs below the
+    cut user, that user's partial walk, and nothing above it; everything
+    from the cut user on stays pending and is re-walked next time. *)
 
 type t
 
@@ -53,62 +56,80 @@ val live_events : t -> int
 val n_conflicts : t -> int
 
 val pairs : t -> (int * int) list
-(** The committed arrangement, sorted lexicographically. *)
+(** The arrangement, sorted lexicographically. Built on each call, for
+    digests, snapshots and tests; the per-batch path reads {!n_pairs} and
+    {!maxsum} instead. After a {!repair} and before its {!commit} this is
+    already the repaired arrangement (repair works in place). *)
+
+val n_pairs : t -> int
+(** [List.length (pairs t)], without building the list. *)
 
 val instance : t -> Geacc_core.Instance.t option
 (** The current world as a solver instance (tombstones included as
-    capacity-0 entities), [None] while no entity exists. Cached until the
-    next mutation; safe to hold across mutations — the entity arrays are
-    copied out. *)
+    capacity-0 entities), [None] while no entity exists. Built cold on
+    first use after {!create} or {!load}; after that every applied batch
+    re-wraps it around the new entity arrays with
+    [Instance.with_entities], so the user-side NN source (event index and
+    ranked streams) carries over and only a batch opening an event
+    rebuilds it. Instances already handed out stay valid and unchanged. *)
 
 val maxsum : t -> float
-(** MaxSum of the committed arrangement, summed in canonical (lex pair)
-    order — the value digests and replay-equivalence checks compare. *)
+(** MaxSum of the arrangement, summed in canonical (lex pair) order — the
+    value digests and replay-equivalence checks compare. Folds the pair
+    similarities recorded at insertion; no pair list is built. *)
 
 val dirty_from : t -> int
-(** The position {!repair} would replay from: the maintained first-dirty
-    bound, capped by {!cursor} and [n_users]. Equal to [n_users] when the
-    state is clean and fully served. *)
+(** The smallest user the next {!repair} re-walks first: the smallest
+    pending seed, capped by the dirty bound, {!cursor} and [n_users].
+    Equal to [n_users] when nothing is pending and the state is fully
+    served. *)
 
 val mark_all_dirty : t -> unit
-(** Forces the next {!repair} to replay from 0 (the [--repair full]
-    path and the recovery self-check). *)
+(** Forces the next {!repair} to re-walk every user: the full-replay
+    oracle, on the state's own arrangement. *)
 
 val apply_batch : t -> Trace.batch -> (unit, Geacc_robust.Error.t) result
 (** Validates every operation of the batch against the current state
     (unknown or tombstoned ids, attribute-dimension mismatches, duplicate
     conflicts — arrivals earlier in the batch are visible to later
-    operations), then applies them all and advances [seq]. On [Error]
-    ([Invalid_input]) the state is untouched: validation precedes every
-    mutation, so journal replay rejects exactly the batches the live run
-    rejected. *)
+    operations), then applies them all, seeds the users they change and
+    advances [seq]. On [Error] ([Invalid_input]) the state is untouched:
+    validation precedes every mutation, so journal replay rejects exactly
+    the batches the live run rejected. *)
 
 type repair = {
   matching : Geacc_core.Matching.t option;
-      (** The repaired arrangement ([None] when the world has no
-          entities). *)
+      (** The arrangement ([None] when the world has no entities). For a
+          repair by this module it is the state's own live arrangement. *)
   served_to : int;  (** First user not fully served; the new cursor. *)
   complete : bool;  (** [served_to = n_users] and no deadline expiry. *)
   replayed_from : int;
-      (** Position the replay actually started at (after the defensive
-          fallback, if it fired). *)
+      (** The smallest user re-walked; [n_users] when none was. *)
+  rewalked : int;  (** Users re-walked (the cut user included). *)
 }
 
 val repair : ?from:int -> t -> deadline:Geacc_robust.Budget.t -> repair
-(** Rebuilds the arrangement from [from] (default {!dirty_from}; an
-    explicit value is clamped into [[0, dirty_from]], so callers can only
-    ask for {e more} replay — [~from:0] is the full re-solve): re-adds
-    committed pairs of users below the bound, then serves users from the
-    bound onward until
-    done or the deadline expires. Defensively falls back to replaying from
-    0 should a committed prefix pair fail to re-add (which the dirty-bound
-    argument rules out — the fallback turns a latent bug into a slow batch
-    instead of a wrong arrangement). Does not mutate the state: call
-    {!commit} to adopt the result, or drop it (retries, comparisons). *)
+(** Repairs the live arrangement in place. Without [from], propagates:
+    re-walks the pending seeds (and every user at or above a pending dirty
+    bound — left by a cut repair or a snapshot load) in ascending id order,
+    plus every user those re-walks seed. [~from:f] re-walks every user
+    from [f] on (clamped into [[0, dirty_from]], so callers can only ask
+    for {e more}; [~from:0] is the full re-solve). On expiry it keeps
+    what the cut-short contract above says and leaves everything from the
+    cut user pending.
+
+    The pending set is consumed by the repair itself, not by {!commit}:
+    a complete repair leaves nothing pending, a cut one leaves the cut
+    user's suffix. So a result that is dropped (a fallback chain moving on
+    to its next stage, a comparison) still leaves a state the next repair
+    finishes exactly. Each repair supersedes the ones before it: commit
+    the latest, or none. *)
 
 val commit : t -> repair -> unit
-(** Adopts a repair: committed pairs, cursor, and the dirty bound is
-    cleared. *)
+(** Adopts a repair's cursor. A repair by {!repair} is already in place;
+    any other arrangement (an offline solver's) replaces the live one, the
+    pending set is cleared, and the next batch reads the walks back from
+    it. *)
 
 val digest : t -> string
 (** FNV-1a 64 over a canonical rendering of the whole state — entities,
@@ -120,11 +141,14 @@ val save : t -> string
 (** Snapshot payload: a [geacc-serve-state 2] header,
     [seq]/[cursor]/[dirty]/[sim] lines, then length-prefixed embedded
     [Instance_io] instance and matching texts plus the tombstone id lists.
-    The dirty bound is part of the payload because a snapshot may be taken
-    while a repair is pending (a rejected or degraded batch since the last
-    commit); [n_users] encodes the clean state. *)
+    The [dirty] line is {!dirty_from} without the cursor cap: a snapshot
+    may be taken while a repair is pending (a rejected or degraded batch
+    since the last commit), and recovery then re-walks every user from
+    there; [n_users] encodes the clean state. *)
 
 val load : string -> (t, Geacc_robust.Error.t) result
 (** Inverse of {!save}, strict in the [Instance_io] way. {!dirty_from} of
-    the loaded state equals that of the saved one, so recovery repairs
-    from the same position the live process would have. *)
+    the loaded state equals that of the saved one. Loading retains only
+    the entities, conflicts and pairs: the instance, its NN streams and
+    the live arrangement (with each user's walk read back from the loaded
+    pairs) are built on first use. *)

@@ -41,11 +41,20 @@ let tiny_city = { Meetup.name = "tiny"; n_events = 8; n_users = 48 }
 let tiny_trace ?(seed = 5) () =
   Trace_gen.generate ~seed ~city:tiny_city ~arrivals_per_batch:2 ~churn:0.15 ()
 
+(* A departure in every batch. *)
+let churn_trace ?(seed = 5) () =
+  Trace_gen.generate ~seed ~city:tiny_city ~arrivals_per_batch:2 ~churn:1.0 ()
+
 let run_ok config trace =
   null_out (fun out ->
       match Serve_loop.run config ~out trace with
       | Ok report -> report
       | Error e -> Alcotest.failf "serve failed: %s" (Error.to_string e))
+
+let parsed_trace lines =
+  match Trace.parse (String.concat "\n" (lines @ [ "" ])) with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "trace parse: %s" (Error.to_string e)
 
 (* -- Trace ------------------------------------------------------------- *)
 
@@ -278,6 +287,352 @@ let test_state_rejects_bad_batches () =
   expect_error "dim mismatch"
     (apply 2 [ Trace.User_arrive { capacity = 1; attrs = [| 1. |] } ])
 
+(* -- Per-batch exactness ------------------------------------------------ *)
+
+module Online = Geacc_core.Online
+module Matching = Geacc_core.Matching
+module Instance = Geacc_core.Instance
+module Budget = Geacc_robust.Budget
+
+(* The oracle: a full [Online] replay on a cold copy of the instance (fresh
+   index and streams, nothing shared with the state's warm instance). *)
+let replay state =
+  match Serve_state.instance state with
+  | None -> ([], 0.)
+  | Some inst -> (
+      match
+        Online.solve (Instance.with_backend inst Geacc_index.Nn_backend.kd_tree)
+      with
+      | Ok m -> (Matching.pairs m, Matching.maxsum_recomputed m)
+      | Error e -> Alcotest.failf "replay: %s" (Error.to_string e))
+
+let check_canonical ~label state =
+  let want, want_sum = replay state in
+  Alcotest.(check (list (pair int int)))
+    (label ^ ": pairs equal a full replay")
+    want (Serve_state.pairs state);
+  Alcotest.(check int64)
+    (label ^ ": maxsum bits equal a full replay")
+    (Int64.bits_of_float want_sum)
+    (Int64.bits_of_float (Serve_state.maxsum state));
+  Alcotest.(check int)
+    (label ^ ": pair count")
+    (List.length want) (Serve_state.n_pairs state)
+
+let apply_ok state batch =
+  match Serve_state.apply_batch state batch with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "apply %d: %s" batch.Trace.seq (Error.to_string e)
+
+let repair_commit state =
+  let r = Serve_state.repair state ~deadline:Budget.unlimited in
+  Alcotest.(check bool) "repair completes" true r.Serve_state.complete;
+  Serve_state.commit state r;
+  r
+
+(* Applies, propagates and checks every batch; then re-walks everyone
+   ([mark_all_dirty]), which must change nothing. *)
+let serve_exact ~label trace =
+  let state = Serve_state.create ~sim:trace.Trace.sim in
+  List.iter
+    (fun (batch : Trace.batch) ->
+      apply_ok state batch;
+      ignore (repair_commit state : Serve_state.repair);
+      check_canonical ~label:(Printf.sprintf "%s batch %d" label batch.Trace.seq) state)
+    trace.Trace.batches;
+  let before = Serve_state.digest state in
+  Serve_state.mark_all_dirty state;
+  let r = repair_commit state in
+  Alcotest.(check int) (label ^ ": full re-walk") (Serve_state.n_users state)
+    r.Serve_state.rewalked;
+  Alcotest.(check string) (label ^ ": full re-walk changes nothing") before
+    (Serve_state.digest state)
+
+let test_exact_generated () =
+  List.iter
+    (fun (city, seeds) ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun churn ->
+              List.iter
+                (fun arrivals_per_batch ->
+                  let trace =
+                    Trace_gen.generate ~seed ~city ~arrivals_per_batch ~churn ()
+                  in
+                  serve_exact
+                    ~label:
+                      (Printf.sprintf "%s seed %d churn %g arrivals %d"
+                         city.Meetup.name seed churn arrivals_per_batch)
+                    trace)
+                [ 1; 2 ])
+            [ 0.1; 1.0 ])
+        seeds)
+    [ (tiny_city, [ 1; 2; 3; 5; 9 ]); (Meetup.auckland, [ 7; 11 ]) ];
+  (* Cosine has no distance profile: ranks come from the scanned source. *)
+  let trace = churn_trace ~seed:8 () in
+  serve_exact ~label:"tiny cosine"
+    { trace with Trace.sim = Geacc_core.Similarity.cosine }
+
+(* Hand-built traces, one per seed rule, over a 2-d world where the
+   distances fix every user's ranks. Each batch is checked against the
+   oracle, and the final pairs against the arrangement worked out by hand
+   (comments give each user's ranks, nearest first). *)
+let hand_exact ~label ~expect lines =
+  let trace = parsed_trace ([ "geacc-trace 1"; "sim euclidean 2 1" ] @ lines) in
+  let state = Serve_state.create ~sim:trace.Trace.sim in
+  let rewalked =
+    List.map
+      (fun (batch : Trace.batch) ->
+        apply_ok state batch;
+        let r = repair_commit state in
+        check_canonical ~label:(Printf.sprintf "%s batch %d" label batch.Trace.seq) state;
+        (Serve_state.pairs state, r.Serve_state.rewalked))
+      trace.Trace.batches
+  in
+  List.iter2
+    (fun (i, want) (got, _) ->
+      if i >= 0 then
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "%s: pairs after batch %d" label (i + 1))
+          want got)
+    (List.mapi (fun i w -> (i, w)) expect)
+    rewalked;
+  List.map snd rewalked
+
+(* Event 0 (A) at (0,0), event 1 (B) at (1,0); users 0-2 at x = .05, .1,
+   .15, capacity 1, all ranking A then B. Lowering A to 1 seat evicts its
+   second holder; raising it to 3 hands the freed seats back in id order
+   (user 1 first, whose re-walk passes the next seat on to user 2). *)
+let test_rule_capacity () =
+  ignore
+    (hand_exact ~label:"capacity"
+       ~expect:
+         [
+           [ (0, 0); (0, 1); (1, 2) ];
+           [ (0, 0); (1, 1); (1, 2) ];
+           [ (0, 0); (0, 1); (0, 2) ];
+         ]
+       [
+         "batch 1 0 must"; "event-open 2 0 0"; "event-open 5 1 0";
+         "user-arrive 1 0.05 0"; "user-arrive 1 0.1 0"; "user-arrive 1 0.15 0";
+         "end";
+         "batch 2 1 must"; "event-capacity 0 1"; "end";
+         "batch 3 2 must"; "event-capacity 0 3"; "end";
+       ]
+      : int list)
+
+(* Events A (0,0), B (1,0), C (0,1), D (1,1), one seat each. User 0 at
+   (.1,.6) ranks C A D B; user 1 at (.3,.05) ranks A B ..; user 2 at
+   (.85,.3) ranks B D ... Closing C sends user 0 to A, evicting user 1,
+   who takes B, evicting user 2, who takes D: an eviction chain of two. *)
+let test_rule_close_eviction_chain () =
+  match
+    hand_exact ~label:"close"
+      ~expect:
+        [
+          [ (0, 1); (1, 2); (2, 0) ];
+          [ (0, 0); (1, 1); (3, 2) ];
+        ]
+      [
+        "batch 1 0 must"; "event-open 1 0 0"; "event-open 1 1 0";
+        "event-open 1 0 1"; "event-open 1 1 1";
+        "user-arrive 1 0.1 0.6"; "user-arrive 1 0.3 0.05"; "user-arrive 1 0.85 0.3";
+        "end";
+        "batch 2 1 must"; "event-close 2"; "end";
+      ]
+  with
+  | [ _; chain ] -> Alcotest.(check int) "the chain re-walks all three" 3 chain
+  | _ -> Alcotest.fail "two batches"
+
+(* A (0,0), B (1,0), C (0,1), one seat each. User 0 at (.1,0) takes A;
+   user 1 at (.2,0) ranks A B C and gets B; user 2 at (.9,0) ranks B A C
+   and gets C. When user 0, A's fill holder, leaves, its seat passes to
+   user 1, whose B passes to user 2. *)
+let test_rule_fill_holder_departs () =
+  ignore
+    (hand_exact ~label:"depart"
+       ~expect:[ [ (0, 0); (1, 1); (2, 2) ]; [ (0, 1); (1, 2) ] ]
+       [
+         "batch 1 0 must"; "event-open 1 0 0"; "event-open 1 1 0";
+         "event-open 1 0 1";
+         "user-arrive 1 0.1 0"; "user-arrive 1 0.2 0"; "user-arrive 1 0.9 0";
+         "end";
+         "batch 2 1 must"; "user-depart 0"; "end";
+       ]
+      : int list)
+
+(* A (0,0) and C (1,0) with 3 seats, B (.3,0) with 1. User 0 (capacity 2,
+   at .1) takes A and B; user 1 (capacity 1, at .35) ranks B A C and gets
+   A. A new conflict A-B makes user 0 drop B for C, and B's freed seat
+   goes to user 1, which had no seat there. *)
+let test_rule_conflict () =
+  ignore
+    (hand_exact ~label:"conflict"
+       ~expect:[ [ (0, 0); (0, 1); (1, 0) ]; [ (0, 0); (1, 1); (2, 0) ] ]
+       [
+         "batch 1 0 must"; "event-open 3 0 0"; "event-open 1 0.3 0";
+         "event-open 3 1 0";
+         "user-arrive 2 0.1 0"; "user-arrive 1 0.35 0";
+         "end";
+         "batch 2 1 must"; "conflict-add 0 1"; "end";
+       ]
+      : int list)
+
+(* A (0,0) with 5 seats; users 0 and 1 at (.5,.5) and (.6,.5) take it.
+   Event 1 opens at (.55,.5) with one seat: both now rank it first; user 0
+   takes it and drops A, user 1 finds it full and keeps A. *)
+let test_rule_event_open () =
+  ignore
+    (hand_exact ~label:"open"
+       ~expect:[ [ (0, 0); (0, 1) ]; [ (0, 1); (1, 0) ] ]
+       [
+         "batch 1 0 must"; "event-open 5 0 0";
+         "user-arrive 1 0.5 0.5"; "user-arrive 1 0.6 0.5";
+         "end";
+         "batch 2 1 must"; "event-open 1 0.55 0.5"; "end";
+       ]
+      : int list)
+
+(* A repair cut mid-propagation commits canonical pairs below its cursor,
+   the cut user's partial walk and nothing above; the next batch re-walks
+   from the cursor and lands on the canonical arrangement again. *)
+let test_cut_then_finish () =
+  let trace = churn_trace ~seed:3 () in
+  let state = Serve_state.create ~sim:trace.Trace.sim in
+  let cuts = ref 0 in
+  List.iteri
+    (fun i (batch : Trace.batch) ->
+      apply_ok state batch;
+      if i mod 3 = 1 then begin
+        let deadline =
+          Budget.create ~poll_every:1 ~expire_after_polls:4 ~timeout_s:1e9 ()
+        in
+        let r = Serve_state.repair state ~deadline in
+        Serve_state.commit state r;
+        if not r.Serve_state.complete then begin
+          incr cuts;
+          let cursor = Serve_state.cursor state in
+          let want, _ = replay state in
+          let below = List.filter (fun (_, u) -> u < cursor) in
+          Alcotest.(check (list (pair int int)))
+            "canonical below the cursor" (below want)
+            (below (Serve_state.pairs state));
+          Alcotest.(check bool)
+            "nothing above the cursor" true
+            (List.for_all (fun (_, u) -> u <= cursor) (Serve_state.pairs state));
+          Alcotest.(check int) "re-walk resumes at the cursor" cursor
+            (Serve_state.dirty_from state)
+        end
+      end
+      else begin
+        ignore (repair_commit state : Serve_state.repair);
+        check_canonical ~label:(Printf.sprintf "after batch %d" batch.Trace.seq) state
+      end)
+    trace.Trace.batches;
+  Alcotest.(check bool) "some repairs were cut" true (!cuts > 0)
+
+(* A snapshot taken with a repair pending (seeds from an applied batch, or
+   a cut's dirty bound) loads into a state that repairs to the canonical
+   arrangement. *)
+let test_load_pending () =
+  let trace = churn_trace ~seed:4 () in
+  let state = ref (Serve_state.create ~sim:trace.Trace.sim) in
+  let reload () =
+    match Serve_state.load (Serve_state.save !state) with
+    | Ok s -> state := s
+    | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
+  in
+  List.iteri
+    (fun i (batch : Trace.batch) ->
+      apply_ok !state batch;
+      let pending = Serve_state.dirty_from !state in
+      reload ();
+      Alcotest.(check int) "pending bound survives" pending
+        (Serve_state.dirty_from !state);
+      if i mod 4 = 2 then begin
+        let deadline =
+          Budget.create ~poll_every:1 ~expire_after_polls:2 ~timeout_s:1e9 ()
+        in
+        Serve_state.commit !state (Serve_state.repair !state ~deadline);
+        reload ()
+      end;
+      ignore (repair_commit !state : Serve_state.repair);
+      check_canonical ~label:(Printf.sprintf "batch %d" batch.Trace.seq) !state)
+    trace.Trace.batches
+
+(* The warm instance keeps the user-side NN source (event index and the
+   users' ranked streams) across batches; only a batch opening an event
+   rebuilds it, after which only the re-walked users have streams. *)
+let test_user_source_shared () =
+  let trace = churn_trace ~seed:6 () in
+  let state = Serve_state.create ~sim:trace.Trace.sim in
+  let streams () =
+    match Serve_state.instance state with
+    | Some inst -> snd (Instance.neighbor_work inst)
+    | None -> 0
+  in
+  List.iter
+    (fun (batch : Trace.batch) ->
+      let before = streams () in
+      apply_ok state batch;
+      let r = repair_commit state in
+      let after = streams () in
+      let opens =
+        List.exists
+          (function Trace.Event_open _ -> true | _ -> false)
+          batch.Trace.ops
+      in
+      if opens then
+        Alcotest.(check bool)
+          (Printf.sprintf "batch %d rebuilt the source" batch.Trace.seq)
+          true
+          (after <= r.Serve_state.rewalked)
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "batch %d kept the source" batch.Trace.seq)
+          true (after >= before))
+    trace.Trace.batches
+
+(* The commit audit replaces the old replay-from-0 fallback as the guard:
+   a state whose pairs are feasible but not canonical, with a clean dirty
+   bound, is trusted by propagation — and the audit refuses the commit. *)
+let test_audit_catches_noncanonical () =
+  let trace = tiny_trace () in
+  let state = built_state () in
+  let inst =
+    match Serve_state.instance state with
+    | Some i -> i
+    | None -> Alcotest.fail "built state has no instance"
+  in
+  Alcotest.(check bool) "canonical has pairs" true (Serve_state.n_pairs state > 0);
+  (* Adopt the empty arrangement as if it were complete. *)
+  let n = Serve_state.n_users state in
+  Serve_state.commit state
+    {
+      Serve_state.matching = Some (Matching.create inst);
+      served_to = n;
+      complete = true;
+      replayed_from = n;
+      rewalked = 0;
+    };
+  with_tmpdir (fun dir ->
+      Snapshot.save ~path:(Filename.concat dir "snapshot.geacc") state;
+      let next =
+        {
+          Trace.seq = Serve_state.seq state + 1;
+          ts = 1e6;
+          tier = Trace.Must;
+          ops = [ Trace.User_arrive { capacity = 1; attrs = (Instance.user inst 0).Geacc_core.Entity.attrs } ];
+        }
+      in
+      let config = Serve_loop.default ~state_dir:dir in
+      let run () = run_ok config { trace with Trace.batches = [ next ] } in
+      match Geacc_check.Audit.with_enabled true run with
+      | _ -> Alcotest.fail "audit accepted a non-canonical arrangement"
+      | exception Geacc_check.Audit.Violation { site; _ } ->
+          Alcotest.(check string) "fired at commit" "serve.commit" site)
+
 (* -- Admission --------------------------------------------------------- *)
 
 let batch seq tier = { Trace.seq; ts = 0.; tier; ops = [] }
@@ -323,8 +678,7 @@ let test_admission_degraded_sheds_optional () =
 (* -- Serving loop ------------------------------------------------------ *)
 
 let test_incremental_equals_full () =
-  let trace = tiny_trace () in
-  let digest_of mode =
+  let digest_of trace mode =
     with_tmpdir (fun dir ->
         let config =
           { (Serve_loop.default ~state_dir:dir) with Serve_loop.mode }
@@ -333,10 +687,13 @@ let test_incremental_equals_full () =
         Alcotest.(check int) "clean run" 0 (Serve_loop.exit_status report);
         (report.Serve_loop.digest, Int64.bits_of_float report.Serve_loop.maxsum))
   in
-  let di, mi = digest_of Serve_loop.Incremental in
-  let df, mf = digest_of Serve_loop.Full in
-  Alcotest.(check string) "digest bit-identical" df di;
-  Alcotest.(check int64) "maxsum bit-identical" mf mi
+  List.iter
+    (fun trace ->
+      let di, mi = digest_of trace Serve_loop.Incremental in
+      let df, mf = digest_of trace Serve_loop.Full in
+      Alcotest.(check string) "digest bit-identical" df di;
+      Alcotest.(check int64) "maxsum bit-identical" mf mi)
+    [ tiny_trace (); churn_trace () ]
 
 (* Shedding a state-changing batch shifts every later arrival's id, which
    cascades into apply errors — realistic, but noise here. These tests pin
@@ -367,6 +724,22 @@ let test_deadline_degrades () =
         "some batches degraded" true
         (report.Serve_loop.degraded_batches > 0);
       Alcotest.(check int) "exit degraded" 3 (Serve_loop.exit_status report))
+
+(* [timeout.repair@3] cuts every batch's propagation on its third poll;
+   the chain drops that result and the full stage re-walks on top of the
+   state it left. The arrangement must come out exactly as in a clean run. *)
+let test_dropped_cut_stays_repairable () =
+  let trace = all_must (churn_trace ()) in
+  let digest plan =
+    with_tmpdir (fun dir ->
+        let config = Serve_loop.default ~state_dir:dir in
+        let report = Fault.with_plan plan (fun () -> run_ok config trace) in
+        (report.Serve_loop.digest, report.Serve_loop.degraded_batches))
+  in
+  let clean, _ = digest "" in
+  let cut, degraded = digest "timeout.repair@3" in
+  Alcotest.(check bool) "propagation was cut" true (degraded > 0);
+  Alcotest.(check string) "same final state" clean cut
 
 let test_shed_exit_status () =
   let trace = all_must (tiny_trace ()) in
@@ -418,8 +791,7 @@ let test_offline_mode_runs_clean () =
 let sweep_config dir =
   { (Serve_loop.default ~state_dir:dir) with Serve_loop.snapshot_every = 7 }
 
-let test_crash_sweep () =
-  let trace = tiny_trace ~seed:9 () in
+let crash_sweep trace =
   let reference =
     with_tmpdir (fun dir ->
         (run_ok (sweep_config dir) trace).Serve_loop.digest)
@@ -454,10 +826,8 @@ let test_crash_sweep () =
           reference report.Serve_loop.digest)
   done
 
-let parsed_trace lines =
-  match Trace.parse (String.concat "\n" (lines @ [ "" ])) with
-  | Ok t -> t
-  | Error e -> Alcotest.failf "trace parse: %s" (Error.to_string e)
+let test_crash_sweep () = crash_sweep (tiny_trace ~seed:9 ())
+let test_crash_sweep_churn () = crash_sweep (churn_trace ~seed:9 ())
 
 (* A rejected batch is journaled (journal-before-apply) without advancing
    the applied seq. Admission must therefore filter on the highest
@@ -600,6 +970,26 @@ let suite =
     Alcotest.test_case "snapshot: round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot: corruption rejected" `Quick
       test_snapshot_corruption_rejected;
+    Alcotest.test_case "exact: every batch equals a full replay" `Quick
+      test_exact_generated;
+    Alcotest.test_case "exact: capacity lowered and raised" `Quick
+      test_rule_capacity;
+    Alcotest.test_case "exact: close starts an eviction chain" `Quick
+      test_rule_close_eviction_chain;
+    Alcotest.test_case "exact: fill holder departs" `Quick
+      test_rule_fill_holder_departs;
+    Alcotest.test_case "exact: conflict on a held event" `Quick
+      test_rule_conflict;
+    Alcotest.test_case "exact: event opens mid-stream" `Quick
+      test_rule_event_open;
+    Alcotest.test_case "exact: cut repair finished next batch" `Quick
+      test_cut_then_finish;
+    Alcotest.test_case "exact: snapshot with a pending repair" `Quick
+      test_load_pending;
+    Alcotest.test_case "state: user NN source kept across batches" `Quick
+      test_user_source_shared;
+    Alcotest.test_case "audit: non-canonical commit refused" `Quick
+      test_audit_catches_noncanonical;
     Alcotest.test_case "admission: tier outranks arrival" `Quick
       test_admission_tier_order;
     Alcotest.test_case "admission: musts always pass" `Quick
@@ -611,6 +1001,8 @@ let suite =
     Alcotest.test_case "loop: deadline degrades (exit 3)" `Quick
       test_deadline_degrades;
     Alcotest.test_case "loop: shed maps to exit 3" `Quick test_shed_exit_status;
+    Alcotest.test_case "loop: dropped cut repair stays repairable" `Quick
+      test_dropped_cut_stays_repairable;
     Alcotest.test_case "loop: offline mode" `Quick test_offline_mode_runs_clean;
     Alcotest.test_case "loop: re-run is idempotent" `Quick
       test_recovery_is_idempotent;
@@ -622,4 +1014,5 @@ let suite =
       test_state_dirty_survives_save_load;
     Alcotest.test_case "crash sweep: every checkpoint recovers" `Slow
       test_crash_sweep;
+    Alcotest.test_case "crash sweep: churn 1.0" `Slow test_crash_sweep_churn;
   ]

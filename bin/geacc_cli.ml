@@ -69,7 +69,9 @@ let index_arg =
     & info [ "index" ] ~docv:"BACKEND"
         ~doc:
           "NN index backend serving the solvers' neighbour queries: kd \
-           (default), linear, vafile or idistance.")
+           (default; a kd-tree below 10 dimensions, scans from 10 on), \
+           linear, vafile or idistance. MinCostFlow-GEACC's candidate \
+           queries are scans whatever the backend.")
 
 let algorithm_conv =
   let parse s = Solver.of_string s |> Result.map_error (fun e -> `Msg e) in
@@ -115,6 +117,10 @@ let city_conv =
   in
   Arg.conv (parse, print)
 
+let check_ratio r =
+  if not (r >= 0. && r <= 1.) then
+    die "--conflict-ratio must be in [0, 1], got %g" r
+
 let generate_cmd =
   let out =
     Arg.(
@@ -159,6 +165,20 @@ let generate_cmd =
   in
   let run () out events users dim tmax attrs cv_max cu_max conflict_ratio
       meetup seed =
+    let at_least flag lo n =
+      if n < lo then die "%s must be at least %d, got %d" flag lo n
+    in
+    at_least "--events" 0 events;
+    at_least "--users" 0 users;
+    at_least "--dim" 1 dim;
+    (* The similarity's diameter is sqrt(dim * tmax^2). *)
+    let diameter2 = float_of_int dim *. tmax *. tmax in
+    if not (Float.is_finite diameter2 && diameter2 > 0. && tmax > 0.) then
+      die "--tmax must be positive with --dim * tmax^2 finite, got %g"
+        tmax;
+    at_least "--cv-max" 1 cv_max;
+    at_least "--cu-max" 1 cu_max;
+    check_ratio conflict_ratio;
     let instance =
       match meetup with
       | Some city ->
@@ -649,6 +669,7 @@ let generate_trace_cmd =
           ~doc:"Expected user departures per batch.")
   in
   let run () out city conflict_ratio arrivals churn seed =
+    check_ratio conflict_ratio;
     let trace =
       Geacc_datagen.Trace_gen.generate ~seed ~city ~conflict_ratio
         ~arrivals_per_batch:arrivals ~churn ()

@@ -1,4 +1,5 @@
 module Nn_backend = Geacc_index.Nn_backend
+module Ranked = Geacc_index.Ranked
 
 (* Per-querying-node caches. A source can be shared by the instance values
    [with_entities] re-wraps, whose querying side may grow, so the slots
@@ -17,17 +18,15 @@ let set_slot s node x =
   s.cells.(node) <- Some x
 
 (* Lazily-built neighbour source for one direction of queries (e.g. events
-   querying users). [Indexed] serves ranks from an incremental NN stream of
-   the instance's index backend per querying node; [Scanned] caches a full
-   sorted scan per node (fallback for similarities that are not monotone in
-   distance). Either depends only on the attribute vectors of both sides. *)
-type source =
-  | Indexed of {
-      profile : Similarity.profile;
-      index : Nn_backend.index;
-      streams : Nn_backend.stream slots;
-    }
-  | Scanned of { sorted : (int * float) array slots }
+   querying users): one ranked list per querying node, opened on its first
+   query. With a distance profile the lists come from the instance's index
+   backend, keyed by distance; otherwise each is a scan keyed by [-. sim],
+   whose ascending (key, id) order is descending similarity, then id.
+   Either depends only on the attribute vectors of both sides. *)
+type source = {
+  index : (Similarity.profile * Nn_backend.index) option;
+  lists : Ranked.t slots;
+}
 
 type t = {
   events : Entity.t array;
@@ -115,13 +114,14 @@ let build_source t ~targets =
   let n_queriers =
     if targets == t.users then Array.length t.events else Array.length t.users
   in
-  let slots () = { cells = Array.make n_queriers None } in
-  match Similarity.dist_profile t.similarity with
-  | Some profile ->
-      let points = Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets in
-      let index = t.backend.Nn_backend.build points in
-      Indexed { profile; index; streams = slots () }
-  | None -> Scanned { sorted = slots () }
+  let index =
+    Option.map
+      (fun profile ->
+        let points = Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets in
+        (profile, t.backend.Nn_backend.build points))
+      (Similarity.dist_profile t.similarity)
+  in
+  { index; lists = { cells = Array.make n_queriers None } }
 
 let event_source t =
   match t.event_queries with
@@ -139,59 +139,40 @@ let user_source t =
       t.user_queries <- Some s;
       s
 
-let scan_sorted t ~query_is_event ~node =
-  let n = if query_is_event then n_users t else n_events t in
-  let pairs = ref [] in
-  for j = n - 1 downto 0 do
-    let s =
-      if query_is_event then sim t ~v:node ~u:j else sim t ~v:j ~u:node
-    in
-    if s > 0. then pairs := (j, s) :: !pairs
-  done;
-  let a = Array.of_list !pairs in
-  Array.sort
-    (fun (i1, s1) (i2, s2) ->
-      let c = Float.compare s2 s1 in
-      if c <> 0 then c else Int.compare i1 i2)
-    a;
-  a
+let open_list t source ~query_is_event ~node =
+  match source.index with
+  | Some (profile, index) ->
+      let query =
+        if query_is_event then t.events.(node).Entity.attrs
+        else t.users.(node).Entity.attrs
+      in
+      index.Nn_backend.stream ~query ~max_dist:profile.Similarity.cutoff
+  | None ->
+      let n = if query_is_event then n_users t else n_events t in
+      Ranked.scan ~n ~cutoff:0. (fun j ->
+          -.(if query_is_event then sim t ~v:node ~u:j else sim t ~v:j ~u:node))
 
 let neighbor t source ~query_is_event ~node ~rank =
   assert (rank >= 1);
-  match source with
-  | Indexed { profile; index; streams } ->
-      let stream =
-        match slot streams node with
-        | Some s -> s
-        | None ->
-            let query =
-              if query_is_event then t.events.(node).Entity.attrs
-              else t.users.(node).Entity.attrs
-            in
-            let s =
-              index.Nn_backend.stream ~query
-                ~max_dist:profile.Similarity.cutoff
-            in
-            set_slot streams node s;
-            s
-      in
-      (match stream.Nn_backend.get rank with
-      | None -> None
-      | Some (idx, dist) ->
-          let s = profile.Similarity.sim_of_dist dist in
-          (* Monotone profile: once similarity underflows to 0, so do all
-             later ranks. *)
-          if s > 0. then Some (idx, s) else None)
-  | Scanned { sorted } ->
-      let a =
-        match slot sorted node with
-        | Some a -> a
-        | None ->
-            let a = scan_sorted t ~query_is_event ~node in
-            set_slot sorted node a;
-            a
-      in
-      if rank <= Array.length a then Some a.(rank - 1) else None
+  let list =
+    match slot source.lists node with
+    | Some l -> l
+    | None ->
+        let l = open_list t source ~query_is_event ~node in
+        set_slot source.lists node l;
+        l
+  in
+  if Ranked.reach list rank then
+    let key = Ranked.key list rank in
+    let s =
+      match source.index with
+      | Some (profile, _) -> profile.Similarity.sim_of_dist key
+      | None -> -.key
+    in
+    (* Monotone profile: once similarity underflows to 0, so do all later
+       ranks. *)
+    if s > 0. then Some (Ranked.id list rank, s) else None
+  else None
 
 let event_neighbor t ~v ~rank =
   neighbor t (event_source t) ~query_is_event:true ~node:v ~rank
@@ -202,50 +183,37 @@ let user_neighbor t ~u ~rank =
 let prepare_event_queries t = ignore (event_source t : source)
 
 (* Similarity-pruned candidate set of one event, for the sparse network
-   builder: every user with [sim > 0] (and [>= min_sim]). Unlike
-   [event_neighbor] this touches no per-node caches — the indexed path
-   opens a fresh stream per call and the scanned path computes directly —
-   so after [prepare_event_queries] has forced the shared (read-only)
-   index, concurrent calls from pool workers are safe.
+   builder: every user with [sim > 0] (and [>= min_sim]). A query that
+   wants every in-range target is a scan whatever the backend, so this
+   reads no neighbour source and writes no cache: concurrent calls from
+   pool workers are safe.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
    bitwise-identical to [sim t ~v ~u]; monotonicity lets the collection
    stop at the first rank whose similarity falls below the gate, and
-   keeps the stream's order, descending similarity — the cost-ascending
+   keeps the scan's order, descending similarity — the cost-ascending
    order [Graph.finalize_csr] lays each event's arcs out in. The scanned
    path yields ascending user id. *)
 let candidate_users t ~v ~min_sim =
-  match t.event_queries with
+  match Similarity.dist_profile t.similarity with
+  | Some { Similarity.sim_of_dist; cutoff } ->
+      let q = t.events.(v).Entity.attrs in
+      let ranked =
+        Ranked.scan ~n:(n_users t) ~cutoff (fun u ->
+            Geacc_index.Point.dist q t.users.(u).Entity.attrs)
+      in
+      let passes rank =
+        Ranked.reach ranked rank
+        &&
+        let s = sim_of_dist (Ranked.key ranked rank) in
+        s > 0. && s >= min_sim
+      in
+      (* poll: ok — stops at the first rank below the gate; bounded by the candidate count *)
+      let rec count k = if passes (k + 1) then count (k + 1) else k in
+      Array.init (count 0) (fun k ->
+          (Ranked.id ranked (k + 1), sim_of_dist (Ranked.key ranked (k + 1))))
   | None ->
-      invalid_arg "Instance.candidate_users: call prepare_event_queries first"
-  | Some (Indexed { profile; index; streams = _ }) ->
-      let stream =
-        index.Nn_backend.stream ~query:t.events.(v).Entity.attrs
-          ~max_dist:profile.Similarity.cutoff
-      in
-      let acc = ref [] and count = ref 0 in
-      (* poll: ok — the stream stops at the first rank below the gate; bounded by the candidate count *)
-      let rec go rank =
-        match stream.Nn_backend.get rank with
-        | None -> ()
-        | Some (u, dist) ->
-            let s = profile.Similarity.sim_of_dist dist in
-            if s > 0. && s >= min_sim then begin
-              acc := (u, s) :: !acc;
-              incr count;
-              go (rank + 1)
-            end
-      in
-      go 1;
-      let a = Array.make !count (0, 0.) in
-      List.iter
-        (fun c ->
-          decr count;
-          a.(!count) <- c)
-        !acc;
-      a
-  | Some (Scanned _) ->
       let n = n_users t in
       let acc = ref [] in
       for u = n - 1 downto 0 do
@@ -256,15 +224,10 @@ let candidate_users t ~v ~min_sim =
 
 let side_work = function
   | None -> 0
-  | Some (Indexed { streams; _ }) ->
-      (* Streams are opaque across backends; count the ones opened. *)
+  | Some source ->
       Array.fold_left
-        (fun acc s -> match s with None -> acc | Some _ -> acc + 1)
-        0 streams.cells
-  | Some (Scanned { sorted }) ->
-      Array.fold_left
-        (fun acc s -> match s with None -> acc | Some a -> acc + Array.length a)
-        0 sorted.cells
+        (fun acc l -> if Option.is_some l then acc + 1 else acc)
+        0 source.lists.cells
 
 let neighbor_work t = (side_work t.event_queries, side_work t.user_queries)
 

@@ -6,11 +6,15 @@
     restricted to strictly positive similarity, in deterministic order
     (descending similarity, ties by id).
 
-    Neighbour enumeration is index-backed: when the similarity has a
-    distance profile (see {!Similarity.dist_profile}) a kd-tree per side is
-    built lazily and each node materialises only the prefix of neighbours it
-    actually visits; otherwise a per-node sorted scan is cached on first
-    use. *)
+    Each querying node is served from one {!Geacc_index.Ranked} list,
+    opened on its first query and kept. When the similarity has a distance
+    profile (see {!Similarity.dist_profile}) the list comes from the
+    instance's NN backend, built lazily per side: a search (the kd-tree
+    below dimension 10, VA-File, iDistance) computes only the ranks the node
+    visits, while a scan (the kd backend at dimension >= 10, the linear
+    backend) holds the distance and id of every in-range target from its
+    first query on. Without a profile the list is a scan keyed by
+    similarity. *)
 
 type t
 
@@ -61,21 +65,20 @@ val user_neighbor : t -> u:int -> rank:int -> (int * float) option
 
 val prepare_event_queries : t -> unit
 (** Forces the event-side neighbour source (for indexed similarities: the
-    NN index over the users) so that subsequent {!candidate_users} calls
-    only read shared state. Must run before querying candidates from pool
-    workers — the lazy initialisation itself is not thread-safe. *)
+    NN index over the users), which {!event_neighbor} otherwise builds on
+    its first call. The solvers do not need it; it lets a caller time the
+    index build on its own. *)
 
 val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
 (** The similarity-pruned candidate users of event [v]: every [(u, s)] with
     [s = sim t ~v ~u], [s > 0] and [s >= min_sim]. Indexed instances
-    (similarity with a distance profile) return them in NN-stream order:
-    descending similarity, equal similarities in the order the stream
-    yields them, the same order {!event_neighbor} ranks them in. Scanned
-    instances return them in ascending user id. Similarities are
-    bitwise-identical to {!sim} (when no fault plan is poisoning it).
-    Unlike {!event_neighbor} this writes no per-node caches: after
-    {!prepare_event_queries}, concurrent calls are safe.
-    @raise Invalid_argument before {!prepare_event_queries} has run. *)
+    (similarity with a distance profile) return them in descending
+    similarity, equal similarities by ascending id — the order
+    {!event_neighbor} ranks them in, whatever the backend, since a query
+    for every in-range user is one scan. Scanned instances return them in
+    ascending user id. Similarities are bitwise-identical to {!sim} (when
+    no fault plan is poisoning it). This reads no neighbour source and
+    writes no cache, so concurrent calls are safe. *)
 
 val with_backend : t -> Geacc_index.Nn_backend.t -> t
 (** Same instance data served by a different NN backend, with fresh (cold)
@@ -91,18 +94,17 @@ val with_entities :
     physically) and its querying side keeps its vectors: so arrivals,
     departures (capacity-0 tombstones keeping their vectors), closures and
     capacity changes keep the user-side source (the event index and every
-    user's ranked stream, which then extends to arriving users), and only
+    user's ranked list, which then extends to arriving users), and only
     a new event rebuilds it. The event-side source survives only when no
     user arrived. [t] itself is untouched and stays valid.
     @raise Invalid_argument when a side shrank, an appended entity is
     malformed, or [conflicts] ranges over another event count. *)
 
 val neighbor_work : t -> int * int
-(** Diagnostic: how many (event-side, user-side) neighbour streams have
-    been opened so far by index-backed solvers on this instance (for
-    scanned sources: total entries cached). A source shared through
-    {!with_entities} counts the streams opened through every instance
-    sharing it. *)
+(** Diagnostic: how many (event-side, user-side) neighbour lists have
+    been opened so far on this instance, whether from an index backend or
+    from a similarity scan. A source shared through {!with_entities} counts
+    the lists opened through every instance sharing it. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line description: sizes, capacities, conflict ratio, similarity. *)

@@ -102,7 +102,6 @@ let build_network ?jobs ?min_sim instance =
      candidate order fixes arc ids. On indexed instances that order is
      descending similarity, so each event's arcs arrive cost-ascending
      and [Graph.finalize_csr] only checks their order. *)
-  Instance.prepare_event_queries instance;
   let candidates =
     (* Chunks tile [0, n_v) contiguously in order, so after concatenation
        the index is the event id. *)
@@ -110,7 +109,7 @@ let build_network ?jobs ?min_sim instance =
       (Array.to_list
          (Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
               Array.init (hi - lo) (fun i ->
-                  (* race: ok — candidate_users opens a fresh stream over the shared read-only index; the only mutable reach is Fault.fire's counters, armed solely by single-domain robustness tests *)
+                  (* race: ok — candidate_users reads only the entity arrays and fills a scan it allocates itself; the only mutable reach is Fault.fire's counters (through sim on scanned instances), armed solely by single-domain robustness tests *)
                   Instance.candidate_users instance ~v:(lo + i) ~min_sim))))
   in
   let pair_arcs =

@@ -22,7 +22,7 @@
     algorithm). Yet the SSP loop stops before any unit whose path cost
     reaches 1, and a zero-similarity arc costs exactly 1, so no unit of the
     final flow ever crosses one: the network here drops them up front via
-    the instance's NN-index candidate queries ({!Instance.candidate_users})
+    the instance's per-event candidate scans ({!Instance.candidate_users})
     and reaches the same MaxSum on a fraction of the arcs. [min_sim]
     optionally raises the gate from [sim > 0] to [sim >= τ] (a
     quality/speed knob that {e does} change results for τ > 0).

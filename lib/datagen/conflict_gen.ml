@@ -10,7 +10,7 @@ let nth_pair ~n k =
   row 0 k
 
 let random rng ~n_events ~ratio =
-  if ratio < 0. || ratio > 1. then
+  if not (ratio >= 0. && ratio <= 1.) then
     invalid_arg "Conflict_gen.random: ratio outside [0,1]";
   let cf = Conflict.create ~n_events in
   if n_events >= 2 && ratio > 0. then begin

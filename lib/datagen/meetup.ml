@@ -36,7 +36,7 @@ let capacity_samplers setting =
         fun rng -> Stdlib.max 1 (int_of_float (Float.round (cu rng))) )
 
 let generate ~seed ?(capacities = Cap_uniform) ?(conflict_ratio = 0.25) city =
-  if conflict_ratio < 0. || conflict_ratio > 1. then
+  if not (conflict_ratio >= 0. && conflict_ratio <= 1.) then
     invalid_arg "Meetup.generate: conflict_ratio outside [0,1]";
   let rng = Rng.create ~seed in
   let event_rng = Rng.split rng in

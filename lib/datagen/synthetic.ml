@@ -37,8 +37,9 @@ let validate cfg =
   if cfg.n_events < 0 || cfg.n_users < 0 then
     invalid_arg "Synthetic.generate: negative cardinality";
   if cfg.dim <= 0 then invalid_arg "Synthetic.generate: dim must be positive";
-  if cfg.t_max <= 0. then invalid_arg "Synthetic.generate: t_max must be positive";
-  if cfg.conflict_ratio < 0. || cfg.conflict_ratio > 1. then
+  if not (Float.is_finite cfg.t_max && cfg.t_max > 0.) then
+    invalid_arg "Synthetic.generate: t_max must be positive and finite";
+  if not (cfg.conflict_ratio >= 0. && cfg.conflict_ratio <= 1.) then
     invalid_arg "Synthetic.generate: conflict_ratio outside [0,1]"
 
 let attr_sampler cfg =

@@ -98,18 +98,18 @@ let candidate_cmp c1 c2 =
    partition's distance-sorted array around the query's key dq. *)
 type annulus = { dq : float; mutable left : int; mutable right : int }
 
-type stream = {
+(* The search behind one query's memo. *)
+type search = {
   index : t;
   query : Point.t;
   max_dist : float;
   annuli : annulus array;
   candidates : candidate Heap.t;
   mutable radius : float;
-  mutable emitted_ids : int array;
-  mutable emitted_dists : float array;
-  mutable emitted : int;
   mutable evaluations : int;
 }
+
+type stream = { search : search; ranked : Ranked.t }
 
 (* Positions with |dist - dq| <= r, i.e. dist in [dq - r, dq + r]. *)
 let lowest_in_range dists target =
@@ -120,41 +120,6 @@ let lowest_in_range dists target =
     if dists.(mid) >= target then hi := mid else lo := mid + 1
   done;
   !lo
-
-let stream t ~query ~max_dist =
-  let annuli =
-    Array.map
-      (fun p ->
-        let dq = Point.dist query p.reference in
-        let start = lowest_in_range p.dists dq in
-        { dq; left = start; right = start })
-      t.partitions
-  in
-  {
-    index = t;
-    query;
-    max_dist;
-    annuli;
-    candidates = Heap.create ~cmp:candidate_cmp ();
-    radius = 0.;
-    emitted_ids = [||];
-    emitted_dists = [||];
-    emitted = 0;
-    evaluations = 0;
-  }
-
-let record s id dist =
-  if s.emitted = Array.length s.emitted_ids then begin
-    let capacity = Stdlib.max 8 (2 * s.emitted) in
-    let ids = Array.make capacity 0 and dists = Array.make capacity 0. in
-    Array.blit s.emitted_ids 0 ids 0 s.emitted;
-    Array.blit s.emitted_dists 0 dists 0 s.emitted;
-    s.emitted_ids <- ids;
-    s.emitted_dists <- dists
-  end;
-  s.emitted_ids.(s.emitted) <- id;
-  s.emitted_dists.(s.emitted) <- dist;
-  s.emitted <- s.emitted + 1
 
 let evaluate s id =
   s.evaluations <- s.evaluations + 1;
@@ -207,7 +172,7 @@ let initial_radius s =
     s.annuli;
   if Float.equal !best infinity then 0. else !best
 
-let produce s =
+let produce s ranked =
   if Float.equal s.radius 0. && Heap.is_empty s.candidates then begin
     let r0 = initial_radius s in
     s.radius <- Stdlib.max r0 1e-12;
@@ -217,7 +182,7 @@ let produce s =
     match Heap.peek s.candidates with
     | Some { dist; id } when dist <= s.radius || fully_explored s ->
         let (_ : candidate) = Heap.pop_exn s.candidates in
-        record s id dist;
+        Ranked.push ranked id dist;
         true
     | Some _ | None ->
         if fully_explored s then false
@@ -233,11 +198,27 @@ let produce s =
   in
   emit ()
 
-let rec get s rank =
-  assert (rank >= 1);
-  if rank <= s.emitted then
-    Some (s.emitted_ids.(rank - 1), s.emitted_dists.(rank - 1))
-  else if produce s then get s rank
-  else None
+let stream t ~query ~max_dist =
+  let annuli =
+    Array.map
+      (fun p ->
+        let dq = Point.dist query p.reference in
+        let start = lowest_in_range p.dists dq in
+        { dq; left = start; right = start })
+      t.partitions
+  in
+  let search =
+    {
+      index = t;
+      query;
+      max_dist;
+      annuli;
+      candidates = Heap.create ~cmp:candidate_cmp ();
+      radius = 0.;
+      evaluations = 0;
+    }
+  in
+  { search; ranked = Ranked.memo (fun ranked _ -> produce search ranked) }
 
-let evaluations s = s.evaluations
+let ranked s = s.ranked
+let evaluations s = s.search.evaluations

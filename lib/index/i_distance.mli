@@ -24,8 +24,9 @@ val stream : t -> query:Point.t -> max_dist:float -> stream
 (** Neighbours of [query] in ascending (distance, index) order, restricted
     to distance < [max_dist]. *)
 
-val get : stream -> int -> (int * float) option
-(** [get s rank] — 1-based, random access, memoised. *)
+val ranked : stream -> Ranked.t
+(** The stream's neighbours as a {!Ranked} memo keyed by distance, which
+    the search fills as ranks are asked for. *)
 
 val evaluations : stream -> int
 (** Exact-distance computations performed so far by this stream. *)

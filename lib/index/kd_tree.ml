@@ -200,14 +200,31 @@ let[@inline] push_node c node =
   c.work <- c.work + 1;
   if key < c.max_dist2 then Heap.push c.frontier { key; payload = Node node }
 
+(* The least square whose root reaches [max_dist]. The correctly rounded
+   sqrt is monotone, so [d2 < square_limit m] iff [sqrt d2 < m] — exactly
+   the cutoff a scan applies to distances — and a box whose squared
+   distance reaches the limit holds no point within the cutoff. (Plain
+   [m *. m] rounds, and can keep or drop a point the scan does not.) *)
+let square_limit (max_dist : float) =
+  if not (max_dist > 0.) then 0.
+  else if Float.equal max_dist infinity then infinity
+  else begin
+    let x = ref (max_dist *. max_dist) in
+    while sqrt !x >= max_dist do
+      x := Float.pred !x
+    done;
+    while sqrt (Float.succ !x) < max_dist do
+      x := Float.succ !x
+    done;
+    Float.succ !x
+  end
+
 let cursor t query ?(max_dist = infinity) () =
   let c =
     {
       tree = t;
       query;
-      max_dist2 =
-        (if Float.equal max_dist infinity then infinity
-         else max_dist *. max_dist);
+      max_dist2 = square_limit max_dist;
       frontier = Heap.create ~cmp:entry_cmp ();
       yielded = 0;
       work = 0;

@@ -1,8 +1,6 @@
-type stream = { get : int -> (int * float) option }
-
 type index = {
   size : int;
-  stream : query:Point.t -> max_dist:float -> stream;
+  stream : query:Point.t -> max_dist:float -> Ranked.t;
 }
 
 type t = {
@@ -10,50 +8,32 @@ type t = {
   build : Point.t array -> index;
 }
 
+let scan points ~query ~max_dist =
+  Ranked.scan ~n:(Array.length points) ~cutoff:max_dist (fun i ->
+      Point.dist query points.(i))
+
+let scanned points = { size = Array.length points; stream = scan points }
+
+(* The regime is a function of the points' dimension, fixed at build time:
+   best-first search pays off only while bounding boxes prune. *)
 let kd_tree =
   {
     name = "kd";
     build =
       (fun points ->
-        let tree = Kd_tree.build points in
-        {
-          size = Array.length points;
-          stream =
-            (fun ~query ~max_dist ->
-              let s =
-                if Float.equal max_dist infinity then
-                  Nn_stream.create tree query ()
-                else Nn_stream.create tree query ~max_dist ()
-              in
-              { get = (fun rank -> Nn_stream.get s rank) });
-        });
+        if Array.length points > 0 && Point.dim points.(0) >= 10 then
+          scanned points
+        else
+          let tree = Kd_tree.build points in
+          {
+            size = Array.length points;
+            stream =
+              (fun ~query ~max_dist ->
+                Nn_stream.create tree query ~max_dist ());
+          });
   }
 
-let linear =
-  {
-    name = "linear";
-    build =
-      (fun points ->
-        let idx = Linear_index.create points in
-        {
-          size = Array.length points;
-          stream =
-            (fun ~query ~max_dist ->
-              (* One full sorted scan, computed lazily on first access. *)
-              let sorted =
-                lazy
-                  (Linear_index.nearest_within idx query
-                     ~k:(Array.length points) ~max_dist)
-              in
-              {
-                get =
-                  (fun rank ->
-                    assert (rank >= 1);
-                    let a = Lazy.force sorted in
-                    if rank <= Array.length a then Some a.(rank - 1) else None);
-              });
-        });
-  }
+let linear = { name = "linear"; build = scanned }
 
 let va_file =
   {
@@ -65,8 +45,7 @@ let va_file =
           size = Va_file.size idx;
           stream =
             (fun ~query ~max_dist ->
-              let s = Va_file.stream idx ~query ~max_dist in
-              { get = (fun rank -> Va_file.get s rank) });
+              Va_file.ranked (Va_file.stream idx ~query ~max_dist));
         });
   }
 
@@ -80,8 +59,7 @@ let i_distance =
           size = I_distance.size idx;
           stream =
             (fun ~query ~max_dist ->
-              let s = I_distance.stream idx ~query ~max_dist in
-              { get = (fun rank -> I_distance.get s rank) });
+              I_distance.ranked (I_distance.stream idx ~query ~max_dist));
         });
   }
 

@@ -1,198 +1,19 @@
-(* Two regimes. Shallow ranks are pulled one at a time from the kd-tree
-   cursor. Once a stream is drained past [switch_threshold] ranks — where
-   high-dimensional best-first search stops pruning anything — the stream
-   computes every in-range distance once and then serves ranks from a
-   progressively sorted prefix: each extension quickselects the next chunk
-   (geometrically doubling) and sorts only that chunk, so a stream drained
-   to depth m costs O(n + m log m) rather than O(n log n) up front or
-   O(n) heap work per rank. Both regimes produce the identical
-   (distance, index) order, so switching is invisible to callers. *)
-
-type t = {
-  tree : Kd_tree.t;
-  query : Point.t;
-  max_dist : float;
-  switch_threshold : int;
-  mutable cursor : Kd_tree.cursor option;  (* None once bulk-loaded *)
-  mutable idxs : int array;    (* parallel arrays *)
-  mutable dists : float array;
-  mutable len : int;           (* cursor mode: items pulled; bulk mode:
-                                  total in-range items *)
-  mutable sorted_upto : int;   (* bulk mode: prefix in final order *)
-  mutable bulk : bool;
-  mutable exhausted : bool;    (* cursor mode: cursor ran dry *)
-}
-
-(* Best-first search pays off only while bounding boxes prune; with
-   dimension this high the first pop already visits most of the tree, so
-   the stream starts directly in bulk mode (cf. the VA-File argument that
-   linear scans dominate tree indexes in high dimension). *)
-let hopeless_dimension tree =
-  Kd_tree.size tree > 0 && Point.dim (Kd_tree.point tree 0) >= 10
-
-let create tree query ?(max_dist = infinity) ?(switch_threshold = 64) () =
-  let t =
-    {
-      tree;
-      query;
-      max_dist;
-      switch_threshold;
-      cursor = Some (Kd_tree.cursor tree query ~max_dist ());
-      idxs = [||];
-      dists = [||];
-      len = 0;
-      sorted_upto = 0;
-      bulk = false;
-      exhausted = false;
-    }
-  in
-  if hopeless_dimension tree then begin
-    t.cursor <- None;
-    t.bulk <- true;
-    t.len <- -1 (* filled by the first access *)
-  end;
-  t
-
-let append t idx dist =
-  if t.len = Array.length t.idxs then begin
-    let capacity = Stdlib.max 8 (2 * t.len) in
-    let idxs = Array.make capacity 0 and dists = Array.make capacity 0. in
-    Array.blit t.idxs 0 idxs 0 t.len;
-    Array.blit t.dists 0 dists 0 t.len;
-    t.idxs <- idxs;
-    t.dists <- dists
-  end;
-  t.idxs.(t.len) <- idx;
-  t.dists.(t.len) <- dist;
-  t.len <- t.len + 1
-
-(* (dist, idx) strict order on positions of the parallel arrays. *)
-let pos_less t i j =
-  t.dists.(i) < t.dists.(j)
-  || (t.dists.(i) = t.dists.(j) && t.idxs.(i) < t.idxs.(j))
-
-let swap t i j =
-  let d = t.dists.(i) in
-  t.dists.(i) <- t.dists.(j);
-  t.dists.(j) <- d;
-  let x = t.idxs.(i) in
-  t.idxs.(i) <- t.idxs.(j);
-  t.idxs.(j) <- x
-
-(* Lomuto partition of [lo, hi) with a median-of-three pivot; returns the
-   pivot's final position. The (dist, idx) keys are pairwise distinct (idx
-   is unique), so the order is strict and total. *)
-let partition t lo hi =
-  let mid = lo + ((hi - lo) / 2) and last = hi - 1 in
-  (* Median of first/middle/last moved to [last]: force the minimum of the
-     three into [lo]; the median of the remaining two is their minimum. *)
-  if pos_less t mid lo then swap t mid lo;
-  if pos_less t last lo then swap t last lo;
-  if pos_less t mid last then swap t mid last;
-  let store = ref lo in
-  for i = lo to hi - 2 do
-    if pos_less t i last then begin
-      swap t i !store;
-      incr store
-    end
-  done;
-  swap t !store last;
-  !store
-
-(* Quickselect: rearrange [lo, hi) so that positions [lo, k) hold the
-   k-lo smallest elements (in arbitrary order). *)
-let rec select_prefix t lo hi k =
-  if k > lo && k < hi && hi - lo > 1 then begin
-    let p = partition t lo hi in
-    if k <= p then select_prefix t lo p k
-    else select_prefix t (p + 1) hi k
-  end
-
-let sort_range t lo hi =
-  (* Sort positions [lo, hi) by (dist, idx) via a permutation sort on a
-     scratch index array. *)
-  let m = hi - lo in
-  if m > 1 then begin
-    let order = Array.init m (fun k -> lo + k) in
-    Array.sort
-      (fun a b ->
-        let c = Float.compare t.dists.(a) t.dists.(b) in
-        if c <> 0 then c else Int.compare t.idxs.(a) t.idxs.(b))
-      order;
-    let d = Array.map (fun p -> t.dists.(p)) order in
-    let x = Array.map (fun p -> t.idxs.(p)) order in
-    Array.blit d 0 t.dists lo m;
-    Array.blit x 0 t.idxs lo m
-  end
-
-(* Enter bulk mode: recompute every in-range distance. The prefix already
-   served from the cursor is discarded and reproduced by sorting — the
-   order is deterministic, so ranks keep their values. *)
-let enter_bulk t =
-  let n = Kd_tree.size t.tree in
-  let idxs = Array.make (Stdlib.max 1 n) 0
-  and dists = Array.make (Stdlib.max 1 n) 0. in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let d = Point.dist t.query (Kd_tree.point t.tree i) in
-    if d < t.max_dist then begin
-      idxs.(!kept) <- i;
-      dists.(!kept) <- d;
-      incr kept
-    end
-  done;
-  t.idxs <- idxs;
-  t.dists <- dists;
-  t.len <- !kept;
-  t.sorted_upto <- 0;
-  t.bulk <- true;
-  t.cursor <- None
-
-(* Extend the sorted prefix to cover rank [j] (1-based): quickselect the
-   next geometric chunk, then sort just that chunk. *)
-let extend_sorted t j =
-  if j > t.sorted_upto && t.sorted_upto < t.len then begin
-    let target =
-      Stdlib.min t.len (Stdlib.max (Stdlib.max (2 * t.sorted_upto) j) 32)
-    in
-    select_prefix t t.sorted_upto t.len target;
-    sort_range t t.sorted_upto target;
-    t.sorted_upto <- target
-  end
-
-(* Switch to bulk mode either when the caller drains deep, or when the
+(* Switch to a scan either when the caller drains deep, or when the
    cursor's own effort exceeds what a full linear scan would have cost —
-   in high dimension best-first search degenerates even for the first
-   few ranks. *)
-let should_switch t cursor j =
-  j > t.switch_threshold
-  || Kd_tree.work cursor > 2 * Kd_tree.size t.tree
-
-let rec fill_to t j =
-  if t.bulk then begin
-    if t.len < 0 then enter_bulk t;
-    extend_sorted t j
-  end
-  else if t.len >= j || t.exhausted then ()
-  else
-    match t.cursor with
-    | None -> ()
-    | Some cursor ->
-        if should_switch t cursor j then begin
-          enter_bulk t;
-          extend_sorted t j
-        end
-        else (
-          match Kd_tree.next cursor with
-          | None -> t.exhausted <- true
-          | Some (idx, dist) ->
-              append t idx dist;
-              fill_to t j)
-
-let get t j =
-  assert (j >= 1);
-  fill_to t j;
-  let available = if t.bulk then t.sorted_upto else t.len in
-  if j <= available then Some (t.idxs.(j - 1), t.dists.(j - 1)) else None
-
-let known t = if t.bulk then t.sorted_upto else t.len
+   in high dimension best-first search degenerates even for the first few
+   ranks. The memo's prefix is dropped and reproduced by the scan's sort. *)
+let create tree query ?(max_dist = infinity) ?(switch_threshold = 64) () =
+  let cursor = Kd_tree.cursor tree query ~max_dist () in
+  let n = Kd_tree.size tree in
+  Ranked.memo (fun ranked rank ->
+      if rank > switch_threshold || Kd_tree.work cursor > 2 * n then begin
+        Ranked.rescan ranked ~n ~cutoff:max_dist (fun i ->
+            Point.dist query (Kd_tree.point tree i));
+        true
+      end
+      else
+        match Kd_tree.next cursor with
+        | Some (i, dist) ->
+            Ranked.push ranked i dist;
+            true
+        | None -> false)

@@ -1,37 +1,23 @@
-(** Cached random-access view of a nearest-neighbour enumeration.
+(** Best-first kd-tree search served as a {!Ranked} list.
 
     Greedy-GEACC and Prune-GEACC repeatedly ask for "the j-th nearest
     neighbour of node x" with j advancing independently per node. A stream
-    serves rank [j] in O(1) once materialised, pulling new ranks from a
-    {!Kd_tree.cursor}.
+    pulls ranks one at a time from a {!Kd_tree.cursor} into a {!Ranked}
+    memo, which serves every rank already pulled in O(1).
 
     Incremental best-first search is ideal for shallow ranks but degrades
-    in high dimension (the frontier stops pruning anything). A stream
-    therefore switches to a {e bulk} regime — every in-range distance
-    computed once, ranks served from a prefix sorted incrementally by
-    quickselect — whenever any of three signals fires: the dimension is
-    >= 10 (best-first search is hopeless there, cf. the VA-File argument),
-    the cursor's frontier work exceeds twice a linear scan, or the caller
-    drains past [switch_threshold] ranks. Both regimes produce the
-    identical (distance, index) order, so the switch is invisible: a
-    stream drained to depth m costs O(n + m log m) instead of O(n) heap
-    work per rank. *)
-
-type t
+    as the frontier stops pruning. The stream therefore turns into a
+    {!Ranked} scan (every in-range distance computed once) when either of
+    two signals fires: the caller drains past [switch_threshold] ranks, or
+    the cursor's frontier work exceeds twice a linear scan. Both produce the
+    identical (distance, index) order, so the switch is invisible.
+    {!Nn_backend.kd_tree} creates streams only below dimension 10; it
+    serves higher dimensions by scans from the start. *)
 
 val create : Kd_tree.t -> Point.t -> ?max_dist:float -> ?switch_threshold:int ->
-  unit -> t
-(** Stream of neighbours of the query in ascending (distance, index) order,
-    cut off at [max_dist] (exclusive) when given. [switch_threshold]
-    (default 64) is the materialised-rank count beyond which the stream
-    enters the bulk regime ([0] forces it on first access); note the
-    dimension and frontier-work signals can trigger the switch earlier
-    regardless of this threshold. *)
-
-val get : t -> int -> (int * float) option
-(** [get t j] is the [j]-th nearest neighbour (1-based) as
-    [(point index, distance)], or [None] if fewer than [j] neighbours exist
-    within the cutoff. *)
-
-val known : t -> int
-(** Number of neighbours materialised so far. *)
+  unit -> Ranked.t
+(** Neighbours of the query in ascending (distance, index) order, cut off at
+    [max_dist] (exclusive) when given; keys are distances. [switch_threshold]
+    (default 64) is the rank beyond which the stream switches to a scan
+    ([0] switches on first access); the frontier-work signal can switch it
+    earlier. *)

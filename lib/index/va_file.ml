@@ -57,19 +57,20 @@ let candidate_cmp c1 c2 =
   let c = Float.compare c1.dist c2.dist in
   if c <> 0 then c else Int.compare c1.id c2.id
 
-type stream = {
+(* The filter behind one query's memo: candidates in lower-bound order,
+   refined into a heap until the heap minimum is provably next. *)
+type search = {
   index : t;
   max_dist : float;
   by_lower_bound : int array;   (* point ids in ascending (lb, id) order *)
   lower_bounds : float array;   (* lb per position of [by_lower_bound] *)
   exact : candidate Heap.t;     (* refined but not yet emitted *)
   mutable cursor : int;         (* next unrefined position *)
-  mutable emitted_ids : int array;
-  mutable emitted_dists : float array;
-  mutable emitted : int;
   mutable refinements : int;
   query : Point.t;
 }
+
+type stream = { search : search; ranked : Ranked.t }
 
 (* Per-dimension table of squared lower-bound contributions per cell. *)
 let lb_tables t query =
@@ -82,56 +83,11 @@ let lb_tables t query =
           else if q > hi then (q -. hi) *. (q -. hi)
           else 0.))
 
-let stream t ~query ~max_dist =
-  let n = size t in
-  let tables = lb_tables t query in
-  let lb = Array.make n 0. in
-  for p = 0 to n - 1 do
-    let acc = ref 0. in
-    for j = 0 to t.dim - 1 do
-      acc := !acc +. tables.(j).(code t p j)
-    done;
-    lb.(p) <- sqrt !acc
-  done;
-  let by_lower_bound = Array.init n (fun p -> p) in
-  Array.sort
-    (fun p1 p2 ->
-      let c = Float.compare lb.(p1) lb.(p2) in
-      if c <> 0 then c else Int.compare p1 p2)
-    by_lower_bound;
-  let lower_bounds = Array.map (fun p -> lb.(p)) by_lower_bound in
-  {
-    index = t;
-    max_dist;
-    by_lower_bound;
-    lower_bounds;
-    exact = Heap.create ~cmp:candidate_cmp ();
-    cursor = 0;
-    emitted_ids = [||];
-    emitted_dists = [||];
-    emitted = 0;
-    refinements = 0;
-    query;
-  }
-
-let record s id dist =
-  if s.emitted = Array.length s.emitted_ids then begin
-    let capacity = Stdlib.max 8 (2 * s.emitted) in
-    let ids = Array.make capacity 0 and dists = Array.make capacity 0. in
-    Array.blit s.emitted_ids 0 ids 0 s.emitted;
-    Array.blit s.emitted_dists 0 dists 0 s.emitted;
-    s.emitted_ids <- ids;
-    s.emitted_dists <- dists
-  end;
-  s.emitted_ids.(s.emitted) <- id;
-  s.emitted_dists.(s.emitted) <- dist;
-  s.emitted <- s.emitted + 1
-
-(* Produce one more neighbour, or return false when the stream is dry.
-   Invariant: everything still unrefined has lower bound >= any refined
-   candidate pulled so far only once the pull loop below has run, so the
-   heap minimum is the true next neighbour. *)
-let produce s =
+(* Push one more neighbour onto [ranked], or return false when the search
+   is dry. Invariant: everything still unrefined has lower bound >= any
+   refined candidate pulled so far only once the pull loop below has run,
+   so the heap minimum is the true next neighbour. *)
+let produce s ranked =
   let n = Array.length s.by_lower_bound in
   let continue = ref true in
   while
@@ -156,14 +112,41 @@ let produce s =
   done;
   match Heap.pop s.exact with
   | Some { dist; id } ->
-      record s id dist;
+      Ranked.push ranked id dist;
       true
   | None -> false
 
-let rec get s rank =
-  assert (rank >= 1);
-  if rank <= s.emitted then Some (s.emitted_ids.(rank - 1), s.emitted_dists.(rank - 1))
-  else if produce s then get s rank
-  else None
+let stream t ~query ~max_dist =
+  let n = size t in
+  let tables = lb_tables t query in
+  let lb = Array.make n 0. in
+  for p = 0 to n - 1 do
+    let acc = ref 0. in
+    for j = 0 to t.dim - 1 do
+      acc := !acc +. tables.(j).(code t p j)
+    done;
+    lb.(p) <- sqrt !acc
+  done;
+  let by_lower_bound = Array.init n (fun p -> p) in
+  Array.sort
+    (fun p1 p2 ->
+      let c = Float.compare lb.(p1) lb.(p2) in
+      if c <> 0 then c else Int.compare p1 p2)
+    by_lower_bound;
+  let lower_bounds = Array.map (fun p -> lb.(p)) by_lower_bound in
+  let search =
+    {
+      index = t;
+      max_dist;
+      by_lower_bound;
+      lower_bounds;
+      exact = Heap.create ~cmp:candidate_cmp ();
+      cursor = 0;
+      refinements = 0;
+      query;
+    }
+  in
+  { search; ranked = Ranked.memo (fun ranked _ -> produce search ranked) }
 
-let refinements s = s.refinements
+let ranked s = s.ranked
+let refinements s = s.search.refinements

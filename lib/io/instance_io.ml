@@ -90,11 +90,33 @@ let expect_header cur ~keyword =
   | k :: args when k = keyword -> (line, args)
   | _ -> fail ~line "expected %S section, got %S" keyword l
 
+(* A NaN or infinite parameter would load and make every similarity NaN
+   or 1, and a non-positive one would escape the constructors as
+   [Invalid_argument]. So would finite parameters whose squared scale
+   (d T^2, or 2 sigma^2) overflows or underflows. *)
 let parse_sim ~line args =
+  let positive what s =
+    let x = parse_float ~line s in
+    if Float.is_finite x && x > 0. then x
+    else fail ~line "similarity %s %S is not a positive finite number" what s
+  in
+  let check_scale scale2 =
+    if not (Float.is_finite scale2 && scale2 > 0.) then
+      fail ~line "similarity %S: its squared scale %g is not a positive \
+                  finite number"
+        (String.concat " " args) scale2
+  in
   match args with
   | [ "euclidean"; d; r ] ->
-      Similarity.euclidean ~dim:(parse_int ~line d) ~range:(parse_float ~line r)
-  | [ "gaussian"; s ] -> Similarity.gaussian ~sigma:(parse_float ~line s)
+      let dim = parse_int ~line d in
+      if dim < 1 then fail ~line "similarity dimension %d is not positive" dim;
+      let range = positive "range" r in
+      check_scale (float_of_int dim *. range *. range);
+      Similarity.euclidean ~dim ~range
+  | [ "gaussian"; s ] ->
+      let sigma = positive "sigma" s in
+      check_scale (2. *. sigma *. sigma);
+      Similarity.gaussian ~sigma
   | [ "cosine" ] -> Similarity.cosine
   | _ -> fail ~line "unsupported similarity %S" (String.concat " " args)
 

@@ -51,6 +51,8 @@ val parse_sim :
   line:int -> string list -> Geacc_core.Similarity.t
 (** Parses the argument tokens of a [sim ...] header ([["euclidean"; d; r]],
     [["gaussian"; s]] or [["cosine"]]), the inverse of {!sim_header}.
+    Parameters must be finite with [d >= 1], [r > 0] and [s > 0], and the
+    squared scale ([d r^2], [2 s^2]) must stay a positive finite number.
     @raise Parse_error (with the given line) on anything else. *)
 
 val save_instance : Geacc_core.Instance.t -> string

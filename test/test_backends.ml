@@ -6,6 +6,7 @@ module Linear = Geacc_index.Linear_index
 module Va = Geacc_index.Va_file
 module Id = Geacc_index.I_distance
 module Backend = Geacc_index.Nn_backend
+module Ranked = Geacc_index.Ranked
 module Rng = Geacc_util.Rng
 open Geacc_core
 module Synthetic = Geacc_datagen.Synthetic
@@ -37,14 +38,14 @@ let check_va_against_oracle ~n ~d ~bits ~seed =
     let q = Array.init d (fun _ -> Rng.float rng 100.) in
     let s = Va.stream t ~query:q ~max_dist:infinity in
     for rank = 1 to n do
-      match (Va.get s rank, Linear.nth_nearest oracle q rank) with
+      match (Ranked.get (Va.ranked s) rank, Linear.nth_nearest oracle q rank) with
       | Some (i, dist), Some (i', dist') ->
           Alcotest.(check int) (Printf.sprintf "rank %d id" rank) i' i;
           Alcotest.(check (float 1e-9)) "dist" dist' dist
       | None, None -> ()
       | _ -> Alcotest.fail "existence mismatch"
     done;
-    Alcotest.(check bool) "rank n+1 empty" true (Va.get s (n + 1) = None)
+    Alcotest.(check bool) "rank n+1 empty" true (Ranked.get (Va.ranked s) (n + 1) = None)
   done
 
 let test_va_exact_order () = check_va_against_oracle ~n:80 ~d:4 ~bits:4 ~seed:2
@@ -59,7 +60,7 @@ let test_va_saves_refinements () =
   let q = Array.init 4 (fun _ -> Rng.float rng 100.) in
   let s = Va.stream t ~query:q ~max_dist:infinity in
   for rank = 1 to 10 do
-    ignore (Va.get s rank)
+    ignore (Ranked.get (Va.ranked s) rank)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "10-NN refined only %d of 2000" (Va.refinements s))
@@ -71,7 +72,7 @@ let test_va_cutoff () =
   let t = Va.build points in
   let s = Va.stream t ~query:[| 0. |] ~max_dist:5. in
   let rec count rank =
-    if Va.get s rank = None then rank - 1 else count (rank + 1)
+    if Ranked.get (Va.ranked s) rank = None then rank - 1 else count (rank + 1)
   in
   Alcotest.(check int) "exactly points at distance < 5" 5 (count 1)
 
@@ -95,7 +96,7 @@ let check_idistance_against_oracle ~n ~d ~refs ~seed =
     let q = Array.init d (fun _ -> Rng.float rng 100.) in
     let s = Id.stream t ~query:q ~max_dist:infinity in
     for rank = 1 to n do
-      match (Id.get s rank, Linear.nth_nearest oracle q rank) with
+      match (Ranked.get (Id.ranked s) rank, Linear.nth_nearest oracle q rank) with
       | Some (i, dist), Some (i', dist') ->
           Alcotest.(check int) (Printf.sprintf "rank %d id" rank) i' i;
           Alcotest.(check (float 1e-9)) "dist" dist' dist
@@ -120,7 +121,7 @@ let test_idistance_query_on_point () =
   let points = random_points rng ~n:50 ~d:3 ~range:10. in
   let t = Id.build points in
   let s = Id.stream t ~query:(Array.copy points.(17)) ~max_dist:infinity in
-  match Id.get s 1 with
+  match Ranked.get (Id.ranked s) 1 with
   | Some (17, d) -> Alcotest.(check (float 1e-12)) "distance zero" 0. d
   | _ -> Alcotest.fail "expected point 17 first"
 
@@ -129,7 +130,7 @@ let test_idistance_cutoff () =
   let t = Id.build ~n_references:3 points in
   let s = Id.stream t ~query:[| 0. |] ~max_dist:5. in
   let rec count rank =
-    if Id.get s rank = None then rank - 1 else count (rank + 1)
+    if Ranked.get (Id.ranked s) rank = None then rank - 1 else count (rank + 1)
   in
   Alcotest.(check int) "cutoff respected" 5 (count 1)
 
@@ -145,6 +146,9 @@ let test_backend_of_string () =
   Alcotest.(check bool) "unknown rejected" true
     (Result.is_error (Backend.of_string "quadtree"))
 
+(* Every backend against the oracle: ids and distance bits at every rank,
+   asked for in random order (including ranks past the last point), under
+   a random cutoff that is sometimes none at all. *)
 let prop_backends_agree =
   QCheck.Test.make ~name:"all backends yield the oracle's order" ~count:40
     QCheck.(triple (int_range 1 50) (int_range 1 12) (int_bound 999))
@@ -152,63 +156,132 @@ let prop_backends_agree =
       let rng = Rng.create ~seed in
       let points = random_points rng ~n ~d ~range:20. in
       let q = Array.init d (fun _ -> Rng.float rng 20.) in
-      let oracle =
-        let idx = Linear.create points in
-        Array.init n (fun k ->
-            match Linear.nth_nearest idx q (k + 1) with
-            | Some (i, _) -> i
-            | None -> -1)
+      let max_dist =
+        if Rng.bool rng then infinity
+        else Rng.float rng (20. *. sqrt (float_of_int d))
       in
+      let oracle = Linear.nearest_within (Linear.create points) q ~k:n ~max_dist in
+      let ranks = Array.init (n + 2) (fun k -> k + 1) in
+      Rng.shuffle_in_place rng ranks;
       List.for_all
         (fun (b : Backend.t) ->
           let index = b.Backend.build points in
-          let s = index.Backend.stream ~query:q ~max_dist:infinity in
-          let ok = ref true in
-          Array.iteri
-            (fun k expected ->
-              match s.Backend.get (k + 1) with
-              | Some (i, _) when i = expected -> ()
-              | _ -> ok := false)
-            oracle;
-          !ok && s.Backend.get (n + 1) = None)
+          let s = index.Backend.stream ~query:q ~max_dist in
+          Array.for_all
+            (fun rank ->
+              match Ranked.get s rank with
+              | Some (i, dist) ->
+                  rank <= Array.length oracle
+                  &&
+                  let i', dist' = oracle.(rank - 1) in
+                  i = i' && Int64.bits_of_float dist = Int64.bits_of_float dist'
+              | None -> rank > Array.length oracle)
+            ranks)
         Backend.all)
 
+(* The backend is an implementation detail: every solver must return the
+   same arrangement whatever index serves the streams. d = 6 runs the kd
+   backend's tree search, d = 20 its scans. *)
 let test_solvers_identical_across_backends () =
-  (* The backend is an implementation detail: every solver must return the
-     same arrangement whatever index serves the streams. *)
-  let cfg =
+  let cfg dim =
     {
       Synthetic.default with
       Synthetic.n_events = 8;
       n_users = 30;
-      dim = 6;
+      dim;
       event_capacity = Synthetic.Cap_uniform 4;
       user_capacity = Synthetic.Cap_uniform 2;
     }
   in
+  let solvers =
+    [
+      ("greedy", Greedy.solve);
+      ("prune", fun t -> Exact.solve_prune t);
+      ("mincostflow", fun t -> Mincostflow.solve t);
+    ]
+  in
   List.iter
-    (fun seed ->
-      let reference =
-        Matching.pairs (Greedy.solve (Synthetic.generate ~seed cfg))
-      in
-      let reference_exact =
-        Matching.pairs
-          (Exact.solve_prune (Synthetic.generate ~seed cfg))
+    (fun (dim, seed) ->
+      List.iter
+        (fun (name, solve) ->
+          let reference = solve (Synthetic.generate ~seed (cfg dim)) in
+          List.iter
+            (fun (b : Backend.t) ->
+              let m = solve (Synthetic.generate ~seed ~backend:b (cfg dim)) in
+              let label =
+                Printf.sprintf "%s via %s (d=%d, seed %d)" name b.Backend.name
+                  dim seed
+              in
+              Alcotest.(check (list (pair int int)))
+                label (Matching.pairs reference) (Matching.pairs m);
+              Alcotest.(check int64) (label ^ " maxsum bits")
+                (Int64.bits_of_float (Matching.maxsum reference))
+                (Int64.bits_of_float (Matching.maxsum m)))
+            Backend.all)
+        solvers)
+    [ (6, 1); (6, 2); (6, 3); (20, 2); (20, 3) ]
+
+(* [candidate_users] is a scan whatever the backend; it must equal the
+   event's neighbour ranks cut at the gate, in ids and similarity bits. *)
+let test_candidate_users_match_ranks () =
+  let bits = List.map (fun (u, s) -> (u, Int64.bits_of_float s)) in
+  let ranks_above t ~v ~min_sim =
+    let rec go rank acc =
+      match Instance.event_neighbor t ~v ~rank with
+      | Some (u, s) when s >= min_sim -> go (rank + 1) ((u, s) :: acc)
+      | Some _ | None -> List.rev acc
+    in
+    go 1 []
+  in
+  List.iter
+    (fun dim ->
+      let cfg =
+        {
+          Synthetic.default with
+          Synthetic.n_events = 5;
+          n_users = 120;
+          dim;
+        }
       in
       List.iter
         (fun (b : Backend.t) ->
-          let t = Synthetic.generate ~seed ~backend:b cfg in
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "greedy via %s (seed %d)" b.Backend.name seed)
-            reference
-            (Matching.pairs (Greedy.solve t));
-          let t2 = Synthetic.generate ~seed ~backend:b cfg in
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "prune via %s (seed %d)" b.Backend.name seed)
-            reference_exact
-            (Matching.pairs (Exact.solve_prune t2)))
+          let t = Synthetic.generate ~seed:17 ~backend:b cfg in
+          for v = 0 to Instance.n_events t - 1 do
+            List.iter
+              (fun min_sim ->
+                Alcotest.(check (list (pair int int64)))
+                  (Printf.sprintf "%s d=%d v=%d min_sim=%g" b.Backend.name dim
+                     v min_sim)
+                  (bits (ranks_above t ~v ~min_sim))
+                  (bits
+                     (Array.to_list (Instance.candidate_users t ~v ~min_sim))))
+              [ 0.; 0.4; 0.6; 0.8 ]
+          done)
         Backend.all)
-    [ 1; 2; 3 ]
+    [ 4; 20 ];
+  (* Cosine has no distance profile: candidates come in ascending id, with
+     exactly the similarities [sim] returns. *)
+  let g = Synthetic.generate ~seed:18 { Synthetic.default with n_events = 4; n_users = 60 } in
+  let t =
+    Instance.create ~sim:Similarity.cosine ~events:(Instance.events g)
+      ~users:(Instance.users g) ~conflicts:(Instance.conflicts g) ()
+  in
+  for v = 0 to Instance.n_events t - 1 do
+    let got = Array.to_list (Instance.candidate_users t ~v ~min_sim:0. ) in
+    Alcotest.(check (list (pair int int64)))
+      (Printf.sprintf "cosine v=%d" v)
+      (bits
+         (List.sort
+            (fun (u1, _) (u2, _) -> Int.compare u1 u2)
+            (ranks_above t ~v ~min_sim:0.)))
+      (bits got);
+    List.iter
+      (fun (u, s) ->
+        Alcotest.(check int64) "cosine sim bits"
+          (Int64.bits_of_float (Instance.sim t ~v ~u))
+          (Int64.bits_of_float s))
+      got
+  done
 
 let suite =
   [
@@ -233,4 +306,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_backends_agree;
     Alcotest.test_case "solvers identical across backends" `Quick
       test_solvers_identical_across_backends;
+    Alcotest.test_case "candidate users = event ranks" `Quick
+      test_candidate_users_match_ranks;
   ]

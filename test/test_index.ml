@@ -5,6 +5,7 @@ module Point = Geacc_index.Point
 module Linear = Geacc_index.Linear_index
 module Kd = Geacc_index.Kd_tree
 module Stream = Geacc_index.Nn_stream
+module Ranked = Geacc_index.Ranked
 module Rng = Geacc_util.Rng
 
 let random_points rng ~n ~d ~range =
@@ -150,19 +151,20 @@ let test_stream_random_access () =
   (* Jump around ranks; results must match the oracle at every rank. *)
   List.iter
     (fun rank ->
-      match (Stream.get s rank, Linear.nth_nearest linear q rank) with
+      match (Ranked.get s rank, Linear.nth_nearest linear q rank) with
       | Some (i, d), Some (i', d') ->
           Alcotest.(check int) (Printf.sprintf "rank %d id" rank) i' i;
           Alcotest.(check (float 1e-9)) "rank distance" d' d
       | None, None -> ()
       | _ -> Alcotest.fail "stream and oracle disagree on existence")
     [ 5; 1; 50; 3; 100; 99; 2 ];
-  Alcotest.(check bool) "rank beyond size" true (Stream.get s 101 = None);
-  Alcotest.(check int) "known counts materialised prefix" 100 (Stream.known s)
+  Alcotest.(check bool) "rank beyond size" true (Ranked.get s 101 = None);
+  Alcotest.(check int) "known counts materialised prefix" 100 (Ranked.known s)
 
 let test_stream_bulk_high_dimension () =
-  (* d >= 10 streams start in bulk mode (the kd cursor is bypassed); the
-     served order must still match the oracle exactly. *)
+  (* At d = 20 best-first search stops pruning, so the stream switches
+     from the cursor to a scan early; the served order must still match
+     the oracle exactly. *)
   let rng = Rng.create ~seed:7 in
   let points = random_points rng ~n:300 ~d:20 ~range:100. in
   let tree = Kd.build points in
@@ -171,14 +173,14 @@ let test_stream_bulk_high_dimension () =
   let s = Stream.create tree q () in
   List.iter
     (fun rank ->
-      match (Stream.get s rank, Linear.nth_nearest linear q rank) with
+      match (Ranked.get s rank, Linear.nth_nearest linear q rank) with
       | Some (i, d), Some (i', d') ->
           Alcotest.(check int) (Printf.sprintf "bulk rank %d" rank) i' i;
           Alcotest.(check (float 1e-9)) "bulk distance" d' d
       | None, None -> ()
       | _ -> Alcotest.fail "bulk stream and oracle disagree")
     [ 1; 7; 2; 300; 150; 299; 1 ];
-  Alcotest.(check bool) "beyond size" true (Stream.get s 301 = None)
+  Alcotest.(check bool) "beyond size" true (Ranked.get s 301 = None)
 
 let test_stream_switch_threshold_zero () =
   (* Forcing bulk on first access must not change any answer. *)
@@ -192,7 +194,7 @@ let test_stream_switch_threshold_zero () =
     Alcotest.(check bool)
       (Printf.sprintf "rank %d agrees across regimes" rank)
       true
-      (Stream.get lazy_s rank = Stream.get eager_s rank)
+      (Ranked.get lazy_s rank = Ranked.get eager_s rank)
   done
 
 let test_stream_sequential_advance_crosses_switch () =
@@ -205,7 +207,7 @@ let test_stream_sequential_advance_crosses_switch () =
   let q = Array.init 4 (fun _ -> Rng.float rng 10.) in
   let s = Stream.create tree q ~switch_threshold:16 () in
   for rank = 1 to 200 do
-    match (Stream.get s rank, Linear.nth_nearest linear q rank) with
+    match (Ranked.get s rank, Linear.nth_nearest linear q rank) with
     | Some (i, _), Some (i', _) ->
         Alcotest.(check int) (Printf.sprintf "rank %d" rank) i' i
     | None, None -> ()
@@ -216,18 +218,27 @@ let test_stream_cutoff_in_bulk_mode () =
   let points = Array.init 50 (fun i -> Array.make 20 (float_of_int i)) in
   let tree = Kd.build points in
   (* Query at the origin; cutoff excludes points with coordinate >= 5 —
-     distance of point i is i * sqrt 20. *)
-  let s = Stream.create tree (Array.make 20 0.) ~max_dist:(5. *. sqrt 20.) () in
-  Alcotest.(check bool) "rank 5 exists" true (Stream.get s 5 <> None);
-  Alcotest.(check bool) "rank 6 beyond cutoff" true (Stream.get s 6 = None)
+     distance of point i is i * sqrt 20. Point 5 sits exactly on the cutoff
+     (sqrt 500 = 5 *. sqrt 20 in floating point, while the square of the
+     cutoff rounds above 500), so the cursor (50 points never trip the
+     work signal) and the scan must both drop it. *)
+  List.iter
+    (fun switch_threshold ->
+      let s =
+        Stream.create tree (Array.make 20 0.) ~max_dist:(5. *. sqrt 20.)
+          ~switch_threshold ()
+      in
+      Alcotest.(check bool) "rank 5 exists" true (Ranked.get s 5 <> None);
+      Alcotest.(check bool) "rank 6 beyond cutoff" true (Ranked.get s 6 = None))
+    [ 64; 0 ]
 
 let test_stream_cutoff () =
   let points = [| [| 0. |]; [| 3. |]; [| 9. |] |] in
   let tree = Kd.build points in
   let s = Stream.create tree [| 0. |] ~max_dist:5. () in
-  Alcotest.(check bool) "rank 1" true (Stream.get s 1 <> None);
-  Alcotest.(check bool) "rank 2" true (Stream.get s 2 <> None);
-  Alcotest.(check bool) "rank 3 beyond cutoff" true (Stream.get s 3 = None)
+  Alcotest.(check bool) "rank 1" true (Ranked.get s 1 <> None);
+  Alcotest.(check bool) "rank 2" true (Ranked.get s 2 <> None);
+  Alcotest.(check bool) "rank 3 beyond cutoff" true (Ranked.get s 3 = None)
 
 (* QCheck property: streams agree with the oracle for any (n, d, threshold),
    covering the cursor regime, the bulk regime and the switch between. *)
@@ -244,13 +255,65 @@ let prop_stream_matches_oracle =
       let ok = ref true in
       for rank = 1 to n + 1 do
         let expected = Linear.nth_nearest linear q rank in
-        let actual = Stream.get s rank in
+        let actual = Ranked.get s rank in
         (match (expected, actual) with
         | Some (i, _), Some (i', _) when i = i' -> ()
         | None, None -> ()
         | _ -> ok := false)
       done;
       !ok)
+
+(* QCheck property: a Ranked list over keys with many ties serves the
+   List.sort order at every rank, asked in random order and past the last
+   kept target — as a scan, as a memo fed in order, and as a memo that
+   turns into a scan part-way. *)
+let prop_ranked_matches_sort =
+  QCheck.Test.make ~name:"ranked scan and memo = List.sort oracle" ~count:200
+    QCheck.(triple (int_range 0 200) (int_range 1 6) (int_bound 9999))
+    (fun (n, distinct, seed) ->
+      let rng = Rng.create ~seed in
+      let keys = Array.init n (fun _ -> float_of_int (Rng.int rng distinct)) in
+      let cutoff = float_of_int (Rng.int rng (distinct + 1)) in
+      let key i = keys.(i) in
+      let oracle =
+        List.init n (fun i -> (i, keys.(i)))
+        |> List.filter (fun (_, k) -> k < cutoff)
+        |> List.sort (fun (i1, k1) (i2, k2) ->
+               let c = Float.compare k1 k2 in
+               if c <> 0 then c else Int.compare i1 i2)
+        |> Array.of_list
+      in
+      let fed ~switch_at =
+        let next = ref 0 in
+        Ranked.memo (fun r rank ->
+            if rank > switch_at then begin
+              Ranked.rescan r ~n ~cutoff key;
+              true
+            end
+            else if !next < Array.length oracle then begin
+              let i, k = oracle.(!next) in
+              incr next;
+              Ranked.push r i k;
+              true
+            end
+            else false)
+      in
+      let lists =
+        [
+          Ranked.scan ~n ~cutoff key;
+          fed ~switch_at:max_int;
+          fed ~switch_at:(Rng.int rng (n + 1));
+        ]
+      in
+      let ranks = Array.init (n + 3) (fun k -> k + 1) in
+      Rng.shuffle_in_place rng ranks;
+      Array.for_all
+        (fun rank ->
+          let expected =
+            if rank <= Array.length oracle then Some oracle.(rank - 1) else None
+          in
+          List.for_all (fun l -> Ranked.get l rank = expected) lists)
+        ranks)
 
 (* QCheck property: kd-tree enumeration = sorted linear distances. *)
 let prop_kd_full_enumeration =
@@ -299,4 +362,5 @@ let suite =
       test_stream_cutoff_in_bulk_mode;
     QCheck_alcotest.to_alcotest prop_kd_full_enumeration;
     QCheck_alcotest.to_alcotest prop_stream_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_ranked_matches_sort;
   ]

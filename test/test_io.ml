@@ -182,6 +182,42 @@ let test_rejects_bad_conflicts () =
     (two_event_prefix ^ "2\n0 1\n1 0\n")
     ~line:10 ~needle:"duplicate conflict pair"
 
+(* Similarity headers: only finite parameters with d >= 1, T > 0 and
+   sigma > 0 (and a representable squared scale) load; the rest name the
+   header's line instead of loading NaN or constant similarities or
+   escaping as Invalid_argument. *)
+let test_rejects_bad_similarity () =
+  let instance sim =
+    Printf.sprintf
+      "geacc-instance 1\n# header\nsim %s\nevents 1\n1 0.5 0.5\nusers 1\n1 \
+       0.5 0.5\nconflicts 0\n"
+      sim
+  in
+  List.iter
+    (fun (sim, needle) ->
+      expect_instance_error_message (instance sim) ~line:3 ~needle)
+    [
+      ("euclidean 2 nan", "range \"nan\" is not a positive finite number");
+      ("euclidean 2 inf", "range \"inf\" is not a positive finite number");
+      ("euclidean 2 -1", "range \"-1\" is not a positive finite number");
+      ("euclidean 2 0", "range \"0\" is not a positive finite number");
+      ("euclidean 0 1", "dimension 0 is not positive");
+      ("euclidean -3 1", "dimension -3 is not positive");
+      ("euclidean 2 1e200", "squared scale");
+      ("gaussian nan", "sigma \"nan\" is not a positive finite number");
+      ("gaussian inf", "sigma \"inf\" is not a positive finite number");
+      ("gaussian 0", "sigma \"0\" is not a positive finite number");
+      ("gaussian -0.5", "sigma \"-0.5\" is not a positive finite number");
+      ("gaussian 1e-200", "squared scale");
+    ];
+  List.iter
+    (fun sim ->
+      match Io.load_instance (instance sim) with
+      | _ -> ()
+      | exception Io.Parse_error { message; _ } ->
+          Alcotest.failf "sim %s rejected: %s" sim message)
+    [ "euclidean 2 1e100"; "euclidean 1 1e-100"; "gaussian 1e100"; "cosine" ]
+
 let test_result_api () =
   (match Io.load_instance_result "geacc-instance 1\nsim nonsense\n" with
   | Error (Geacc_robust.Error.Parse_error { line; _ }) ->
@@ -223,5 +259,7 @@ let suite =
       test_rejects_negative_capacity;
     Alcotest.test_case "rejects bad conflict pairs" `Quick
       test_rejects_bad_conflicts;
+    Alcotest.test_case "rejects bad similarity headers" `Quick
+      test_rejects_bad_similarity;
     Alcotest.test_case "result api" `Quick test_result_api;
   ]

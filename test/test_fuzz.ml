@@ -34,37 +34,48 @@ let config_of rng =
 
 let exact = [ Solver.Prune; Solver.Exhaustive ]
 
-(* GEACC_FUZZ_DIGEST=<path>: write a canonical digest of the sweep — per
-   seed and solver, MaxSum as exact float bits plus the matched pairs.
-   The safe/default profile differential CI job runs the sweep once per
-   profile and byte-compares the two files: licensed unsafe_* kernels and
-   their checked `--profile safe` twins must produce identical
-   arrangements, not merely close objectives. *)
-let digest_out = Sys.getenv_opt "GEACC_FUZZ_DIGEST"
-let digest_buf = Buffer.create 256
+(* A canonical digest of the sweep: per seed and solver, MaxSum as exact
+   float bits plus the matched pairs. Its MD5 is pinned below, so a change
+   in any solver's output on any fuzz instance fails the sweep.
+   GEACC_FUZZ_DIGEST=<path> also writes the digest to a file: the
+   safe/default profile differential CI job runs the sweep once per profile
+   and byte-compares the two files (licensed unsafe_* kernels and their
+   checked `--profile safe` twins must produce identical arrangements, not
+   merely close objectives), and a failing pin is diagnosed by diffing the
+   file against one written by the last commit that passed. *)
+let pinned_digest = "d4d95699d5155d95755e2d134ed551f6"
+let digest_buf = Buffer.create 65536
 
 let record_digest ~seed results =
-  match digest_out with
-  | None -> ()
-  | Some _ ->
-      List.iter
-        (fun (a, m) ->
-          Buffer.add_string digest_buf
-            (Printf.sprintf "%d %s %Lx |%s\n" seed (Solver.short_name a)
-               (Int64.bits_of_float (Matching.maxsum m))
-               (String.concat ";"
-                  (List.map
-                     (fun (v, u) -> Printf.sprintf "%d,%d" v u)
-                     (Matching.pairs m)))))
-        results
+  List.iter
+    (fun (a, m) ->
+      Buffer.add_string digest_buf
+        (Printf.sprintf "%d %s %Lx |%s\n" seed (Solver.short_name a)
+           (Int64.bits_of_float (Matching.maxsum m))
+           (String.concat ";"
+              (List.map
+                 (fun (v, u) -> Printf.sprintf "%d,%d" v u)
+                 (Matching.pairs m)))))
+    results
 
-let write_digest () =
-  match digest_out with
-  | None -> ()
-  | Some path ->
+let check_digest () =
+  let contents = Buffer.contents digest_buf in
+  Option.iter
+    (fun path ->
       let oc = open_out_bin path in
-      output_string oc (Buffer.contents digest_buf);
-      close_out oc
+      output_string oc contents;
+      close_out oc)
+    (Sys.getenv_opt "GEACC_FUZZ_DIGEST");
+  let got = Digest.to_hex (Digest.string contents) in
+  if got <> pinned_digest then
+    Alcotest.failf
+      "fuzz sweep digest %s, pinned %s: some solver's arrangement or MaxSum \
+       bits changed. Write the sweep with GEACC_FUZZ_DIGEST=$PWD/new.txt \
+       dune exec test/test_main.exe -- test fuzz, do the same on the last \
+       passing commit, and diff the two files (each line reads \"seed \
+       solver maxsum-bits |pairs\"). Update the pin only for an intended \
+       change."
+      got pinned_digest
 
 (* Ref_mcf on the complete network, then the paper's conflict resolution
    (per user, keep events in descending similarity, skip conflicting). *)
@@ -168,12 +179,13 @@ let check_instance ~seed t =
        (stats.Mincostflow.flow_cost *. float_of_int Mincostflow.cost_scale))
 
 let test_differential () =
+  Buffer.clear digest_buf;
   let shape_rng = Rng.create ~seed:20150413 in
   for seed = 1 to n_instances do
     let t = Synthetic.generate ~seed (config_of shape_rng) in
     check_instance ~seed t
   done;
-  write_digest ()
+  check_digest ()
 
 (* ---------- MinCostFlow-GEACC against the reference oracle ---------- *)
 

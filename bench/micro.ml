@@ -117,21 +117,32 @@ let conflict_probe_test =
          done;
          ignore !hits))
 
-let kd_test =
-  let points =
-    Array.init 2000 (fun i ->
-        Array.init 8 (fun k -> float_of_int ((i * (k + 13)) mod 997)))
-  in
-  let tree = lazy (Geacc_index.Kd_tree.build points) in
-  Test.make ~name:"kd-tree 10-NN query (2k pts, d=8)"
-    (Staged.stage (fun () ->
-         let tree = Lazy.force tree in
-         ignore
-           (Geacc_index.Kd_tree.nearest tree
-              (Array.init 8 (fun k -> float_of_int (100 * k)))
-              ~k:10)))
+(* The kernel every neighbour query runs: open a Ranked scan over 10k
+   points at d = 20 (an event's list at greedy-scale's shape) and read its
+   first 100 ranks in order. *)
+let scan_points =
+  lazy
+    (let rng = Geacc_util.Rng.create ~seed:1 in
+     Array.init 10_000 (fun _ ->
+         Array.init 20 (fun _ -> Geacc_util.Rng.float rng 10_000.)))
 
-(* Multicore substrate: the two parallelised construction kernels at jobs=1
+let ranked_scan_test =
+  let query = Array.init 20 (fun k -> float_of_int (500 * k)) in
+  Test.make ~name:"Ranked.scan open + 100 ranks (10k pts, d=20)"
+    (Staged.stage (fun () ->
+         let points = Lazy.force scan_points in
+         let list =
+           Geacc_index.Ranked.scan ~n:(Array.length points) ~cutoff:infinity
+             (fun i -> Geacc_index.Point.dist query points.(i))
+         in
+         let acc = ref 0 in
+         for rank = 1 to 100 do
+           if Geacc_index.Ranked.reach list rank then
+             acc := !acc + Geacc_index.Ranked.id list rank
+         done;
+         ignore !acc))
+
+(* Multicore substrate: the parallelised network construction at jobs=1
    (exact sequential path, the no-regression guard) and jobs=4 (domain-pool
    path; gains scale with hardware threads). Outputs are byte-identical by
    the pool's determinism contract — only the timing may differ. *)
@@ -190,17 +201,6 @@ let mid_solve_pass_test =
     ~allocate:mid_solve_pass ~free:ignore
     (Staged.stage (fun pass -> pass ()))
 
-let kd_build_points =
-  lazy
-    (Array.init 50_000 (fun i ->
-         Array.init 8 (fun k -> float_of_int ((i * (k + 13)) mod 9973))))
-
-let kd_build_test ~jobs =
-  Test.make ~name:(Printf.sprintf "kd-tree build (50k pts, d=8) jobs=%d" jobs)
-    (Staged.stage (fun () ->
-         let points = Lazy.force kd_build_points in
-         ignore (Geacc_index.Kd_tree.build ~jobs points)))
-
 (* Budget polling overhead: the same solver run with a disarmed budget
    (the default) and with an armed budget whose deadline is far away, so
    every iteration pays the cooperative poll but the run never degrades.
@@ -230,11 +230,9 @@ let tests =
       dijkstra_test;
       mid_solve_pass_test;
       conflict_probe_test;
-      kd_test;
+      ranked_scan_test;
       mcf_build_test ~jobs:1;
       mcf_build_test ~jobs:4;
-      kd_build_test ~jobs:1;
-      kd_build_test ~jobs:4;
     ]
 
 let run () =

@@ -26,14 +26,11 @@ let check_fault_plan () =
   | None -> ()
   | Some e -> die "malformed GEACC_FAULTS: %s" e
 
-let load_instance_or_die ?backend path =
+let load_instance_or_die path =
   check_fault_plan ();
   match Geacc_io.Instance_io.read_instance_result ~path with
   | Error e -> die "%s" (Robust.Error.to_string e)
-  | Ok instance -> (
-      match backend with
-      | None -> instance
-      | Some b -> Instance.with_backend instance b)
+  | Ok instance -> instance
 
 let setup_logs style_renderer level =
   Fmt_tty.setup_std_outputs ?style_renderer ();
@@ -52,26 +49,6 @@ let seed_arg =
 let instance_arg =
   let doc = "Path to a geacc-instance file." in
   Arg.(required & opt (some file) None & info [ "instance"; "i" ] ~docv:"FILE" ~doc)
-
-let backend_conv =
-  let parse s =
-    Geacc_index.Nn_backend.of_string s |> Result.map_error (fun e -> `Msg e)
-  in
-  let print ppf (b : Geacc_index.Nn_backend.t) =
-    Format.pp_print_string ppf b.Geacc_index.Nn_backend.name
-  in
-  Arg.conv (parse, print)
-
-let index_arg =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "index" ] ~docv:"BACKEND"
-        ~doc:
-          "NN index backend serving the solvers' neighbour queries: kd \
-           (default; a kd-tree below 10 dimensions, scans from 10 on), \
-           linear, vafile or idistance. MinCostFlow-GEACC's candidate \
-           queries are scans whatever the backend.")
 
 let algorithm_conv =
   let parse s = Solver.of_string s |> Result.map_error (fun e -> `Msg e) in
@@ -117,9 +94,18 @@ let city_conv =
   in
   Arg.conv (parse, print)
 
-let check_ratio r =
-  if not (r >= 0. && r <= 1.) then
-    die "--conflict-ratio must be in [0, 1], got %g" r
+(* Numeric flag checks: each exits 1 naming the flag, and every subcommand
+   runs them before it reads or writes any file. The float checks are
+   written so that NaN fails them. *)
+let at_least flag lo n =
+  if n < lo then die "%s must be at least %d, got %d" flag lo n
+
+let in_unit_interval flag x =
+  if not (x >= 0. && x <= 1.) then die "%s must be in [0, 1], got %g" flag x
+
+let finite_above_zero flag x =
+  if not (Float.is_finite x && x > 0.) then
+    die "%s must be a finite number above 0, got %g" flag x
 
 let generate_cmd =
   let out =
@@ -165,9 +151,6 @@ let generate_cmd =
   in
   let run () out events users dim tmax attrs cv_max cu_max conflict_ratio
       meetup seed =
-    let at_least flag lo n =
-      if n < lo then die "%s must be at least %d, got %d" flag lo n
-    in
     at_least "--events" 0 events;
     at_least "--users" 0 users;
     at_least "--dim" 1 dim;
@@ -178,7 +161,7 @@ let generate_cmd =
         tmax;
     at_least "--cv-max" 1 cv_max;
     at_least "--cu-max" 1 cu_max;
-    check_ratio conflict_ratio;
+    in_unit_interval "--conflict-ratio" conflict_ratio;
     let instance =
       match meetup with
       | Some city ->
@@ -353,9 +336,9 @@ let solve_cmd =
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for the parallel phases (network construction, \
-             index build). Defaults to $(b,GEACC_JOBS) or 1. Results are \
-             byte-identical for every N.")
+            "Worker domains for the parallel phase of $(b,-a mincostflow): \
+             the candidate queries of network construction. Defaults to \
+             $(b,GEACC_JOBS) or 1. Results are byte-identical for every N.")
   in
   let min_sim =
     Arg.(
@@ -366,16 +349,16 @@ let solve_cmd =
              only pairs with sim >= TAU get an arc (TAU > 0 trades \
              matching quality for speed). Requires 0 <= TAU <= 1.")
   in
-  let run () instance_path algorithm out seed backend timeout stage_timeout
+  let run () instance_path algorithm out seed timeout stage_timeout
       fallback max_retries order jobs min_sim =
-    (match jobs with
-    | None -> ()
-    | Some j when j >= 1 -> Geacc_par.Pool.set_default_jobs j
-    | Some j -> die "--jobs expects a positive integer, got %d" j);
-    if not (min_sim >= 0. && min_sim <= 1.) then
-      die "--min-sim expects a value in [0, 1], got %g" min_sim;
+    Option.iter (at_least "--jobs" 1) jobs;
+    in_unit_interval "--min-sim" min_sim;
+    Option.iter (finite_above_zero "--timeout") timeout;
+    Option.iter (finite_above_zero "--stage-timeout") stage_timeout;
+    at_least "--max-retries" 0 max_retries;
+    Option.iter Geacc_par.Pool.set_default_jobs jobs;
     Mincostflow.set_default_min_sim min_sim;
-    let instance = load_instance_or_die ?backend instance_path in
+    let instance = load_instance_or_die instance_path in
     match order with
     | Some order ->
         if algorithm <> Solver.Online then
@@ -405,7 +388,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
-      $ index_arg $ timeout $ stage_timeout $ fallback $ max_retries $ order
+      $ timeout $ stage_timeout $ fallback $ max_retries $ order
       $ jobs $ min_sim)
   in
   Cmd.v
@@ -545,6 +528,12 @@ let serve_cmd =
   in
   let run () trace_path state_dir repair_mode batch_timeout
       queue_cap snapshot_every max_retries no_fsync digest_file =
+    if not (Float.is_finite batch_timeout && batch_timeout >= 0.) then
+      die "--batch-timeout must be a finite number of at least 0, got %g"
+        batch_timeout;
+    at_least "--queue-cap" 0 queue_cap;
+    at_least "--snapshot-every" 0 snapshot_every;
+    at_least "--max-retries" 0 max_retries;
     check_fault_plan ();
     let mode =
       match Serve.Serve_loop.mode_of_string repair_mode with
@@ -660,16 +649,18 @@ let generate_trace_cmd =
     Arg.(
       value & opt int 8
       & info [ "arrivals-per-batch" ] ~docv:"N"
-          ~doc:"Mean user arrivals per batch (burst size).")
+          ~doc:"Mean user arrivals per batch (burst size), at least 1.")
   in
   let churn =
     Arg.(
       value & opt float 0.1
       & info [ "churn" ] ~docv:"P"
-          ~doc:"Expected user departures per batch.")
+          ~doc:"Probability of a user departure in each batch, in [0,1].")
   in
   let run () out city conflict_ratio arrivals churn seed =
-    check_ratio conflict_ratio;
+    in_unit_interval "--conflict-ratio" conflict_ratio;
+    at_least "--arrivals-per-batch" 1 arrivals;
+    in_unit_interval "--churn" churn;
     let trace =
       Geacc_datagen.Trace_gen.generate ~seed ~city ~conflict_ratio
         ~arrivals_per_batch:arrivals ~churn ()

@@ -1,4 +1,4 @@
-module Nn_backend = Geacc_index.Nn_backend
+module Point = Geacc_index.Point
 module Ranked = Geacc_index.Ranked
 
 (* Per-querying-node caches. A source can be shared by the instance values
@@ -19,12 +19,13 @@ let set_slot s node x =
 
 (* Lazily-built neighbour source for one direction of queries (e.g. events
    querying users): one ranked list per querying node, opened on its first
-   query. With a distance profile the lists come from the instance's index
-   backend, keyed by distance; otherwise each is a scan keyed by [-. sim],
-   whose ascending (key, id) order is descending similarity, then id.
-   Either depends only on the attribute vectors of both sides. *)
+   query. With a distance profile each list is a scan of the targets'
+   attribute vectors, gathered into one array when the source is built,
+   keyed by distance; otherwise it is a scan keyed by [-. sim], whose
+   ascending (key, id) order is descending similarity, then id. Either
+   depends only on the attribute vectors of both sides. *)
 type source = {
-  index : (Similarity.profile * Nn_backend.index) option;
+  index : (Similarity.profile * Point.t array) option;
   lists : Ranked.t slots;
 }
 
@@ -33,13 +34,12 @@ type t = {
   users : Entity.t array;
   conflicts : Conflict.t;
   similarity : Similarity.t;
-  backend : Nn_backend.t;
   dim : int;
   mutable event_queries : source option;  (* events asking for users *)
   mutable user_queries : source option;   (* users asking for events *)
 }
 
-let create ~sim ?(backend = Nn_backend.kd_tree) ~events ~users ~conflicts () =
+let create ~sim ~events ~users ~conflicts () =
   let dim =
     if Array.length events > 0 then Entity.dim events.(0)
     else if Array.length users > 0 then Entity.dim users.(0)
@@ -67,7 +67,6 @@ let create ~sim ?(backend = Nn_backend.kd_tree) ~events ~users ~conflicts () =
     users;
     conflicts;
     similarity = sim;
-    backend;
     dim;
     event_queries = None;
     user_queries = None;
@@ -117,8 +116,7 @@ let build_source t ~targets =
   let index =
     Option.map
       (fun profile ->
-        let points = Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets in
-        (profile, t.backend.Nn_backend.build points))
+        (profile, Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets))
       (Similarity.dist_profile t.similarity)
   in
   { index; lists = { cells = Array.make n_queriers None } }
@@ -141,12 +139,13 @@ let user_source t =
 
 let open_list t source ~query_is_event ~node =
   match source.index with
-  | Some (profile, index) ->
+  | Some (profile, points) ->
       let query =
         if query_is_event then t.events.(node).Entity.attrs
         else t.users.(node).Entity.attrs
       in
-      index.Nn_backend.stream ~query ~max_dist:profile.Similarity.cutoff
+      Ranked.scan ~n:(Array.length points) ~cutoff:profile.Similarity.cutoff
+        (fun i -> Point.dist query points.(i))
   | None ->
       let n = if query_is_event then n_users t else n_events t in
       Ranked.scan ~n ~cutoff:0. (fun j ->
@@ -183,10 +182,10 @@ let user_neighbor t ~u ~rank =
 let prepare_event_queries t = ignore (event_source t : source)
 
 (* Similarity-pruned candidate set of one event, for the sparse network
-   builder: every user with [sim > 0] (and [>= min_sim]). A query that
-   wants every in-range target is a scan whatever the backend, so this
-   reads no neighbour source and writes no cache: concurrent calls from
-   pool workers are safe.
+   builder: every user with [sim > 0] (and [>= min_sim]). It runs the
+   scan an event's neighbour list would, over the users' vectors directly,
+   so it reads no neighbour source and writes no cache: concurrent calls
+   from pool workers are safe.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
@@ -201,7 +200,7 @@ let candidate_users t ~v ~min_sim =
       let q = t.events.(v).Entity.attrs in
       let ranked =
         Ranked.scan ~n:(n_users t) ~cutoff (fun u ->
-            Geacc_index.Point.dist q t.users.(u).Entity.attrs)
+            Point.dist q t.users.(u).Entity.attrs)
       in
       let passes rank =
         Ranked.reach ranked rank
@@ -231,8 +230,8 @@ let side_work = function
 
 let neighbor_work t = (side_work t.event_queries, side_work t.user_queries)
 
-let with_backend t backend =
-  { t with backend; event_queries = None; user_queries = None }
+let with_backend t (_ : Geacc_index.Nn_backend.t) =
+  { t with event_queries = None; user_queries = None }
 
 (* [old] and [side] hold the same attribute vectors (physically) on
    [old]'s ids; appended entities are validated like [create] does. *)

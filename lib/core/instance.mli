@@ -6,21 +6,20 @@
     restricted to strictly positive similarity, in deterministic order
     (descending similarity, ties by id).
 
-    Each querying node is served from one {!Geacc_index.Ranked} list,
-    opened on its first query and kept. When the similarity has a distance
-    profile (see {!Similarity.dist_profile}) the list comes from the
-    instance's NN backend, built lazily per side: a search (the kd-tree
-    below dimension 10, VA-File, iDistance) computes only the ranks the node
-    visits, while a scan (the kd backend at dimension >= 10, the linear
-    backend) holds the distance and id of every in-range target from its
-    first query on. Without a profile the list is a scan keyed by
-    similarity. *)
+    Each querying node is served from one {!Geacc_index.Ranked} scan,
+    opened on its first query and kept: it holds the key and id of every
+    in-range target and sorts its prefix as deeper ranks are asked for.
+    When the similarity has a distance profile (see
+    {!Similarity.dist_profile}) the key is the distance to the target,
+    kept below the profile's cutoff; without a profile it is the negated
+    similarity, kept while positive. There is no index to build and no
+    index to choose: DESIGN.md §3 records the kd-tree, VA-File and
+    iDistance backends that were measured against the scan and retired. *)
 
 type t
 
 val create :
   sim:Similarity.t ->
-  ?backend:Geacc_index.Nn_backend.t ->
   events:Entity.t array ->
   users:Entity.t array ->
   conflicts:Conflict.t ->
@@ -28,9 +27,7 @@ val create :
   t
 (** Validates that all attribute vectors share one dimension, that entity
     ids equal their array positions, and that [conflicts] ranges over the
-    event ids. [backend] selects the NN index serving neighbour queries
-    (default {!Geacc_index.Nn_backend.kd_tree}); it only applies when the
-    similarity has a distance profile. @raise Invalid_argument otherwise. *)
+    event ids. @raise Invalid_argument otherwise. *)
 
 val n_events : t -> int
 val n_users : t -> int
@@ -64,25 +61,28 @@ val user_neighbor : t -> u:int -> rank:int -> (int * float) option
 (** Symmetric: the [rank]-th most similar event of user [u]. *)
 
 val prepare_event_queries : t -> unit
-(** Forces the event-side neighbour source (for indexed similarities: the
-    NN index over the users), which {!event_neighbor} otherwise builds on
-    its first call. The solvers do not need it; it lets a caller time the
-    index build on its own. *)
+(** Builds the event side's neighbour source (the users' points gathered
+    into one array, and an empty table of lists), which {!event_neighbor}
+    otherwise builds on its first call. Only the repository benchmark calls
+    it, to time that step on its own; it goes when the benchmark is next
+    edited. *)
 
 val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
 (** The similarity-pruned candidate users of event [v]: every [(u, s)] with
     [s = sim t ~v ~u], [s > 0] and [s >= min_sim]. Indexed instances
     (similarity with a distance profile) return them in descending
     similarity, equal similarities by ascending id — the order
-    {!event_neighbor} ranks them in, whatever the backend, since a query
-    for every in-range user is one scan. Scanned instances return them in
-    ascending user id. Similarities are bitwise-identical to {!sim} (when
+    {!event_neighbor} ranks them in, from the same scan an event's
+    neighbour list runs. Scanned instances return them in ascending user
+    id. Similarities are bitwise-identical to {!sim} (when
     no fault plan is poisoning it). This reads no neighbour source and
     writes no cache, so concurrent calls are safe. *)
 
 val with_backend : t -> Geacc_index.Nn_backend.t -> t
-(** Same instance data served by a different NN backend, with fresh (cold)
-    neighbour caches. The original is untouched. *)
+(** Same instance data with fresh (cold) neighbour caches; the argument is
+    {!Geacc_index.Nn_backend.kd_tree}, the only value of its type. The
+    original is untouched. Only the repository benchmark calls it; it goes
+    when the benchmark is next edited. *)
 
 val with_entities :
   t -> events:Entity.t array -> users:Entity.t array -> conflicts:Conflict.t -> t
@@ -93,8 +93,8 @@ val with_entities :
     while its targets keep their count and attribute vectors (compared
     physically) and its querying side keeps its vectors: so arrivals,
     departures (capacity-0 tombstones keeping their vectors), closures and
-    capacity changes keep the user-side source (the event index and every
-    user's ranked list, which then extends to arriving users), and only
+    capacity changes keep the user-side source (every user's ranked list,
+    which then extends to arriving users), and only
     a new event rebuilds it. The event-side source survives only when no
     user arrived. [t] itself is untouched and stays valid.
     @raise Invalid_argument when a side shrank, an appended entity is
@@ -102,8 +102,8 @@ val with_entities :
 
 val neighbor_work : t -> int * int
 (** Diagnostic: how many (event-side, user-side) neighbour lists have
-    been opened so far on this instance, whether from an index backend or
-    from a similarity scan. A source shared through {!with_entities} counts
+    been opened so far on this instance, keyed by distance or by
+    similarity. A source shared through {!with_entities} counts
     the lists opened through every instance sharing it. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -5,8 +5,8 @@ type stats = { rounds : int; moves_accepted : int; gained : float }
 (* Best feasible pair touching event [v] or user [u] — excluding the
    banned pair — by (sim, v, u) order.
 
-   Candidates come from the instance's NN-index neighbour streams (the same
-   query the sparse flow builder uses), which enumerate exactly the
+   Candidates come from the instance's neighbour lists (the scan the sparse
+   flow builder's candidate query also runs), which enumerate exactly the
    positive-similarity counterparts in descending similarity with ties by
    id — so zero-similarity pairs, never feasible, are skipped up front, and
    each side's scan can stop as soon as the stream similarity falls

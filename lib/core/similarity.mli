@@ -7,10 +7,10 @@
     Gaussian kernel and cosine similarity.
 
     When a similarity is a decreasing function of Euclidean distance it
-    carries a {e distance profile}; index-backed algorithms (Greedy-GEACC,
-    Prune-GEACC) then enumerate neighbours through a kd-tree in descending
+    carries a {e distance profile}; {!Instance} then ranks a node's
+    neighbours by distance below the profile's cutoff, which is descending
     similarity. Similarities without a profile (e.g. cosine) still work —
-    {!Instance} falls back to sorted scans. *)
+    {!Instance} ranks those by the similarity itself. *)
 
 type profile = {
   sim_of_dist : float -> float;

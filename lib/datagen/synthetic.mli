@@ -31,13 +31,10 @@ type config = {
 
 val default : config
 
-val generate :
-  seed:int -> ?backend:Geacc_index.Nn_backend.t -> config ->
-  Geacc_core.Instance.t
+val generate : seed:int -> config -> Geacc_core.Instance.t
 (** Builds the instance with the paper's Equation (1) similarity. Generated
     capacities are clamped into [\[1, |U|\]] (events) and [\[1, |V|\]]
     (users), matching the problem statement's assumption; the conflict set
-    is a uniform random subset of event pairs of the requested size.
-    [backend] selects the NN index (see {!Geacc_core.Instance.create}). *)
+    is a uniform random subset of event pairs of the requested size. *)
 
 val pp_config : Format.formatter -> config -> unit

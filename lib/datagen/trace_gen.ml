@@ -14,7 +14,8 @@ let generate ~seed ?(city = Meetup.auckland) ?(conflict_ratio = 0.25)
     ?(arrivals_per_batch = 8) ?(churn = 0.1) () =
   if arrivals_per_batch < 1 then
     invalid_arg "Trace_gen.generate: arrivals_per_batch < 1";
-  if churn < 0. then invalid_arg "Trace_gen.generate: negative churn";
+  if not (churn >= 0. && churn <= 1.) then
+    invalid_arg "Trace_gen.generate: churn outside [0, 1]";
   let inst = Meetup.generate ~seed ~conflict_ratio city in
   (* Decorrelated from the seed stream Meetup.generate consumes. *)
   let rng = Rng.create ~seed:(seed lxor 0x7ace5) in
@@ -117,7 +118,7 @@ let generate ~seed ?(city = Meetup.auckland) ?(conflict_ratio = 0.25)
       incr conflict_cursor
     done;
     (* Churn. *)
-    if Rng.bernoulli rng (min 1. churn) then begin
+    if Rng.bernoulli rng churn then begin
       match live_user () with
       | Some u ->
           departed.(u) <- true;

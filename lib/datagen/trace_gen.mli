@@ -26,6 +26,8 @@ val generate :
   Geacc_serve.Trace.t
 (** Defaults: [city = Meetup.auckland], [conflict_ratio = 0.25] (of the
     city's event pairs), [arrivals_per_batch = 8] (the mean burst size),
-    [churn = 0.1] (expected departures per batch). The underlying entities
-    come from {!Meetup.generate} with the same seed, so a trace replayed to
-    the end covers exactly that city's population. *)
+    [churn = 0.1] (the probability of a departure in each batch). The
+    underlying entities come from {!Meetup.generate} with the same seed, so
+    a trace replayed to the end covers exactly that city's population.
+    @raise Invalid_argument when [arrivals_per_batch < 1] or [churn] is
+    outside [\[0, 1\]] (NaN included). *)

@@ -1,8 +1,8 @@
 (** Exact nearest-neighbour queries by linear scan.
 
-    O(n) per query, no preprocessing beyond storing the points. This is both
-    a baseline implementation for small instances and the correctness oracle
-    for {!Kd_tree} in the test suite. Ties in distance are broken by point
+    O(n log n) per query (a full sort), no preprocessing beyond storing the
+    points: the test suite's independent oracle for the {!Ranked} scans
+    that serve every neighbour query. Ties in distance are broken by point
     index, so results are deterministic. *)
 
 type t

@@ -1,9 +1,9 @@
 type t = float array
 
-(* The coordinate loops index their arrays through [Geacc_unsafe] under
-   stage-4 licences: each function's equal-length assert is the fact the
-   @bounds proofs rest on. `--profile safe` compiles the same sites back
-   to checked accesses. See DESIGN.md §13. *)
+(* The coordinate loop indexes its arrays through [Geacc_unsafe] under a
+   stage-4 licence: the equal-length assert is the fact the @bounds proof
+   rests on. `--profile safe` compiles the same sites back to checked
+   accesses. See DESIGN.md §13. *)
 module A = Geacc_unsafe
 
 let dim = Array.length
@@ -19,45 +19,6 @@ let[@inline] dist2 a b =
   !acc
 
 let dist a b = sqrt (dist2 a b)
-
-let min_dist2_to_box q ~lo ~hi =
-  assert (Array.length lo = Array.length q && Array.length hi = Array.length q);
-  let acc = ref 0. in
-  for i = 0 to Array.length q - 1 do
-    let d =
-      (* bounds: proved — i < |q| = |lo| = |hi| (asserted above) *)
-      if A.unsafe_get q i < A.unsafe_get lo i then
-        (* bounds: proved — i < |lo| = |q| (asserted above) *)
-        A.unsafe_get lo i -. A.unsafe_get q i
-      (* bounds: proved — i < |q| = |hi| (asserted above) *)
-      else if A.unsafe_get q i > A.unsafe_get hi i then
-        (* bounds: proved — i < |q| = |hi| (asserted above) *)
-        A.unsafe_get q i -. A.unsafe_get hi i
-      else 0.
-    in
-    acc := !acc +. (d *. d)
-  done;
-  !acc
-
-let bounding_box points idxs ~lo ~hi =
-  assert (Array.length idxs > 0);
-  let d = Array.length lo in
-  assert (Array.length hi = d);
-  let first = points.(idxs.(0)) in
-  Array.blit first 0 lo 0 d;
-  Array.blit first 0 hi 0 d;
-  Array.iter
-    (fun i ->
-      let p = points.(i) in
-      for k = 0 to d - 1 do
-        (* bounds: proved — k < d = |lo| (asserted above); p.(k) stays checked *)
-        if p.(k) < A.unsafe_get lo k then A.unsafe_set lo k p.(k);
-        (* bounds: proved — k < d = |hi| (asserted above); p.(k) stays checked *)
-        if p.(k) > A.unsafe_get hi k then A.unsafe_set hi k p.(k)
-      done)
-    idxs
-
-let equal a b = a = b
 
 let pp ppf p =
   Format.fprintf ppf "(%a)"

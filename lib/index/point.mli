@@ -1,7 +1,7 @@
 (** Points in the d-dimensional attribute space.
 
-    Attribute vectors are dense [float array]s; all indexes in this library
-    share these distance primitives. *)
+    Attribute vectors are dense [float array]s; the neighbour scans and the
+    similarity functions share these distance primitives. *)
 
 type t = float array
 
@@ -13,12 +13,4 @@ val dist2 : t -> t -> float
 val dist : t -> t -> float
 (** Euclidean distance. *)
 
-val min_dist2_to_box : t -> lo:t -> hi:t -> float
-(** Squared distance from a point to an axis-aligned box (0 inside). *)
-
-val bounding_box : t array -> int array -> lo:t -> hi:t -> unit
-(** [bounding_box points idxs ~lo ~hi] writes into [lo]/[hi] the bounding box
-    of [points.(i)] for [i] in [idxs]. Requires [idxs] non-empty. *)
-
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,19 +1,13 @@
-(* Parallel [keys]/[ids] arrays. Positions [0, ready) hold ranks 1..ready in
-   final (key, id) order. A scan holds every in-range target from the start
-   ([len] of them) and sorts [ready, len) on demand; a memo holds exactly
-   what its search has pushed ([ready = len]) and pulls for more. *)
+(* Parallel [keys]/[ids] arrays holding every in-range target ([len] of
+   them). Positions [0, ready) hold ranks 1..ready in final (key, id)
+   order; [ready, len) is sorted on demand. *)
 
 type t = {
-  mutable keys : float array;
-  mutable ids : int array;
-  mutable len : int;
+  keys : float array;
+  ids : int array;
+  len : int;
   mutable ready : int;
-  mutable fill : fill;
 }
-
-and fill =
-  | All  (* every target is held; the tail is sorted on demand *)
-  | Pull of (t -> int -> bool)
 
 let[@inline] less t i j =
   let a = t.keys.(i) and b = t.keys.(j) in
@@ -74,7 +68,7 @@ let[@inline] extend t rank =
   sort_prefix t t.ready t.len target;
   t.ready <- target
 
-let rescan t ~n ~cutoff key =
+let scan ~n ~cutoff key =
   let keys = Array.make n 0. and ids = Array.make n 0 in
   let kept = ref 0 in
   for i = 0 to n - 1 do
@@ -84,46 +78,15 @@ let rescan t ~n ~cutoff key =
       incr kept
     end
   done;
-  t.keys <- keys;
-  t.ids <- ids;
-  t.len <- !kept;
-  t.ready <- 0;
-  t.fill <- All
+  { keys; ids; len = !kept; ready = 0 }
 
-let memo pull = { keys = [||]; ids = [||]; len = 0; ready = 0; fill = Pull pull }
-
-let scan ~n ~cutoff key =
-  let t = { keys = [||]; ids = [||]; len = 0; ready = 0; fill = All } in
-  rescan t ~n ~cutoff key;
-  t
-
-let push t id key =
-  if t.len = Array.length t.ids then begin
-    let capacity = Int.max 8 (2 * t.len) in
-    let keys = Array.make capacity 0. and ids = Array.make capacity 0 in
-    Array.blit t.keys 0 keys 0 t.len;
-    Array.blit t.ids 0 ids 0 t.len;
-    t.keys <- keys;
-    t.ids <- ids
-  end;
-  t.keys.(t.len) <- key;
-  t.ids.(t.len) <- id;
-  t.len <- t.len + 1;
-  t.ready <- t.len
-
-let rec reach t rank =
-  rank <= t.ready
-  ||
-  match t.fill with
-  | All ->
-      if rank <= t.len then extend t rank;
-      rank <= t.len
-  | Pull pull ->
-      if pull t rank then reach t rank
-      else begin
-        t.fill <- All;
-        false
-      end
+let reach t rank =
+  if rank <= t.ready then true
+  else if rank <= t.len then begin
+    extend t rank;
+    true
+  end
+  else false
 
 let[@inline] id t rank = t.ids.(rank - 1)
 let[@inline] key t rank = t.keys.(rank - 1)

@@ -223,8 +223,8 @@ let test_instance_neighbors () =
   | None -> Alcotest.fail "missing neighbour"
 
 let test_instance_neighbors_scanned_backend () =
-  (* A custom similarity with no distance profile exercises the sorted-scan
-     backend; results must match manual sorting. *)
+  (* A custom similarity with no distance profile exercises the scan keyed
+     by similarity; results must match manual sorting. *)
   let matrix = [| [| 0.2; 0.9; 0. |]; [| 0.5; 0.5; 0.1 |] |] in
   let sim =
     Similarity.custom ~name:"m" (fun a b ->

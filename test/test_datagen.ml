@@ -256,6 +256,23 @@ let test_schedule_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Out-of-range parameters fail before any entity is generated. *)
+let test_trace_gen_validation () =
+  let rejects label f =
+    Alcotest.(check bool) label true
+      (try
+         ignore (f () : Geacc_serve.Trace.t);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "no arrivals per batch" (fun () ->
+      Geacc_datagen.Trace_gen.generate ~seed:1 ~arrivals_per_batch:0 ());
+  List.iter
+    (fun churn ->
+      rejects (Printf.sprintf "churn %g" churn) (fun () ->
+          Geacc_datagen.Trace_gen.generate ~seed:1 ~churn ()))
+    [ -1.; 1.5; Float.nan; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "nth_pair bijective" `Quick test_nth_pair_bijective;
@@ -287,4 +304,6 @@ let suite =
     Alcotest.test_case "conflicts superset of overlaps" `Quick
       test_conflicts_superset_of_overlaps;
     Alcotest.test_case "temporal validation" `Quick test_schedule_validation;
+    Alcotest.test_case "trace generator validation" `Quick
+      test_trace_gen_validation;
   ]

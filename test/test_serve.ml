@@ -295,13 +295,16 @@ module Instance = Geacc_core.Instance
 module Budget = Geacc_robust.Budget
 
 (* The oracle: a full [Online] replay on a cold copy of the instance (fresh
-   index and streams, nothing shared with the state's warm instance). *)
+   neighbour lists, nothing shared with the state's warm instance). *)
 let replay state =
   match Serve_state.instance state with
   | None -> ([], 0.)
   | Some inst -> (
       match
-        Online.solve (Instance.with_backend inst Geacc_index.Nn_backend.kd_tree)
+        Online.solve
+          (Instance.create ~sim:(Instance.similarity inst)
+             ~events:(Instance.events inst) ~users:(Instance.users inst)
+             ~conflicts:(Instance.conflicts inst) ())
       with
       | Ok m -> (Matching.pairs m, Matching.maxsum_recomputed m)
       | Error e -> Alcotest.failf "replay: %s" (Error.to_string e))

@@ -85,8 +85,8 @@ let budget_poll = function
 
 (* Mutation primitives, by what they write. Array stores are deliberately
    absent from the violation classes: writing a captured array at the
-   chunk's own indices is the pool's sanctioned output pattern (kd-tree
-   build, bench grids), and index ownership is not statically decidable
+   chunk's own indices is the pool's sanctioned output pattern (the bench
+   sweep grids), and index ownership is not statically decidable
    here. *)
 let ref_write_prims = [ "%setfield0"; "%incr"; "%decr" ]
 let bytes_write_prims = [ "%bytes_safe_set"; "%bytes_unsafe_set" ]

@@ -7,8 +7,7 @@
                           and [parallel_for]/[parallel_map_chunked]/
                           [parallel_reduce] chunk bodies (which run once per
                           chunk) of the hot-path modules (lib/flow,
-                          lib/pqueue, lib/index/kd_tree, lib/index/ranked,
-                          lib/par):
+                          lib/pqueue, lib/index, lib/par):
                           tuple/record/array/constructor
                           and polymorphic-variant blocks, closures, partial
                           applications, lazy blocks, ref cells, let-bound
@@ -26,11 +25,7 @@
 open Analyze_core
 
 (* Scoped to the paper's inner-loop modules. *)
-let hot_markers =
-  [
-    "lib/flow/"; "lib/pqueue/"; "lib/index/kd_tree"; "lib/index/ranked";
-    "lib/par/";
-  ]
+let hot_markers = [ "lib/flow/"; "lib/pqueue/"; "lib/index/"; "lib/par/" ]
 let inline_advisory_max_lines = 5
 
 let is_hot = under hot_markers

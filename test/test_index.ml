@@ -1,6 +1,7 @@
-(* Neighbour lists: the Ranked scan against List.sort, an instance's
-   neighbour lists and candidate queries against the linear-scan oracle,
-   distance cutoffs. *)
+(* Neighbour lists: the Ranked scan against List.sort and the linear-scan
+   oracle under every access pattern (in order, out of order, across its
+   sorted chunks), an instance's neighbour lists and candidate queries
+   against the oracle, distance cutoffs. *)
 
 module Point = Geacc_index.Point
 module Linear = Geacc_index.Linear_index
@@ -50,6 +51,102 @@ let test_linear_within () =
 let dist_scan points ~query ~max_dist =
   Ranked.scan ~n:(Array.length points) ~cutoff:max_dist (fun i ->
       Point.dist query points.(i))
+
+let random_points rng ~n ~d ~range =
+  Array.init n (fun _ -> Array.init d (fun _ -> Rng.float rng range))
+
+(* Drain a list rank by rank until its first missing rank. *)
+let drain s f =
+  let rec go rank =
+    match Ranked.get s rank with
+    | None -> ()
+    | Some (i, d) ->
+        f i d;
+        go (rank + 1)
+  in
+  go 1
+
+let test_cursor_streams_in_order () =
+  let rng = Rng.create ~seed:4 in
+  let points = random_points rng ~n:300 ~d:3 ~range:10. in
+  let s = dist_scan points ~query:[| 5.; 5.; 5. |] ~max_dist:infinity in
+  let last = ref neg_infinity and seen = Array.make 300 0 in
+  drain s (fun i d ->
+      Alcotest.(check bool) "ascending" true (d >= !last);
+      last := d;
+      seen.(i) <- seen.(i) + 1);
+  Alcotest.(check bool) "every point enumerated once" true
+    (Array.for_all (( = ) 1) seen);
+  Alcotest.(check int) "known counts the sorted prefix" 300 (Ranked.known s)
+
+let test_cursor_max_dist () =
+  let points = [| [| 0. |]; [| 1. |]; [| 2. |]; [| 5. |] |] in
+  let s = dist_scan points ~query:[| 0. |] ~max_dist:2. in
+  let ids = ref [] in
+  drain s (fun i _ -> ids := i :: !ids);
+  (* Distance 2 is excluded: the cutoff is exclusive. *)
+  Alcotest.(check (list int)) "strictly within" [ 0; 1 ] (List.rev !ids)
+
+(* The served (id, distance) at each rank, in the given order, against
+   [Linear.nth_nearest]. *)
+let check_ranks_against_oracle s linear q ranks =
+  List.iter
+    (fun rank ->
+      match (Ranked.get s rank, Linear.nth_nearest linear q rank) with
+      | Some (i, d), Some (i', d') ->
+          Alcotest.(check int) (Printf.sprintf "rank %d id" rank) i' i;
+          Alcotest.(check (float 1e-9)) "rank distance" d' d
+      | None, None -> ()
+      | _ -> Alcotest.fail "list and oracle disagree on existence")
+    ranks
+
+let test_stream_random_access () =
+  let rng = Rng.create ~seed:5 in
+  let points = random_points rng ~n:100 ~d:2 ~range:10. in
+  let q = [| 3.; 3. |] in
+  let s = dist_scan points ~query:q ~max_dist:infinity in
+  (* Jump around ranks; results must match the oracle at every rank. *)
+  check_ranks_against_oracle s (Linear.create points) q [ 5; 1; 50; 3; 100; 99; 2 ];
+  Alcotest.(check bool) "rank beyond size" true (Ranked.get s 101 = None);
+  Alcotest.(check int) "known counts materialised prefix" 100 (Ranked.known s)
+
+let test_stream_bulk_high_dimension () =
+  (* d = 20, the benchmark's dimension: the served order must match the
+     oracle exactly, asked out of order and at both ends. *)
+  let rng = Rng.create ~seed:7 in
+  let points = random_points rng ~n:300 ~d:20 ~range:100. in
+  let q = Array.init 20 (fun _ -> Rng.float rng 100.) in
+  let s = dist_scan points ~query:q ~max_dist:infinity in
+  check_ranks_against_oracle s (Linear.create points) q [ 1; 7; 2; 300; 150; 299; 1 ];
+  Alcotest.(check bool) "beyond size" true (Ranked.get s 301 = None)
+
+let test_stream_switch_threshold_zero () =
+  (* Asking the last rank first sorts the whole list in one extension; a
+     list advanced rank by rank sorts it chunk by chunk. The access pattern
+     must not change any answer. *)
+  let rng = Rng.create ~seed:8 in
+  let points = random_points rng ~n:120 ~d:3 ~range:10. in
+  let q = [| 1.; 2.; 3. |] in
+  let lazy_s = dist_scan points ~query:q ~max_dist:infinity in
+  let eager_s = dist_scan points ~query:q ~max_dist:infinity in
+  ignore (Ranked.get eager_s 120);
+  Alcotest.(check int) "eager list fully sorted" 120 (Ranked.known eager_s);
+  for rank = 1 to 120 do
+    Alcotest.(check bool)
+      (Printf.sprintf "rank %d agrees across regimes" rank)
+      true
+      (Ranked.get lazy_s rank = Ranked.get eager_s rank)
+  done
+
+let test_stream_sequential_advance_crosses_switch () =
+  (* Rank-by-rank advance (the Greedy access pattern) crosses each switch
+     from one sorted chunk to the next (ranks 32, 64 and 128 here) and
+     stays consistent with the oracle. *)
+  let rng = Rng.create ~seed:9 in
+  let points = random_points rng ~n:200 ~d:4 ~range:10. in
+  let q = Array.init 4 (fun _ -> Rng.float rng 10.) in
+  let s = dist_scan points ~query:q ~max_dist:infinity in
+  check_ranks_against_oracle s (Linear.create points) q (List.init 201 (fun k -> k + 1))
 
 let test_stream_cutoff () =
   let s = dist_scan [| [| 0. |]; [| 3. |]; [| 9. |] |] ~query:[| 0. |] ~max_dist:5. in
@@ -238,7 +335,17 @@ let suite =
     Alcotest.test_case "linear ties by index" `Quick test_linear_ties_by_index;
     Alcotest.test_case "linear nth_nearest" `Quick test_linear_nth;
     Alcotest.test_case "linear nearest_within" `Quick test_linear_within;
+    Alcotest.test_case "cursor ascending order" `Quick
+      test_cursor_streams_in_order;
+    Alcotest.test_case "cursor max_dist exclusive" `Quick test_cursor_max_dist;
+    Alcotest.test_case "stream random access" `Quick test_stream_random_access;
     Alcotest.test_case "stream cutoff" `Quick test_stream_cutoff;
+    Alcotest.test_case "stream bulk (high-d)" `Quick
+      test_stream_bulk_high_dimension;
+    Alcotest.test_case "stream threshold zero" `Quick
+      test_stream_switch_threshold_zero;
+    Alcotest.test_case "stream sequential across switch" `Quick
+      test_stream_sequential_advance_crosses_switch;
     Alcotest.test_case "stream cutoff in bulk mode" `Quick
       test_stream_cutoff_in_bulk_mode;
     QCheck_alcotest.to_alcotest prop_ranked_matches_sort;

@@ -142,6 +142,33 @@ let ranked_scan_test =
          done;
          ignore !acc))
 
+(* One greedy-scale op at its smoke shape (|V| = 100, |U| = 2000,
+   c_v ~ U[1,200]): a cold Greedy-GEACC solve, which opens every event's
+   neighbour list (the instance is rebuilt from the same data on each run,
+   so no list is reused) and walks them. *)
+let greedy_scale_instance =
+  lazy
+    (Synthetic.generate ~seed:1
+       {
+         Synthetic.default with
+         Synthetic.n_users = 2000;
+         event_capacity = Synthetic.Cap_uniform 200;
+       })
+
+let greedy_scale_test =
+  Test.make ~name:"Greedy-GEACC (100x2000, c_v<=200)"
+    (Staged.stage (fun () ->
+         let base = Lazy.force greedy_scale_instance in
+         let instance =
+           Geacc_core.Instance.create
+             ~sim:(Geacc_core.Instance.similarity base)
+             ~events:(Geacc_core.Instance.events base)
+             ~users:(Geacc_core.Instance.users base)
+             ~conflicts:(Geacc_core.Instance.conflicts base)
+             ()
+         in
+         ignore (Geacc_core.Greedy.solve instance)))
+
 (* Multicore substrate: the parallelised network construction at jobs=1
    (exact sequential path, the no-regression guard) and jobs=4 (domain-pool
    path; gains scale with hardware threads). Outputs are byte-identical by
@@ -217,6 +244,7 @@ let tests =
   Test.make_grouped ~name:"geacc"
     [
       solver_test "Greedy-GEACC (20x100)" Solver.Greedy small_instance;
+      greedy_scale_test;
       solver_test "MinCostFlow-GEACC (20x100)" Solver.Min_cost_flow
         small_instance;
       solver_test "Random-V (20x100)" Solver.Random_v small_instance;

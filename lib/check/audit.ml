@@ -12,7 +12,7 @@ let state =
     | None | Some ("" | "0" | "false") -> false
     | Some _ -> true)
 
-let enabled () = !state
+let[@inline] enabled () = !state
 let set_enabled b = state := b
 
 let with_enabled b f =

@@ -20,10 +20,18 @@ let set_slot s node x =
 (* Lazily-built neighbour source for one direction of queries (e.g. events
    querying users): one ranked list per querying node, opened on its first
    query. With a distance profile each list is a scan of the targets'
-   attribute vectors, gathered into one array when the source is built,
-   keyed by distance; otherwise it is a scan keyed by [-. sim], whose
-   ascending (key, id) order is descending similarity, then id. Either
-   depends only on the attribute vectors of both sides. *)
+   attribute vectors, gathered into one array when the source is built;
+   otherwise it is a scan of [sim]. An event's list is keyed by [-. sim]
+   and cut at 0, so it holds exactly the users of positive similarity in
+   descending similarity, then id, even where the profile is flat
+   (distinct distances, one similarity): the sort-all-pairs greedy's order
+   restricted to the event, which Greedy-GEACC's one-sided walk relies on.
+   A user's list with a distance profile is keyed by the distance and cut
+   at the profile's cutoff, the order the serving layer's canonical
+   arrangement is defined by; it ranks equal similarities at distinct
+   distances by distance, and may end in a tail whose similarity
+   underflowed to 0. Either depends only on the attribute vectors of both
+   sides. *)
 type source = {
   index : (Similarity.profile * Point.t array) option;
   lists : Ranked.t slots;
@@ -98,8 +106,8 @@ let sim t ~v ~u =
   in
   if Geacc_robust.Fault.active () then injected_sim s else s
 
-let event_capacity t v = t.events.(v).Entity.capacity
-let user_capacity t u = t.users.(u).Entity.capacity
+let[@inline] event_capacity t v = t.events.(v).Entity.capacity
+let[@inline] user_capacity t u = t.users.(u).Entity.capacity
 
 let sum_capacity side = Array.fold_left (fun acc e -> acc + e.Entity.capacity) 0 side
 let max_capacity side = Array.fold_left (fun acc e -> Stdlib.max acc e.Entity.capacity) 0 side
@@ -144,34 +152,50 @@ let open_list t source ~query_is_event ~node =
         if query_is_event then t.events.(node).Entity.attrs
         else t.users.(node).Entity.attrs
       in
-      Ranked.scan ~n:(Array.length points) ~cutoff:profile.Similarity.cutoff
-        (fun i -> Point.dist query points.(i))
+      let n = Array.length points in
+      if query_is_event then
+        let sim_of_dist = profile.Similarity.sim_of_dist in
+        Ranked.scan ~n ~cutoff:0. (fun i ->
+            -.sim_of_dist (Point.dist query points.(i)))
+      else
+        Ranked.scan ~n ~cutoff:profile.Similarity.cutoff (fun i ->
+            Point.dist query points.(i))
   | None ->
       let n = if query_is_event then n_users t else n_events t in
       Ranked.scan ~n ~cutoff:0. (fun j ->
           -.(if query_is_event then sim t ~v:node ~u:j else sim t ~v:j ~u:node))
 
+let[@inline] list_of t source ~query_is_event ~node =
+  match slot source.lists node with
+  | Some l -> l
+  | None ->
+      let l = open_list t source ~query_is_event ~node in
+      set_slot source.lists node l;
+      l
+
+(* The rank read every neighbour query goes through: the target id at
+   [rank], or -1 past the list's end, and the similarity at a rank that
+   exists. Neither allocates once the list is open (bar the similarity a
+   distance profile computes for a user's list). *)
+let[@inline] rank_id list rank =
+  if Ranked.reach list rank then Ranked.id list rank else -1
+
+let[@inline] rank_sim source ~query_is_event list rank =
+  match source.index with
+  | Some (profile, _) when not query_is_event ->
+      profile.Similarity.sim_of_dist (Ranked.key list rank)
+  | _ -> -.Ranked.key list rank
+
 let neighbor t source ~query_is_event ~node ~rank =
   assert (rank >= 1);
-  let list =
-    match slot source.lists node with
-    | Some l -> l
-    | None ->
-        let l = open_list t source ~query_is_event ~node in
-        set_slot source.lists node l;
-        l
-  in
-  if Ranked.reach list rank then
-    let key = Ranked.key list rank in
-    let s =
-      match source.index with
-      | Some (profile, _) -> profile.Similarity.sim_of_dist key
-      | None -> -.key
-    in
-    (* Monotone profile: once similarity underflows to 0, so do all later
-       ranks. *)
-    if s > 0. then Some (Ranked.id list rank, s) else None
-  else None
+  let list = list_of t source ~query_is_event ~node in
+  let id = rank_id list rank in
+  if id < 0 then None
+  else
+    let s = rank_sim source ~query_is_event list rank in
+    (* A distance-keyed list's similarity is monotone: once it underflows
+       to 0, so do all later ranks. *)
+    if s > 0. then Some (id, s) else None
 
 let event_neighbor t ~v ~rank =
   neighbor t (event_source t) ~query_is_event:true ~node:v ~rank
@@ -179,13 +203,22 @@ let event_neighbor t ~v ~rank =
 let user_neighbor t ~u ~rank =
   neighbor t (user_source t) ~query_is_event:false ~node:u ~rank
 
+let[@inline] event_user_at t ~v ~rank =
+  rank_id (list_of t (event_source t) ~query_is_event:true ~node:v) rank
+
+let[@inline] event_sim_at t ~v ~rank =
+  let source = event_source t in
+  rank_sim source ~query_is_event:true
+    (list_of t source ~query_is_event:true ~node:v)
+    rank
+
 let prepare_event_queries t = ignore (event_source t : source)
 
 (* Similarity-pruned candidate set of one event, for the sparse network
-   builder: every user with [sim > 0] (and [>= min_sim]). It runs the
-   scan an event's neighbour list would, over the users' vectors directly,
-   so it reads no neighbour source and writes no cache: concurrent calls
-   from pool workers are safe.
+   builder: every user with [sim > 0] (and [>= min_sim]). It runs a scan
+   keyed by distance over the users' vectors directly, so it reads no
+   neighbour source and writes no cache: concurrent calls from pool
+   workers are safe.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them

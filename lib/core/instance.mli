@@ -9,11 +9,15 @@
     Each querying node is served from one {!Geacc_index.Ranked} scan,
     opened on its first query and kept: it holds the key and id of every
     in-range target and sorts its prefix as deeper ranks are asked for.
-    When the similarity has a distance profile (see
-    {!Similarity.dist_profile}) the key is the distance to the target,
-    kept below the profile's cutoff; without a profile it is the negated
-    similarity, kept while positive. There is no index to build and no
-    index to choose: DESIGN.md §3 records the kd-tree, VA-File and
+    An event's list is keyed by the negated similarity (computed through
+    the distance when the similarity has a distance profile, see
+    {!Similarity.dist_profile}) and holds the users of positive
+    similarity, so equal similarities rank by id even where they come from
+    distinct distances. A user's list is keyed by the distance to the
+    event, kept below the profile's cutoff, and so ranks equal
+    similarities at distinct distances by distance; without a profile it
+    too is keyed by the negated similarity. There is no index to build and
+    no index to choose: DESIGN.md §3 records the kd-tree, VA-File and
     iDistance backends that were measured against the scan and retired. *)
 
 type t
@@ -58,7 +62,18 @@ val event_neighbor : t -> v:int -> rank:int -> (int * float) option
     positive similarity. [None] when fewer such users exist. *)
 
 val user_neighbor : t -> u:int -> rank:int -> (int * float) option
-(** Symmetric: the [rank]-th most similar event of user [u]. *)
+(** Symmetric: the [rank]-th most similar event of user [u] (equal
+    similarities at distinct distances in distance order, see above). *)
+
+val event_user_at : t -> v:int -> rank:int -> int
+(** The rank read {!event_neighbor} is built on, without its option and
+    tuple: the user at the [rank]-th (1-based) place of [v]'s list, or [-1]
+    past its last user of positive similarity. Allocates nothing once
+    [v]'s list is open. *)
+
+val event_sim_at : t -> v:int -> rank:int -> float
+(** The similarity at a rank {!event_user_at} returned a user for:
+    positive, non-increasing in [rank], and bitwise {!sim} of the pair. *)
 
 val prepare_event_queries : t -> unit
 (** Builds the event side's neighbour source (the users' points gathered
@@ -70,10 +85,10 @@ val prepare_event_queries : t -> unit
 val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
 (** The similarity-pruned candidate users of event [v]: every [(u, s)] with
     [s = sim t ~v ~u], [s > 0] and [s >= min_sim]. Indexed instances
-    (similarity with a distance profile) return them in descending
-    similarity, equal similarities by ascending id — the order
-    {!event_neighbor} ranks them in, from the same scan an event's
-    neighbour list runs. Scanned instances return them in ascending user
+    (similarity with a distance profile) return them in ascending
+    distance, equal distances by ascending id: descending similarity, the
+    order {!event_neighbor} ranks them in except among equal similarities
+    at distinct distances, which it ranks by id. Scanned instances return them in ascending user
     id. Similarities are bitwise-identical to {!sim} (when
     no fault plan is poisoning it). This reads no neighbour source and
     writes no cache, so concurrent calls are safe. *)
@@ -102,8 +117,7 @@ val with_entities :
 
 val neighbor_work : t -> int * int
 (** Diagnostic: how many (event-side, user-side) neighbour lists have
-    been opened so far on this instance, keyed by distance or by
-    similarity. A source shared through {!with_entities} counts
+    been opened so far on this instance. A source shared through {!with_entities} counts
     the lists opened through every instance sharing it. *)
 
 val pp_summary : Format.formatter -> t -> unit

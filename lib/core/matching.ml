@@ -71,7 +71,7 @@ let extend t instance =
       t.user_bits;
   t.instance <- instance
 
-let user_conflicts_with t ~u ~v =
+let[@inline] user_conflicts_with t ~u ~v =
   let cf = Instance.conflicts t.instance in
   Bitset.intersects (Conflict.row cf v) t.user_bits.(u)
 
@@ -173,10 +173,10 @@ let user_events t u = t.user_events.(u)
 let event_load t v = t.event_load.(v)
 let user_load t u = t.user_load.(u)
 
-let remaining_event_capacity t v =
+let[@inline] remaining_event_capacity t v =
   Instance.event_capacity t.instance v - t.event_load.(v)
 
-let remaining_user_capacity t u =
+let[@inline] remaining_user_capacity t u =
   Instance.user_capacity t.instance u - t.user_load.(u)
 
 let copy t =

@@ -13,26 +13,134 @@ let cfg =
     user_capacity = Synthetic.Cap_uniform 2;
   }
 
+(* Greedy-GEACC walks only the events' neighbour lists; the sort-all-pairs
+   oracle sees every pair. Same arrangement means the same pairs and the
+   same MaxSum bits. *)
+let check_same_greedy label t =
+  let naive = Greedy_naive.solve t and heap = Greedy.solve t in
+  Alcotest.(check (list (pair int int)))
+    (label ^ ": identical matchings")
+    (Matching.pairs naive) (Matching.pairs heap);
+  Alcotest.(check int64)
+    (label ^ ": identical MaxSum bits")
+    (Int64.bits_of_float (Matching.maxsum naive))
+    (Int64.bits_of_float (Matching.maxsum heap))
+
+(* A random instance of one shape: coordinates on the integer grid
+   [0, 3]^dim (many equal distances, so equal similarities) or uniform in
+   [0, 10]^dim, capacities uniform in [0, max] (so some are 0), and each
+   event pair in conflict with probability [cf]. *)
+let shaped ~seed ~sim ~grid ~n_events ~n_users ~dim ~cv ~cu ~cf =
+  let rng = Geacc_util.Rng.create ~seed in
+  let coord () =
+    if grid then float_of_int (Geacc_util.Rng.int rng 4)
+    else Geacc_util.Rng.float rng 10.
+  in
+  let side n cmax =
+    Array.init n (fun id ->
+        Entity.make ~id
+          ~attrs:(Array.init dim (fun _ -> coord ()))
+          ~capacity:(Geacc_util.Rng.int rng (cmax + 1)))
+  in
+  let events = side n_events cv in
+  let users = side n_users cu in
+  let conflicts = Conflict.create ~n_events in
+  for v = 0 to n_events - 1 do
+    for w = v + 1 to n_events - 1 do
+      if Geacc_util.Rng.float rng 1. < cf then Conflict.add conflicts v w
+    done
+  done;
+  Instance.create ~sim:(sim dim) ~events ~users ~conflicts ()
+
+(* Two users at distinct distances from one event whose similarities are
+   equal: Gaussian similarity flattens to one subnormal value there. The
+   event's list must still rank them by id, as the oracle's sort does. *)
+let flat_profile_tie () =
+  let sim = Similarity.gaussian ~sigma:1. in
+  let f = (Option.get (Similarity.dist_profile sim)).Similarity.sim_of_dist in
+  let rec find x =
+    if x > 38.7 then Alcotest.fail "no flat stretch of the Gaussian profile"
+    else if f x > 0. && Float.equal (f x) (f (x +. 1e-4)) then x
+    else find (x +. 1e-3)
+  in
+  let near = find 38.5 in
+  let events = [| Entity.make ~id:0 ~attrs:[| 0. |] ~capacity:1 |] in
+  let users =
+    [|
+      Entity.make ~id:0 ~attrs:[| near +. 1e-4 |] ~capacity:1;
+      Entity.make ~id:1 ~attrs:[| near |] ~capacity:1;
+    |]
+  in
+  Instance.create ~sim ~events ~users ~conflicts:(Conflict.create ~n_events:1)
+    ()
+
 let test_naive_equals_heap_greedy () =
-  (* The two implementations process pairs in the same order, so their
-     arrangements are identical — not just equal in MaxSum. *)
+  (* Synthetic's default shape, cut small. *)
   for seed = 1 to 30 do
-    let t = Synthetic.generate ~seed cfg in
-    Alcotest.(check (list (pair int int)))
-      (Printf.sprintf "seed %d identical matchings" seed)
-      (Matching.pairs (Greedy_naive.solve t))
-      (Matching.pairs (Greedy.solve t))
-  done
+    check_same_greedy (Printf.sprintf "default seed %d" seed)
+      (Synthetic.generate ~seed cfg)
+  done;
+  let euclidean dim = Similarity.euclidean ~dim ~range:10. in
+  let gaussian _ = Similarity.gaussian ~sigma:0.1 in
+  let cosine _ = Similarity.cosine in
+  let shapes =
+    [
+      (* Users saturate first: sum c_u < sum c_v, so the run ends on the
+         no-user-left stop. *)
+      ("users-first", euclidean, false, 6, 12, 2, 8, 1, 0.3);
+      (* Events saturate first: |U| >> |V|. *)
+      ("events-first", euclidean, false, 3, 60, 2, 3, 3, 0.3);
+      (* Integer grid: equal distances, so equal similarities. *)
+      ("grid ties", euclidean, true, 5, 20, 2, 4, 2, 0.4);
+      (* Gaussian: pairs farther apart than about 38.6 sigma have
+         similarity exactly 0 and sit in no list. *)
+      ("gaussian", gaussian, false, 5, 25, 2, 4, 2, 0.3);
+      ("gaussian grid", gaussian, true, 5, 25, 3, 4, 2, 0.3);
+      (* Cosine: no distance profile, lists keyed by similarity. *)
+      ("cosine", cosine, false, 5, 25, 3, 4, 2, 0.3);
+      ("cosine grid", cosine, true, 5, 25, 2, 4, 2, 0.3);
+    ]
+  in
+  List.iter
+    (fun (name, sim, grid, n_events, n_users, dim, cv, cu, cf) ->
+      for seed = 1 to 25 do
+        (* [shaped] draws capacities in [0, max], so 0 appears on both
+           sides. *)
+        check_same_greedy
+          (Printf.sprintf "%s seed %d" name seed)
+          (shaped ~seed ~sim ~grid ~n_events ~n_users ~dim ~cv ~cu ~cf)
+      done)
+    shapes;
+  check_same_greedy "flat-profile tie" (flat_profile_tie ())
 
 let test_naive_equals_heap_greedy_larger () =
-  let t =
-    Synthetic.generate ~seed:7
-      { Synthetic.default with Synthetic.n_events = 30; n_users = 120 }
+  let check label cfg =
+    let t = Synthetic.generate ~seed:7 cfg in
+    check_same_greedy label t;
+    (* [check_same_greedy] solved [t] fresh: Greedy opened event lists
+       only. *)
+    Alcotest.(check int)
+      (label ^ ": no user list opened")
+      0
+      (snd (Instance.neighbor_work t))
   in
-  Alcotest.(check (list (pair int int)))
-    "identical at moderate scale"
-    (Matching.pairs (Greedy_naive.solve t))
-    (Matching.pairs (Greedy.solve t))
+  check "moderate scale"
+    { Synthetic.default with Synthetic.n_events = 30; n_users = 120 };
+  check "users saturate first"
+    {
+      Synthetic.default with
+      Synthetic.n_events = 40;
+      n_users = 60;
+      event_capacity = Synthetic.Cap_uniform 40;
+      user_capacity = Synthetic.Cap_uniform 2;
+    };
+  check "events saturate first"
+    {
+      Synthetic.default with
+      Synthetic.n_events = 10;
+      n_users = 800;
+      event_capacity = Synthetic.Cap_uniform 10;
+    }
 
 let test_local_search_never_worse () =
   for seed = 1 to 20 do

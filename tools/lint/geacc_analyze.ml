@@ -10,7 +10,7 @@
 
    - Hot_loop  [hot-loop-alloc], [missing-inline]: allocation and
                specialisation inside the hot loops of lib/flow, lib/pqueue,
-               lib/index and lib/par.
+               lib/index, lib/par and lib/core/greedy.ml.
    - Effects   [par-shared-write], [par-nondet], [poll-missing]: effect
                summaries closed over the project call graph, checked against
                the domain pool's chunk-body contract and the deadline

@@ -11,7 +11,8 @@
 
    - [obj-magic]            any use of [Obj.magic], anywhere.
    - [poly-compare]         polymorphic structural comparison in the hot-path
-                            libraries (lib/flow, lib/pqueue, lib/index): the
+                            code (lib/flow, lib/pqueue, lib/index,
+                            lib/core/greedy.ml): the
                             bare [compare]/[Stdlib.compare], or [=]/[<>]
                             applied to a syntactically non-scalar operand
                             (constructor application, tuple, record, list,
@@ -29,7 +30,8 @@
    [.git] or [fixtures] are skipped, so cram tests can lay out deliberately
    broken trees. Exit status: 0 clean, 1 diagnostics reported, 2 usage. *)
 
-let hot_path_markers = [ "lib/flow/"; "lib/pqueue/"; "lib/index/" ]
+let hot_path_markers =
+  [ "lib/flow/"; "lib/pqueue/"; "lib/index/"; "lib/core/greedy." ]
 let suppression_tags = [ "lint" ]
 
 type rule =

@@ -9,9 +9,8 @@ open Geacc_util
 module Synthetic = Geacc_datagen.Synthetic
 module Meetup = Geacc_datagen.Meetup
 module Harness = Geacc_bench.Harness
-module Pool = Geacc_par.Pool
 
-type profile = { full : bool; trials : int; jobs : int }
+type profile = { full : bool; trials : int }
 
 let default_trials = 3
 
@@ -38,36 +37,17 @@ let print_sweep_tables ~title ~xlabel ~rows ~algorithms =
       Table.print table)
     metrics
 
-(* Generic sweep over pre-labelled instance families, averaged trials. The
-   (point, seed) grid is flattened and distributed over the domain pool;
-   every cell's work is a function of its (point, seed) coordinates alone,
-   and per-point aggregation folds trials in seed order, so the printed
-   tables are identical for every [profile.jobs]. *)
+(* Generic sweep over pre-labelled instance families, averaged trials. *)
 let labelled_sweep ~profile ~title ~xlabel ~points
     ?(algorithms = fig34_algorithms) () =
-  let points = Array.of_list points in
-  let n_points = Array.length points and trials = profile.trials in
-  let cells = Array.init n_points (fun _ -> Array.make trials [||]) in
-  (* Progress goes out before the fan-out: a chunk body writing to stderr
-     would interleave nondeterministically across domains (and trips the
-     effects analyzer's par-nondet rule). *)
   Printf.eprintf "[bench] %s: %s in {%s}\n%!" title xlabel
-    (String.concat ", " (Array.to_list (Array.map fst points)));
-  Pool.parallel_for ~jobs:profile.jobs ~n:(n_points * trials) (fun i ->
-      let p = i / trials and t = i mod trials in
-      let _, make_instance = points.(p) in
-      let seed = t + 1 in
-      cells.(p).(t) <-
-        Array.of_list
-          (List.map
-             (* race: ok — measure's only mutable reaches are Audit.fail's counter (audits abort the run on any violation) and the domain-dependent peak sampler, whose mode each row reports explicitly *)
-             (fun a -> Harness.measure ~seed a (fun () -> make_instance ~seed))
-             algorithms));
+    (String.concat ", " (List.map fst points));
   let rows =
-    Array.to_list
-      (Array.mapi
-         (fun p (label, _) -> (label, Harness.aggregate cells.(p)))
-         points)
+    List.map
+      (fun (label, make_instance) ->
+        ( label,
+          Harness.average ~trials:profile.trials ~make_instance algorithms ))
+      points
   in
   print_sweep_tables ~title ~xlabel ~rows ~algorithms
 
@@ -226,8 +206,7 @@ let fig5_scalability profile =
                 event_capacity = Synthetic.Cap_uniform 200;
               }
             in
-            Harness.measure Solver.Greedy (fun () ->
-                Synthetic.generate ~seed:1 cfg))
+            Harness.measure Solver.Greedy (Synthetic.generate ~seed:1 cfg))
           vs
       in
       Table.add_row time_table
@@ -693,7 +672,7 @@ let sparse_cell ~name instance =
     end
   done;
   let m, stats = Option.get !result in
-  let _, peak_bytes, peak_mode =
+  let _, peak_bytes, `Exact =
     Measure.run_with_peak (fun () -> Mincostflow.solve_with_stats instance)
   in
   let maxsum = Matching.maxsum m in
@@ -712,14 +691,11 @@ let sparse_cell ~name instance =
       "pair_arcs": %d,
       "wall_s": %.6f,
       "peak_bytes": %d,
-      "peak_mode": "%s",
       "maxsum": %.17g
     }|}
     name n_v n_u (Instance.dim instance) zero_frac
     stats.Mincostflow.dense_pairs stats.Mincostflow.pair_arcs !best
-    peak_bytes
-    (Measure.peak_mode_label peak_mode)
-    maxsum
+    peak_bytes maxsum
 
 let sparse_flow profile =
   let n_users = if profile.full then 1000 else 400 in
@@ -761,14 +737,12 @@ let sparse_flow profile =
     {|{
   "experiment": "sparse-flow",
   "profile": "%s",
-  "jobs": %d,
   "cells": [
 %s
   ]
 }
 |}
     (if profile.full then "full" else "quick")
-    profile.jobs
     (String.concat ",\n" rows);
   close_out oc;
   Printf.eprintf "[bench] sparse-flow: wrote BENCH_sparse.json\n%!"

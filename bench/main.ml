@@ -10,7 +10,7 @@
 
 let usage () =
   print_endline
-    "usage: main.exe [--full] [--trials N] [--jobs N] [--list] [EXPERIMENT...]";
+    "usage: main.exe [--full] [--trials N] [--list] [EXPERIMENT...]";
   print_endline "experiments:";
   List.iter
     (fun (id, doc, _) -> Printf.printf "  %-12s %s\n" id doc)
@@ -20,7 +20,6 @@ let usage () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let full = ref false and trials = ref Experiments.default_trials in
-  let jobs = ref (Geacc_par.Pool.default_jobs ()) in
   let selected = ref [] in
   let rec parse = function
     | [] -> ()
@@ -34,13 +33,6 @@ let () =
             prerr_endline "--trials expects a positive integer";
             exit 1);
         parse rest
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some j when j >= 1 -> jobs := j
-        | _ ->
-            prerr_endline "--jobs expects a positive integer";
-            exit 1);
-        parse rest
     | ("--list" | "--help" | "-h") :: _ ->
         usage ();
         exit 0
@@ -49,13 +41,7 @@ let () =
         parse rest
   in
   parse args;
-  (* Solver-internal ambient parallelism (e.g. the MCF cost table) follows
-     the same knob as the sweeps; inside a sweep region it degrades to
-     sequential, outside (fig5, ablations) it applies directly. *)
-  Geacc_par.Pool.set_default_jobs !jobs;
-  let profile =
-    { Experiments.full = !full; trials = !trials; jobs = !jobs }
-  in
+  let profile = { Experiments.full = !full; trials = !trials } in
   let to_run =
     match List.rev !selected with
     | [] -> List.map (fun (id, _, _) -> id) Experiments.all @ [ "micro" ]

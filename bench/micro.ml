@@ -169,20 +169,19 @@ let greedy_scale_test =
          in
          ignore (Geacc_core.Greedy.solve instance)))
 
-(* Multicore substrate: the parallelised network construction at jobs=1
-   (exact sequential path, the no-regression guard) and jobs=4 (domain-pool
-   path; gains scale with hardware threads). Outputs are byte-identical by
-   the pool's determinism contract — only the timing may differ. *)
+(* Network construction on the TABLE III default shape: the candidate
+   queries, arc emission and degree counting of MinCostFlow-GEACC's Step
+   1. *)
 let mcf_instance =
   lazy
     (Synthetic.generate ~seed:1
        { Synthetic.default with Synthetic.n_events = 100; n_users = 1000 })
 
-let mcf_build_test ~jobs =
-  Test.make ~name:(Printf.sprintf "MCF network build (100x1000) jobs=%d" jobs)
+let mcf_build_test =
+  Test.make ~name:"MCF network build (100x1000)"
     (Staged.stage (fun () ->
          let instance = Lazy.force mcf_instance in
-         ignore (Geacc_core.Mincostflow.build_network ~jobs instance)))
+         ignore (Geacc_core.Mincostflow.build_network instance)))
 
 (* One SSP pass in mid-solve: the TABLE III default assignment network
    (100 events x 1000 users) after 1000 unit augmentations, with the
@@ -192,7 +191,7 @@ let mcf_build_test ~jobs =
    augmentations run once, before timing starts (a [uniq] resource). *)
 let mid_solve_pass () =
   let net =
-    Geacc_core.Mincostflow.build_network ~jobs:1 (Lazy.force mcf_instance)
+    Geacc_core.Mincostflow.build_network (Lazy.force mcf_instance)
   in
   let g = net.Geacc_core.Mincostflow.graph in
   let source = net.Geacc_core.Mincostflow.source
@@ -259,8 +258,7 @@ let tests =
       mid_solve_pass_test;
       conflict_probe_test;
       ranked_scan_test;
-      mcf_build_test ~jobs:1;
-      mcf_build_test ~jobs:4;
+      mcf_build_test;
     ]
 
 let run () =

@@ -330,16 +330,6 @@ let solve_cmd =
             "Comma-separated user arrival order for $(b,-a online); must be \
              a permutation of the user ids.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the parallel phase of $(b,-a mincostflow): \
-             the candidate queries of network construction. Defaults to \
-             $(b,GEACC_JOBS) or 1. Results are byte-identical for every N.")
-  in
   let min_sim =
     Arg.(
       value & opt float 0.
@@ -350,13 +340,11 @@ let solve_cmd =
              matching quality for speed). Requires 0 <= TAU <= 1.")
   in
   let run () instance_path algorithm out seed timeout stage_timeout
-      fallback max_retries order jobs min_sim =
-    Option.iter (at_least "--jobs" 1) jobs;
+      fallback max_retries order min_sim =
     in_unit_interval "--min-sim" min_sim;
     Option.iter (finite_above_zero "--timeout") timeout;
     Option.iter (finite_above_zero "--stage-timeout") stage_timeout;
     at_least "--max-retries" 0 max_retries;
-    Option.iter Geacc_par.Pool.set_default_jobs jobs;
     Mincostflow.set_default_min_sim min_sim;
     let instance = load_instance_or_die instance_path in
     match order with
@@ -369,9 +357,7 @@ let solve_cmd =
           solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout
             ~max_retries ~out
         else begin
-          let m =
-            Geacc_bench.Harness.measure ~seed algorithm (fun () -> instance)
-          in
+          let m = Geacc_bench.Harness.measure ~seed algorithm instance in
           Printf.printf
             "algorithm: %s\nMaxSum: %.6f\nmatched pairs: %d\ntime: %.3f ms\nmemory: %.1f KB\n"
             (Solver.name m.Geacc_bench.Harness.algorithm)
@@ -389,7 +375,7 @@ let solve_cmd =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
       $ timeout $ stage_timeout $ fallback $ max_retries $ order
-      $ jobs $ min_sim)
+      $ min_sim)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an instance and report MaxSum/time/memory.")

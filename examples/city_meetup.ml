@@ -26,10 +26,7 @@ let algorithms_for (city : Meetup.city) =
 let () =
   List.iter
     (fun (city : Meetup.city) ->
-      let make_instance () =
-        Meetup.generate ~seed:2015 ~conflict_ratio:0.25 city
-      in
-      let instance = make_instance () in
+      let instance = Meetup.generate ~seed:2015 ~conflict_ratio:0.25 city in
       let table =
         Table.create
           ~title:
@@ -39,7 +36,7 @@ let () =
       in
       List.iter
         (fun algorithm ->
-          let m = Harness.measure algorithm make_instance in
+          let m = Harness.measure algorithm instance in
           Table.add_row table
             [
               Solver.name algorithm;

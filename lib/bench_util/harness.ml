@@ -1,6 +1,5 @@
 open Geacc_util
 open Geacc_core
-module Pool = Geacc_par.Pool
 
 type measurement = {
   algorithm : Solver.algorithm;
@@ -8,20 +7,27 @@ type measurement = {
   matched_pairs : int;
   wall_s : float;
   live_bytes : int;
-  peak_mode : [ `Exact | `Gc_delta ];
 }
 
-let measure ?(seed = 42) algorithm make_instance =
+(* The instance's own data with no neighbour list open: a solve on it pays
+   for every list it reads, in time and in memory. *)
+let cold instance =
+  Instance.create ~sim:(Instance.similarity instance)
+    ~events:(Instance.events instance) ~users:(Instance.users instance)
+    ~conflicts:(Instance.conflicts instance) ()
+
+let measure ?(seed = 42) algorithm instance =
   (* Timing and peak-memory sampling perturb each other, so the algorithm
-     runs twice with identically-seeded generators and fresh instances:
-     once timed, once under the memory sampler. *)
-  let matching, wall_s =
-    Measure.time (fun () ->
-        Solver.run ~rng:(Rng.create ~seed) algorithm (make_instance ()))
+     runs twice with identically-seeded generators, each on its own cold
+     copy built before the measured region starts: once timed, once under
+     the memory sampler. *)
+  let solve inst =
+    let rng = Rng.create ~seed in
+    fun () -> Solver.run ~rng algorithm inst
   in
-  let peak_matching, peak_bytes, peak_mode =
-    Measure.run_with_peak (fun () ->
-        Solver.run ~rng:(Rng.create ~seed) algorithm (make_instance ()))
+  let matching, wall_s = Measure.time (solve (cold instance)) in
+  let peak_matching, peak_bytes, `Exact =
+    Measure.run_with_peak (solve (cold instance))
   in
   assert (Matching.size peak_matching = Matching.size matching);
   (match Validate.check_matching matching with
@@ -41,7 +47,6 @@ let measure ?(seed = 42) algorithm make_instance =
     matched_pairs = Matching.size matching;
     wall_s;
     live_bytes = peak_bytes;
-    peak_mode;
   }
 
 type aggregate = {
@@ -52,59 +57,34 @@ type aggregate = {
   mean_live_bytes : float;
 }
 
-let measure_grid ?jobs ~trials ~make_instance algorithms =
+let average ~trials ~make_instance algorithms =
   assert (trials >= 1);
-  let algos = Array.of_list algorithms in
-  let n_alg = Array.length algos in
-  assert (n_alg >= 1);
-  let grid = Array.make_matrix trials n_alg None in
-  (* Each trial is seeded by its own index, so the work a trial does — and
-     the instance it builds — is independent of which domain runs it. *)
-  Pool.parallel_for ?jobs ~n:trials (fun t ->
-      let seed = t + 1 in
-      for i = 0 to n_alg - 1 do
-        (* race: ok — each (t,i) cell is written exactly once by its own trial; measure's deeper reaches (Audit.fail's counter, the domain-dependent peak sampler) are benign and the peak mode is reported per row *)
-        grid.(t).(i) <- Some (measure ~seed algos.(i) (fun () -> make_instance ~seed))
-      done);
-  Array.map
-    (* parallel_for filled every cell before returning — lint: ok *)
-    (Array.map (function Some m -> m | None -> assert false))
-    grid
-
-let aggregate (grid : measurement array array) =
-  let trials = Array.length grid in
-  assert (trials >= 1);
-  let n_alg = Array.length grid.(0) in
   let stats =
-    Array.init n_alg (fun i ->
-        (grid.(0).(i).algorithm, Stats.create (), Stats.create (),
-         Stats.create ()))
+    List.map
+      (fun algorithm ->
+        (algorithm, Stats.create (), Stats.create (), Stats.create ()))
+      algorithms
   in
-  (* Accumulate in (trial, algorithm) order — the sequential order — so the
-     float means are byte-identical however the grid was filled. *)
-  for t = 0 to trials - 1 do
-    for i = 0 to n_alg - 1 do
-      let m = grid.(t).(i) in
-      let _, s_max, s_time, s_mem = stats.(i) in
-      Stats.add s_max m.maxsum;
-      Stats.add s_time m.wall_s;
-      Stats.add s_mem (float_of_int m.live_bytes)
-    done
+  for seed = 1 to trials do
+    let instance = make_instance ~seed in
+    List.iter
+      (fun (algorithm, s_max, s_time, s_mem) ->
+        let m = measure ~seed algorithm instance in
+        Stats.add s_max m.maxsum;
+        Stats.add s_time m.wall_s;
+        Stats.add s_mem (float_of_int m.live_bytes))
+      stats
   done;
-  Array.to_list
-    (Array.map
-       (fun (algorithm, s_max, s_time, s_mem) ->
-         {
-           algorithm;
-           trials;
-           mean_maxsum = Stats.mean s_max;
-           mean_wall_s = Stats.mean s_time;
-           mean_live_bytes = Stats.mean s_mem;
-         })
-       stats)
-
-let average ?jobs ~trials ~make_instance algorithms =
-  aggregate (measure_grid ?jobs ~trials ~make_instance algorithms)
+  List.map
+    (fun (algorithm, s_max, s_time, s_mem) ->
+      {
+        algorithm;
+        trials;
+        mean_maxsum = Stats.mean s_max;
+        mean_wall_s = Stats.mean s_time;
+        mean_live_bytes = Stats.mean s_mem;
+      })
+    stats
 
 let metric which agg =
   match which with

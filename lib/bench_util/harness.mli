@@ -11,21 +11,18 @@ type measurement = {
   matched_pairs : int;
   wall_s : float;
   live_bytes : int;   (** Peak live-heap growth during the solve call. *)
-  peak_mode : [ `Exact | `Gc_delta ];
-      (** Which estimator produced [live_bytes]: the main-domain sampler
-          ([`Exact]) or the worker-domain retained-growth fallback
-          ([`Gc_delta], an underestimate). See
-          {!Geacc_util.Measure.run_with_peak}. *)
 }
 
 val measure :
-  ?seed:int -> Geacc_core.Solver.algorithm ->
-  (unit -> Geacc_core.Instance.t) -> measurement
+  ?seed:int -> Geacc_core.Solver.algorithm -> Geacc_core.Instance.t ->
+  measurement
 (** Runs the algorithm twice with identical seeds — once timed, once under
     the peak-memory sampler (see {!Geacc_util.Measure.run_with_peak}) — and
-    validates the output. The instance thunk is called once per run so that
-    each run starts from cold per-instance index caches; pass
-    [fun () -> instance] to accept warm caches instead.
+    validates the output. Each run solves its own cold copy of the
+    instance (the same data, no neighbour list open), built before the
+    measured region starts: the time and memory are the solve's alone,
+    including every list it opens, whatever earlier solves did to the
+    instance passed in.
     @raise Failure if the output is infeasible. *)
 
 type aggregate = {
@@ -36,34 +33,14 @@ type aggregate = {
   mean_live_bytes : float;
 }
 
-val measure_grid :
-  ?jobs:int ->
-  trials:int ->
-  make_instance:(seed:int -> Geacc_core.Instance.t) ->
-  Geacc_core.Solver.algorithm list ->
-  measurement array array
-(** [measure_grid ~trials ~make_instance algos] measures every algorithm on
-    [trials] instances (seeds 1..trials); element [(t)(i)] is trial [t+1] of
-    the [i]-th algorithm. Trials are distributed over the domain pool
-    ([jobs] defaults to {!Geacc_par.Pool.default_jobs}); each trial's seed
-    is a function of its index alone, so the grid's contents — modulo wall
-    times and worker-domain memory readings, see
-    {!Geacc_util.Measure.run_with_peak} — do not depend on the job count. *)
-
-val aggregate : measurement array array -> aggregate list
-(** Per-algorithm means of a {!measure_grid} result, folding trials in
-    ascending-seed order so the float sums are byte-identical regardless of
-    the job count that produced the grid. *)
-
 val average :
-  ?jobs:int ->
   trials:int ->
   make_instance:(seed:int -> Geacc_core.Instance.t) ->
   Geacc_core.Solver.algorithm list ->
   aggregate list
 (** [average ~trials ~make_instance algos] builds [trials] instances with
-    seeds 1..trials and measures every algorithm on each; per-algorithm
-    means, in the order given. [{!aggregate} ∘ {!measure_grid}]. *)
+    seeds 1..trials and {!measure}s every algorithm on each, with the
+    trial's seed; per-algorithm means, in the order given. *)
 
 val metric :
   [ `Maxsum | `Time_ms | `Memory_mb ] -> aggregate -> float

@@ -217,8 +217,7 @@ let prepare_event_queries t = ignore (event_source t : source)
 (* Similarity-pruned candidate set of one event, for the sparse network
    builder: every user with [sim > 0] (and [>= min_sim]). It runs a scan
    keyed by distance over the users' vectors directly, so it reads no
-   neighbour source and writes no cache: concurrent calls from pool
-   workers are safe.
+   neighbour source and writes no cache.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them

@@ -91,7 +91,7 @@ val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
     at distinct distances, which it ranks by id. Scanned instances return them in ascending user
     id. Similarities are bitwise-identical to {!sim} (when
     no fault plan is poisoning it). This reads no neighbour source and
-    writes no cache, so concurrent calls are safe. *)
+    writes no cache. *)
 
 val with_backend : t -> Geacc_index.Nn_backend.t -> t
 (** Same instance data with fresh (cold) neighbour caches; the argument is

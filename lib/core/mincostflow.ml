@@ -2,7 +2,6 @@ module Graph = Geacc_flow.Graph
 module Mcf = Geacc_flow.Mcf
 module Audit = Geacc_check.Audit
 module Fault = Geacc_robust.Fault
-module Pool = Geacc_par.Pool
 
 (* Quantisation grid: costs 1 - sim ∈ [0, 1] round to [0, 2^30]. Rounding
    moves each cost by at most 2^-31 ≈ 5e-10 — the same lossless-in-practice
@@ -18,8 +17,8 @@ let quantise c =
 
 let dequantise q = float_of_int q /. cost_scale_f
 
-(* Process-wide similarity gate, settable by front ends (mirrors
-   [Pool.set_default_jobs]): an explicit [?min_sim] always wins. *)
+(* Process-wide similarity gate, settable by front ends: an explicit
+   [?min_sim] always wins. *)
 let min_sim_default = ref 0.
 let default_min_sim () = !min_sim_default
 
@@ -72,7 +71,7 @@ let audit_pruned_pairs ~site instance g ~min_sim ~n_v ~n_u =
     done
   done
 
-let build_network ?jobs ?min_sim instance =
+let build_network ?min_sim instance =
   (* [mcf.alloc] simulates the network arena failing to materialise (the
      arc array is this solver's dominant allocation); the fallback harness
      treats the injected exception as a transient fault. *)
@@ -82,9 +81,6 @@ let build_network ?jobs ?min_sim instance =
   in
   if not (min_sim >= 0. && min_sim <= 1.) then
     invalid_arg "Mincostflow.build_network: min_sim outside [0, 1]";
-  (* An active fault plan forces a sequential build, so fault points hit
-     inside the candidate queries fire in plan order. *)
-  let jobs = if Fault.active () then Some 1 else jobs in
   let n_v = Instance.n_events instance and n_u = Instance.n_users instance in
   let source = 0 in
   let event_node v = 1 + v in
@@ -95,22 +91,13 @@ let build_network ?jobs ?min_sim instance =
      whose path cost reaches 1, and a zero-similarity arc costs exactly 1,
      so per event the candidate query returns just the users above the
      gate and the event layer emits [Σ_v |cand v|] arcs instead of
-     |V|·|U|. The per-event candidate sets are computed in parallel per
-     event-chunk (each cell a function of its event id alone, so
-     byte-identical for every job count); degree counting then pre-sizes
-     the arc store exactly, and the sequential v-major emission in
-     candidate order fixes arc ids. On indexed instances that order is
-     descending similarity, so each event's arcs arrive cost-ascending
-     and [Graph.finalize_csr] only checks their order. *)
+     |V|·|U|. Degree counting then pre-sizes the arc store exactly, and
+     the v-major emission in candidate order fixes arc ids. On indexed
+     instances that order is descending similarity, so each event's arcs
+     arrive cost-ascending and [Graph.finalize_csr] only checks their
+     order. *)
   let candidates =
-    (* Chunks tile [0, n_v) contiguously in order, so after concatenation
-       the index is the event id. *)
-    Array.concat
-      (Array.to_list
-         (Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
-              Array.init (hi - lo) (fun i ->
-                  (* race: ok — candidate_users reads only the entity arrays and fills a scan it allocates itself; the only mutable reach is Fault.fire's counters (through sim on scanned instances), armed solely by single-domain robustness tests *)
-                  Instance.candidate_users instance ~v:(lo + i) ~min_sim))))
+    Array.init n_v (fun v -> Instance.candidate_users instance ~v ~min_sim)
   in
   let pair_arcs =
     Array.fold_left (fun acc c -> acc + Array.length c) 0 candidates
@@ -148,10 +135,10 @@ let build_network ?jobs ?min_sim instance =
   done;
   { graph = g; source; sink; pair_arcs; dense_pairs = n_v * n_u }
 
-let solve_with_stats ?deadline ?jobs ?min_sim instance =
+let solve_with_stats ?deadline ?min_sim instance =
   let n_v = Instance.n_events instance in
   let n_u = Instance.n_users instance in
-  let net = build_network ?jobs ?min_sim instance in
+  let net = build_network ?min_sim instance in
   let g = net.graph and source = net.source and sink = net.sink in
   (* A unit of flow adds 1 - path_cost to MaxSum; path costs only grow, so
      stopping before the first non-improving unit lands on the Δ with the
@@ -247,5 +234,5 @@ let solve_with_stats ?deadline ?jobs ?min_sim instance =
       int_fallback = false;
     } )
 
-let solve ?deadline ?jobs ?min_sim instance =
-  fst (solve_with_stats ?deadline ?jobs ?min_sim instance)
+let solve ?deadline ?min_sim instance =
+  fst (solve_with_stats ?deadline ?min_sim instance)

@@ -72,17 +72,14 @@ type stats = {
           [bench/suite] reads it. *)
 }
 
-val build_network : ?jobs:int -> ?min_sim:float -> Instance.t -> net
-(** The Step-1 network. [jobs] (default {!Geacc_par.Pool.default_jobs})
-    parallelises the candidate queries per event-chunk; arc emission stays
-    sequential, v-major, each event's arcs in {!Instance.candidate_users}
-    order (cost-ascending on indexed instances), so arc ids — and hence
-    the SSP pivoting order and the final flow — are byte-identical for
-    every job count. When a fault plan is active the build runs with
-    [jobs = 1] so fault points hit inside the queries fire in plan order.
+val build_network : ?min_sim:float -> Instance.t -> net
+(** The Step-1 network. Arcs are emitted v-major, each event's arcs in
+    {!Instance.candidate_users} order (cost-ascending on indexed
+    instances), so arc ids, and hence the SSP pivoting order and the final
+    flow, are a function of the instance and [min_sim] alone.
     Under [GEACC_AUDIT=1] the build additionally proves every pruned pair
-    sits below the similarity gate. Exposed for the determinism tests,
-    audits and benchmarks.
+    sits below the similarity gate. Exposed for the audits and
+    benchmarks.
     @raise Geacc_robust.Fault.Injected when the [mcf.alloc] point fires.
     @raise Invalid_argument when [min_sim] is outside [\[0, 1\]], or when
     a candidate pair's similarity is NaN or above 1 (the error names the
@@ -90,20 +87,17 @@ val build_network : ?jobs:int -> ?min_sim:float -> Instance.t -> net
 
 val solve :
   ?deadline:Geacc_robust.Budget.t ->
-  ?jobs:int ->
   ?min_sim:float ->
   Instance.t ->
   Matching.t
 (** [deadline] (default: unlimited) is polled between augmentations of the
     underlying SSP loop; on expiry the partial flow — a valid min-cost flow
     of its own amount — is resolved into a feasible matching as usual.
-    [jobs] and [min_sim] are passed to {!build_network}. The solve itself
-    is sequential and its output independent of the job count.
+    [min_sim] is passed to {!build_network}.
     @raise Invalid_argument as {!build_network} does. *)
 
 val solve_with_stats :
   ?deadline:Geacc_robust.Budget.t ->
-  ?jobs:int ->
   ?min_sim:float ->
   Instance.t ->
   Matching.t * stats

@@ -1,264 +1,5 @@
-(* Fixed-size reusable domain pool with deterministic static chunking.
-   See pool.mli for the determinism contract; the short version is that
-   every observable result — chunk boundaries, merge order, which exception
-   wins — is a pure function of (n, jobs), never of scheduling. *)
+let default_jobs () = 1
 
-let max_jobs = 64
-
-let clamp_jobs j =
-  if j < 1 then invalid_arg "Pool: jobs must be >= 1"
-  else Stdlib.min j max_jobs
-
-(* GEACC_JOBS is read once, lazily; malformed values read as 1 (the CLI
-   front ends validate loudly, the library stays total). *)
-let env_jobs =
-  lazy
-    (match Sys.getenv_opt "GEACC_JOBS" with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some j when j >= 1 -> Stdlib.min j max_jobs
-        | Some _ | None -> 1))
-
-let override : int option ref = ref None
-
-let set_default_jobs j = override := Some (clamp_jobs j)
-
-let default_jobs () =
-  match !override with Some j -> j | None -> Lazy.force env_jobs
-
-let with_jobs j f =
-  let saved = !override in
-  set_default_jobs j;
-  Fun.protect ~finally:(fun () -> override := saved) f
-
-(* Each domain knows whether it is currently executing a chunk body; the
-   flag drives nested-region resolution (mli §Nesting). *)
-let in_region_key = Domain.DLS.new_key (fun () -> ref false)
-
-let in_region () = !(Domain.DLS.get in_region_key)
-
-let resolve_jobs ?jobs () =
-  match jobs with
-  | Some j ->
-      let j = clamp_jobs j in
-      if j > 1 && in_region () then
-        invalid_arg "Pool: nested parallel region (explicit ~jobs > 1 inside a chunk body)"
-      else j
-  | None -> if in_region () then 1 else default_jobs ()
-
-(* ---------- the worker pool ---------- *)
-
-type task = unit -> unit
-
-type pool = {
-  m : Mutex.t;
-  work : Condition.t; (* workers sleep here between regions *)
-  queue : task Queue.t;
-  mutable stop : bool;
-  mutable domains : unit Domain.t list;
-  mutable size : int;
-  mutable exit_hooked : bool;
-}
-
-let pool =
-  {
-    m = Mutex.create ();
-    work = Condition.create ();
-    queue = Queue.create ();
-    stop = false;
-    domains = [];
-    size = 0;
-    exit_hooked = false;
-  }
-
-let worker () =
-  let running = ref true in
-  while !running do
-    Mutex.lock pool.m;
-    while Queue.is_empty pool.queue && not pool.stop do
-      Condition.wait pool.work pool.m
-    done;
-    if Queue.is_empty pool.queue then begin
-      (* stop requested and no work left *)
-      Mutex.unlock pool.m;
-      running := false
-    end
-    else begin
-      let task = Queue.pop pool.queue in
-      Mutex.unlock pool.m;
-      task ()
-    end
-  done
-
-let shutdown () =
-  Mutex.lock pool.m;
-  pool.stop <- true;
-  Condition.broadcast pool.work;
-  let domains = pool.domains in
-  pool.domains <- [];
-  pool.size <- 0;
-  Mutex.unlock pool.m;
-  List.iter Domain.join domains;
-  (* Leave the pool reusable: the next region respawns workers. *)
-  Mutex.lock pool.m;
-  pool.stop <- false;
-  Mutex.unlock pool.m
-
-(* Grow the pool to at least [n] workers. Called from region setup only
-   (never from inside a region), under the pool mutex. *)
-let ensure_workers n =
-  Mutex.lock pool.m;
-  if not pool.exit_hooked then begin
-    pool.exit_hooked <- true;
-    at_exit shutdown
-  end;
-  while pool.size < n do
-    (* Pool growth happens once per process, not per region. alloc: ok *)
-    pool.domains <- Domain.spawn worker :: pool.domains;
-    pool.size <- pool.size + 1
-  done;
-  Mutex.unlock pool.m
-
-(* ---------- regions ---------- *)
-
-type region = {
-  rm : Mutex.t;
-  finished : Condition.t;
-  mutable pending : int;
-  (* (chunk index, exception, backtrace) of every failed chunk *)
-  mutable failures : (int * exn * Printexc.raw_backtrace) list;
-}
-
-(* One closure per chunk is the region protocol itself, not a per-element
-   cost; the task sets the executing domain's in-region flag around the
-   body so nested combinators resolve per the mli. *)
-let make_task region chunk idx () =
-  let flag = Domain.DLS.get in_region_key in
-  flag := true;
-  (try chunk idx
-   with e ->
-     let bt = Printexc.get_raw_backtrace () in
-     Mutex.lock region.rm;
-     region.failures <- (idx, e, bt) :: region.failures;
-     Mutex.unlock region.rm);
-  flag := false;
-  Mutex.lock region.rm;
-  region.pending <- region.pending - 1;
-  if region.pending = 0 then Condition.signal region.finished;
-  Mutex.unlock region.rm
-
-(* The caller drains the shared queue alongside the workers (regions never
-   overlap, so everything in the queue belongs to this region), then blocks
-   until the last straggler finishes. *)
-let rec drain_queue () =
-  Mutex.lock pool.m;
-  if Queue.is_empty pool.queue then Mutex.unlock pool.m
-  else begin
-    let task = Queue.pop pool.queue in
-    Mutex.unlock pool.m;
-    task ();
-    drain_queue ()
-  end
-
-let run_region ~workers ~n_chunks chunk =
-  ensure_workers workers;
-  let region =
-    {
-      rm = Mutex.create ();
-      finished = Condition.create ();
-      pending = n_chunks;
-      failures = [];
-    }
-  in
-  Mutex.lock pool.m;
-  for idx = 0 to n_chunks - 1 do
-    (* alloc: ok — one task closure per chunk is the region protocol *)
-    Queue.add (make_task region chunk idx) pool.queue
-  done;
-  Condition.broadcast pool.work;
-  Mutex.unlock pool.m;
-  drain_queue ();
-  Mutex.lock region.rm;
-  while region.pending > 0 do
-    Condition.wait region.finished region.rm
-  done;
-  let failures = region.failures in
-  Mutex.unlock region.rm;
-  (* Deterministic exception choice: the lowest-indexed failing chunk wins,
-     regardless of real-time completion order. *)
-  match
-    List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j) failures
-  with
-  | [] -> ()
-  | (_, e, bt) :: _ -> Printexc.raise_with_backtrace e bt
-
-(* ---------- combinators ---------- *)
-
-let[@inline] chunk_bounds ~n ~k c = (c * n / k, (c + 1) * n / k)
-
-let parallel_for ?jobs ~n f =
-  if n < 0 then invalid_arg "Pool.parallel_for: negative n";
-  let k = Stdlib.min (resolve_jobs ?jobs ()) n in
-  if k <= 1 then
-    for i = 0 to n - 1 do
-      f i
-    done
-  else
-    run_region ~workers:(k - 1) ~n_chunks:k (fun c ->
-        let lo, hi = chunk_bounds ~n ~k c in
-        for i = lo to hi - 1 do
-          f i
-        done)
-
-let parallel_map_chunked ?jobs ~n f =
-  if n < 0 then invalid_arg "Pool.parallel_map_chunked: negative n";
-  if n = 0 then [||]
-  else begin
-    let k = Stdlib.min (resolve_jobs ?jobs ()) n in
-    if k <= 1 then [| f ~lo:0 ~hi:n |]
-    else begin
-      let results = Array.make k None in
-      run_region ~workers:(k - 1) ~n_chunks:k (fun c ->
-          let lo, hi = chunk_bounds ~n ~k c in
-          results.(c) <- Some (f ~lo ~hi));
-      Array.map
-        (* run_region returns only after every chunk ran — lint: ok *)
-        (function Some x -> x | None -> assert false)
-        results
-    end
-  end
-
-let parallel_reduce ?jobs ?(chunk = 1024) ~n ~init ~fold ~combine () =
-  if n < 0 then invalid_arg "Pool.parallel_reduce: negative n";
-  if chunk < 1 then invalid_arg "Pool.parallel_reduce: chunk must be >= 1";
-  if n = 0 then init
-  else begin
-    (* The chunking depends on n only, so partial-accumulator boundaries —
-       and therefore float rounding — match for every job count. *)
-    let n_chunks = (n + chunk - 1) / chunk in
-    let fold_range lo hi =
-      let acc = ref init in
-      for i = lo to hi - 1 do
-        acc := fold !acc i
-      done;
-      !acc
-    in
-    let k = Stdlib.min (resolve_jobs ?jobs ()) n_chunks in
-    let partials =
-      if k <= 1 then
-        Array.init n_chunks (fun c ->
-            fold_range (c * chunk) (Stdlib.min n ((c + 1) * chunk)))
-      else begin
-        let results = Array.make n_chunks None in
-        run_region ~workers:(k - 1) ~n_chunks (fun c ->
-            results.(c) <-
-              Some (fold_range (c * chunk) (Stdlib.min n ((c + 1) * chunk))));
-        Array.map
-          (* run_region returns only after every chunk ran — lint: ok *)
-          (function Some x -> x | None -> assert false)
-          results
-      end
-    in
-    Array.fold_left combine init partials
-  end
+let set_default_jobs j =
+  if j <> 1 then
+    invalid_arg "Pool.set_default_jobs: the program runs one domain"

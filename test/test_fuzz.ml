@@ -197,7 +197,7 @@ let test_differential () =
    must be exactly equal. The pair sets may legitimately differ: among
    exactly tied shortest paths the two searches can route differently, so
    MaxSum after conflict resolution is compared within 1e-6. Per attribute
-   model (uniform / Zipf / normal mixture) and for jobs ∈ {1, 2, 4}.
+   model (uniform / Zipf / normal mixture).
    Instances come in two flavours: Equation-1 similarity (cutoff =
    attribute-space diameter, so nothing prunes) and a re-wrap of the same
    entities under a range/4 euclidean profile, which drives a large
@@ -221,7 +221,6 @@ let test_oracle_differential () =
       ("normal", Synthetic.Attr_normal_mixture);
     ]
   in
-  let jobs_under_test = [ 1; 2; 4 ] in
   let pruned_pairs_seen = ref 0 in
   List.iter
     (fun (model_name, attrs) ->
@@ -248,31 +247,27 @@ let test_oracle_differential () =
                 fmt
             in
             let reference, ref_matching = oracle instance in
-            List.iter
-              (fun jobs ->
-                let m, stats = Mincostflow.solve_with_stats ~jobs instance in
-                (match Validate.check_matching m with
-                | [] -> ()
-                | violations ->
-                    Alcotest.failf "%s: %d violations"
-                      (label "jobs=%d" jobs)
-                      (List.length violations));
-                Alcotest.(check int)
-                  (label "flow value, jobs=%d" jobs)
-                  reference.Ref_mcf.flow stats.Mincostflow.flow_value;
-                Alcotest.(check int)
-                  (label "integer flow cost, jobs=%d" jobs)
-                  reference.Ref_mcf.cost
-                  (int_of_float
-                     (stats.Mincostflow.flow_cost
-                     *. float_of_int Mincostflow.cost_scale));
-                Alcotest.(check (float 1e-6))
-                  (label "maxsum, jobs=%d" jobs)
-                  (Matching.maxsum ref_matching) (Matching.maxsum m);
-                pruned_pairs_seen :=
-                  !pruned_pairs_seen + stats.Mincostflow.dense_pairs
-                  - stats.Mincostflow.pair_arcs)
-              jobs_under_test)
+            let m, stats = Mincostflow.solve_with_stats instance in
+            (match Validate.check_matching m with
+            | [] -> ()
+            | violations ->
+                Alcotest.failf "%s: %d violations" (label "mcf")
+                  (List.length violations));
+            Alcotest.(check int)
+              (label "flow value")
+              reference.Ref_mcf.flow stats.Mincostflow.flow_value;
+            Alcotest.(check int)
+              (label "integer flow cost")
+              reference.Ref_mcf.cost
+              (int_of_float
+                 (stats.Mincostflow.flow_cost
+                 *. float_of_int Mincostflow.cost_scale));
+            Alcotest.(check (float 1e-6))
+              (label "maxsum")
+              (Matching.maxsum ref_matching) (Matching.maxsum m);
+            pruned_pairs_seen :=
+              !pruned_pairs_seen + stats.Mincostflow.dense_pairs
+              - stats.Mincostflow.pair_arcs)
           [ ("eq1", base); ("tight", tighten base) ]
       done)
     attr_models;

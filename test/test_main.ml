@@ -20,6 +20,5 @@ let () =
       ("bench-util", Test_bench_util.suite);
       ("robust", Test_robust.suite);
       ("serve", Test_serve.suite);
-      ("par", Test_par.suite);
       ("fuzz", Test_fuzz.suite);
     ]

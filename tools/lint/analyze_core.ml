@@ -24,8 +24,6 @@ let rules =
   [
     ("hot-loop-alloc", Tag "alloc");
     ("missing-inline", Tag "alloc");
-    ("par-shared-write", Reasoned "race");
-    ("par-nondet", Reasoned "race");
     ("poll-missing", Reasoned "poll");
     ("suppress-no-reason", Unsuppressible);
     ("bounds-unlicensed", Licence);
@@ -159,28 +157,15 @@ let cmp_arg_type fn_ty =
   | Types.Tarrow (_, t1, _, _) -> Some t1
   | _ -> None
 
-(* The domain pool's chunk combinators, matched by name: a chunk body runs
-   once per chunk (a loop in disguise, for Hot_loop) on some domain (a
-   race, for Effects). *)
-let parallel_combinators =
-  [ "parallel_for"; "parallel_map_chunked"; "parallel_reduce" ]
-
-let is_parallel_combinator (f : Typedtree.expression) =
-  match f.exp_desc with
-  | Typedtree.Texp_ident (path, _, _) ->
-      List.exists (String.equal (Path.last path)) parallel_combinators
-  | _ -> false
-
 (* ---------- definition table ---------- *)
 
 (* One entry per top-level (or module-nested) value binding, keyed by
    (unit, name); the first binding of a name creates the entry and later
    ones share it. The shape fields serve Hot_loop's [missing-inline] and
-   boxed-float lookups. The summary fields are Effects': [d_*] are direct
-   effects of the definition's own body (nested closures fold in), [t_*]
-   the transitive closure over project callees, each holding the *root*
-   definition responsible plus a human description, so diagnostics can
-   name the end of the chain. *)
+   boxed-float lookups. The summary fields are Effects': [d_refs] are the
+   project callees of the definition's own body (nested closures fold in),
+   [d_polls] whether that body polls the budget itself, and [t_polls]
+   whether it does so through any callee. *)
 type def = {
   d_unit : string;
   d_name : string;
@@ -188,11 +173,7 @@ type def = {
   d_lines : int;
   d_inline : bool;
   mutable d_refs : (string * string) list;
-  mutable d_write : string option;
-  mutable d_nondet : string option;
   mutable d_polls : bool;
-  mutable t_write : ((string * string) * string) option;
-  mutable t_nondet : ((string * string) * string) option;
   mutable t_polls : bool;
 }
 
@@ -224,11 +205,7 @@ let def_of_binding u (vb : Typedtree.value_binding) =
             vb.vb_loc.loc_end.pos_lnum - vb.vb_loc.loc_start.pos_lnum + 1;
           d_inline = has_inline_attr vb.vb_attributes;
           d_refs = [];
-          d_write = None;
-          d_nondet = None;
           d_polls = false;
-          t_write = None;
-          t_nondet = None;
           t_polls = false;
         }
       in

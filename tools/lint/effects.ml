@@ -1,164 +1,38 @@
 (* Effects — geacc_analyze's interprocedural family.
 
    Hot_loop checks per-expression properties inside hot loops. This family
-   computes a per-function *effect summary* — writes-shared-mutable,
-   reads-nondeterminism-source, polls-budget — and closes it over the
-   project call graph with a bounded fixpoint, then enforces the contracts
-   of the domain pool and the deadline machinery:
+   records, per function, whether it polls the deadline budget and which
+   project functions it calls, closes that over the project call graph
+   with a bounded fixpoint, then enforces the deadline machinery's
+   obligation:
 
-   - [par-shared-write]    (R) a chunk body passed to [parallel_for] /
-                           [parallel_map_chunked] / [parallel_reduce] writes
-                           captured mutable state — a ref / record field /
-                           Bytes / Bigarray it did not create inside the
-                           chunk, or (transitively) module-level mutable
-                           state. Per-index writes into a captured array are
-                           the pool's sanctioned output pattern and stay
-                           allowed.
-   - [par-nondet]          (R) a chunk body observes an ambient
-                           nondeterminism source: the global Random state,
-                           the domain identity, wall clocks, std-channel
-                           output, hashtable iteration order, or physical
-                           equality on a boxed type — directly or through a
-                           callee (clocks and hashtable iteration are
-                           checked at the chunk itself only).
-   - [poll-missing]        (P) an outermost while-loop or recursive function
-                           under lib/core// lib/flow never reaches
+   - [poll-missing]        an outermost while-loop or recursive function
+                           under lib/core/ or lib/flow/ never reaches
                            [Budget.check] / [Budget.check_now] in its body's
                            call closure, so the loop cannot be cancelled by
                            a deadline.
    - [suppress-no-reason]  a suppression tag with no justification text.
 
    Suppression grammar (on the offending line or the line above):
-     (* race: ok — <reason> *)    for par-shared-write / par-nondet
      (* poll: ok — <reason> *)    for poll-missing
    The reason is mandatory; a bare tag reports suppress-no-reason instead. *)
 
 open Analyze_core
 
-(* (P) is scoped to the solver kernels that own deadlines. *)
+(* The poll rule is scoped to the solver kernels that own deadlines. *)
 let poll_markers = [ "lib/core/"; "lib/flow/" ]
 
 let in_poll_scope = under poll_markers
-
-(* Ambient nondeterminism observed through a resolved (module, name) call.
-   These propagate through the call graph: a chunk body inherits them from
-   any project function it reaches. *)
-let nondet_source = function
-  | ( "Random",
-      ( "self_init" | "init" | "full_init" | "bits" | "int" | "full_int"
-      | "int32" | "int64" | "nativeint" | "float" | "bool" | "bits32"
-      | "bits64" ) ) ->
-      Some "uses the global Random state"
-  | "Domain", ("self" | "is_main_domain") -> Some "reads the domain identity"
-  | ("Printf" | "Format"), ("printf" | "eprintf") ->
-      Some "writes to the process std channels"
-  | ( "Stdlib",
-      ( "print_string" | "print_bytes" | "print_int" | "print_float"
-      | "print_char" | "print_endline" | "print_newline" | "prerr_string"
-      | "prerr_bytes" | "prerr_int" | "prerr_float" | "prerr_char"
-      | "prerr_endline" | "prerr_newline" ) ) ->
-      Some "writes to the process std channels"
-  | _ -> None
-
-(* Clock reads and hashtable iteration are flagged only when they appear in
-   the chunk body itself: transitively every measurement harness reads the
-   clock by design, and hashtable iteration over a callee's own local table
-   is reproducible. *)
-let clock_source = function
-  | "Sys", "time" | "Unix", ("gettimeofday" | "time") -> true
-  | _ -> false
-
-let hashtbl_iteration = function
-  | "Hashtbl", ("iter" | "fold") -> true
-  | _ -> false
-
-let hashtbl_mutator = function
-  | ( "Hashtbl",
-      ("add" | "replace" | "remove" | "reset" | "clear" | "filter_map_inplace")
-    ) ->
-      true
-  | _ -> false
 
 let budget_poll = function
   | "Budget", ("check" | "check_now") -> true
   | _ -> false
 
-(* Mutation primitives, by what they write. Array stores are deliberately
-   absent from the violation classes: writing a captured array at the
-   chunk's own indices is the pool's sanctioned output pattern (the bench
-   sweep grids), and index ownership is not statically decidable
-   here. *)
-let ref_write_prims = [ "%setfield0"; "%incr"; "%decr" ]
-let bytes_write_prims = [ "%bytes_safe_set"; "%bytes_unsafe_set" ]
-
-let bigarray_write_prim name =
-  String.length name >= 13 && String.sub name 0 13 = "%caml_ba_set_"
-  || String.length name >= 20 && String.sub name 0 20 = "%caml_ba_unsafe_set_"
-
-(* ---------- typedtree helpers ---------- *)
-
-let combinator_name (f : Typedtree.expression) =
-  match f.exp_desc with
-  | Typedtree.Texp_ident (path, _, _) -> Path.last path
-  | _ -> "parallel combinator"
-
-(* The head identifier of a write target: [a.b.(i).c <- e] writes through
-   [a]. [Head_remote] is a cross-module access — module-level mutable state
-   by construction; [Head_opaque] a computed target we cannot attribute
-   (skipped: precision over recall). *)
-type head = Head_local of Ident.t | Head_remote of string | Head_opaque
-
-let rec write_head (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_ident (Path.Pident id, _, _) -> Head_local id
-  | Typedtree.Texp_ident (p, _, _) -> Head_remote (Path.name p)
-  | Typedtree.Texp_field (b, _, _) -> write_head b
-  | Typedtree.Texp_apply
-      ( {
-          exp_desc =
-            Typedtree.Texp_ident
-              ( _,
-                _,
-                {
-                  val_kind =
-                    Types.Val_prim
-                      {
-                        Primitive.prim_name =
-                          "%array_safe_get" | "%array_unsafe_get" | "%field0";
-                        _;
-                      };
-                  _;
-                } );
-          _;
-        },
-        (_, Some a) :: _ ) ->
-      write_head a
-  | _ -> Head_opaque
-
-let head_display = function
-  | Head_local id -> Ident.name id
-  | Head_remote name -> name
-  | Head_opaque -> "<computed>"
-
-(* Physical equality only tells on boxed values; on immediates it is just
-   [=]. *)
-let immediate_type =
-  type_in
-    [ Predef.path_int; Predef.path_char; Predef.path_bool; Predef.path_unit ]
-
 (* ---------- per-cmt scan state ---------- *)
 
-(* A chunk context is one function literal passed to a pool combinator; its
-   table holds every identifier bound inside the chunk (its parameters and
-   local lets) — anything else the body touches is captured. *)
-type chunk_ctx = {
-  c_comb : string;
-  c_locals : (string, unit) Hashtbl.t; (* Ident.unique_name *)
-}
-
 (* A poll-coverage obligation: one while-loop or one recursive binding
-   group. Compliance is resolved after the fixpoint, so a loop may satisfy
-   (P) through any project function it references. *)
+   group. Compliance is resolved after the fixpoint, so a loop may poll
+   through any project function it references. *)
 type loop_rec = {
   l_loc : Location.t;
   l_file : string;
@@ -169,48 +43,19 @@ type loop_rec = {
   mutable l_callees : (string * string) list;
 }
 
-(* A project call made from inside a chunk body, checked against the
-   callee's transitive summary after the fixpoint. *)
-type chunk_call = {
-  cc_target : string * string;
-  cc_site : Location.t;
-  cc_comb : string;
-}
-
 let loops : loop_rec list ref = ref []
-let chunk_calls : chunk_call list ref = ref []
 
 type scan_state = {
   ss_unit : unit_ctx;
   mutable ss_def : def option;
   mutable ss_def_locals : (string, unit) Hashtbl.t;
-  mutable ss_chunks : chunk_ctx list; (* innermost first *)
   mutable ss_loops : loop_rec list; (* open loops, innermost first *)
 }
 
 let bind_ident st id =
-  let key = Ident.unique_name id in
-  Hashtbl.replace st.ss_def_locals key ();
-  match st.ss_chunks with
-  | c :: _ -> Hashtbl.replace c.c_locals key ()
-  | [] -> ()
-
-let chunk_local st id =
-  match st.ss_chunks with
-  | c :: _ -> Hashtbl.mem c.c_locals (Ident.unique_name id)
-  | [] -> true
+  Hashtbl.replace st.ss_def_locals (Ident.unique_name id) ()
 
 let def_local st id = Hashtbl.mem st.ss_def_locals (Ident.unique_name id)
-
-let set_def_write st desc =
-  match st.ss_def with
-  | Some d when d.d_write = None -> d.d_write <- Some desc
-  | _ -> ()
-
-let set_def_nondet st desc =
-  match st.ss_def with
-  | Some d when d.d_nondet = None -> d.d_nondet <- Some desc
-  | _ -> ()
 
 let set_def_polls st =
   match st.ss_def with Some d -> d.d_polls <- true | None -> ()
@@ -226,36 +71,6 @@ let note_callee st key =
     (fun l -> if not (List.mem key l.l_callees) then l.l_callees <- key :: l.l_callees)
     st.ss_loops
 
-let in_chunk st = st.ss_chunks <> []
-
-(* ---------- the race rules, at one expression ---------- *)
-
-(* (R), direct form: a mutation primitive inside a chunk body whose target
-   was not bound inside the chunk. *)
-let check_chunk_write st ~what target loc =
-  match target with
-  | Head_local id when chunk_local st id -> ()
-  | h ->
-      let comb =
-        match st.ss_chunks with c :: _ -> c.c_comb | [] -> "parallel chunk"
-      in
-      report loc "par-shared-write"
-        (Printf.sprintf
-           "the chunk body passed to %s writes %s (%s) it captured; chunks \
-            may only write chunk-local state or their own cells of a shared \
-            array"
-           comb what (head_display h))
-
-let check_chunk_nondet st desc loc =
-  let comb =
-    match st.ss_chunks with c :: _ -> c.c_comb | [] -> "parallel chunk"
-  in
-  report loc "par-nondet"
-    (Printf.sprintf
-       "the chunk body passed to %s %s; chunk results must be a function of \
-        the chunk index alone"
-       comb desc)
-
 (* ---------- scan ---------- *)
 
 let scan u str =
@@ -264,7 +79,6 @@ let scan u str =
       ss_unit = u;
       ss_def = None;
       ss_def_locals = Hashtbl.create 64;
-      ss_chunks = [];
       ss_loops = [];
     }
   in
@@ -334,15 +148,14 @@ let scan u str =
     default_iterator.pat it p
   in
   let expr it (e : Typedtree.expression) =
-    (* Effects and edges carried by a bare identifier reference. *)
+    (* Call-graph edges and polls carried by a bare identifier reference. *)
     (match e.exp_desc with
     | Texp_ident (path, _, vd) -> (
         match ref_target st.ss_unit path with
         | None -> ()
         | Some key ->
-            (* Externals (Val_prim) are classified — Sys.time and
-               Unix.gettimeofday are externals — but never become call-graph
-               edges: a primitive has no project summary to propagate. *)
+            (* Externals (Val_prim) never become call-graph edges: a
+               primitive has no project summary to propagate. *)
             let is_prim =
               match vd.Types.val_kind with
               | Types.Val_prim _ -> true
@@ -356,132 +169,9 @@ let scan u str =
                 set_def_polls st;
                 note_loop_poll st
               end
-            end;
-            (match nondet_source key with
-            | Some desc ->
-                set_def_nondet st desc;
-                if in_chunk st then check_chunk_nondet st desc e.exp_loc
-            | None -> ());
-            if in_chunk st then begin
-              if clock_source key then
-                check_chunk_nondet st "reads a wall clock" e.exp_loc;
-              if hashtbl_iteration key then
-                check_chunk_nondet st
-                  "iterates a hashtable (unspecified order)" e.exp_loc;
-              if
-                (not is_prim)
-                && not
-                     (budget_poll key || clock_source key
-                    || hashtbl_iteration key)
-              then
-                chunk_calls :=
-                  {
-                    cc_target = key;
-                    cc_site = e.exp_loc;
-                    cc_comb =
-                      (match st.ss_chunks with
-                      | c :: _ -> c.c_comb
-                      | [] -> "parallel chunk");
-                  }
-                  :: !chunk_calls
             end)
     | _ -> ());
     match e.exp_desc with
-    | Texp_setfield (recd, _, lbl, v) ->
-        let head = write_head recd in
-        (match head with
-        | Head_local id when def_local st id -> ()
-        | h ->
-            set_def_write st
-              (Printf.sprintf "writes the mutable field %s.%s"
-                 (head_display h) lbl.Types.lbl_name));
-        if in_chunk st then
-          check_chunk_write st
-            ~what:(Printf.sprintf "the record field %s" lbl.Types.lbl_name)
-            head e.exp_loc;
-        it.expr it recd;
-        it.expr it v
-    | Texp_apply
-        ( ({
-             exp_desc =
-               Texp_ident (_, _, { val_kind = Types.Val_prim prim; _ });
-             _;
-           } as f),
-          args ) ->
-        let name = prim.Primitive.prim_name in
-        let first_arg =
-          match args with (_, Some a) :: _ -> Some a | _ -> None
-        in
-        (match first_arg with
-        | Some a when List.mem name ref_write_prims ->
-            let head = write_head a in
-            (match head with
-            | Head_local id when def_local st id -> ()
-            | h ->
-                set_def_write st
-                  (Printf.sprintf "writes the ref %s" (head_display h)));
-            if in_chunk st then
-              check_chunk_write st ~what:"the ref" head e.exp_loc
-        | Some a when List.mem name bytes_write_prims ->
-            if in_chunk st then
-              check_chunk_write st ~what:"the Bytes buffer" (write_head a)
-                e.exp_loc
-        | Some a when bigarray_write_prim name ->
-            if in_chunk st then
-              check_chunk_write st ~what:"the Bigarray" (write_head a)
-                e.exp_loc
-        | _ -> ());
-        (match name with
-        | "%eq" | "%noteq" when in_chunk st -> (
-            match cmp_arg_type f.exp_type with
-            | Some t when not (immediate_type t) ->
-                check_chunk_nondet st
-                  "compares boxed values physically (address identity)"
-                  e.exp_loc
-            | _ -> ())
-        | _ -> ());
-        it.expr it f;
-        List.iter
-          (fun ((_, a) : _ * Typedtree.expression option) ->
-            match a with Some a -> it.expr it a | None -> ())
-          args
-    | Texp_apply
-        ( ({ exp_desc = Texp_ident (path, _, { val_kind = Types.Val_reg; _ }); _ }
-           as f),
-          ((_, Some tbl) :: _ as args) )
-      when (match ref_target st.ss_unit path with
-           | Some key -> hashtbl_mutator key
-           | None -> false) ->
-        (* Hashtbl mutation is a shared write exactly when the table itself
-           is shared; a table the function (or chunk) made for itself is
-           plain local state. *)
-        let head = write_head tbl in
-        (match head with
-        | Head_local id when def_local st id -> ()
-        | h ->
-            set_def_write st
-              (Printf.sprintf "mutates the hashtable %s" (head_display h)));
-        if in_chunk st then
-          check_chunk_write st ~what:"the hashtable" head e.exp_loc;
-        it.expr it f;
-        List.iter
-          (fun ((_, a) : _ * Typedtree.expression option) ->
-            match a with Some a -> it.expr it a | None -> ())
-          args
-    | Texp_apply (f, args) when is_parallel_combinator f ->
-        it.expr it f;
-        let comb = combinator_name f in
-        List.iter
-          (fun ((_, arg) : _ * Typedtree.expression option) ->
-            match arg with
-            | Some ({ exp_desc = Texp_function _; _ } as a) ->
-                let ctx = { c_comb = comb; c_locals = Hashtbl.create 16 } in
-                st.ss_chunks <- ctx :: st.ss_chunks;
-                it.expr it a;
-                st.ss_chunks <- List.tl st.ss_chunks
-            | Some a -> it.expr it a
-            | None -> ())
-          args
     | Texp_while (cond, body) ->
         let file = e.exp_loc.loc_start.pos_fname in
         if in_poll_scope file then begin
@@ -537,11 +227,10 @@ let scan u str =
 
 (* ---------- bounded interprocedural fixpoint ---------- *)
 
-(* Propagates polls-budget, writes-shared and nondeterminism through the
-   project call graph. The iteration count is bounded by the graph's
-   longest acyclic chain; the explicit cap keeps a pathological (or
-   adversarial) graph from stalling the build, at worst under-reporting
-   transitive effects. *)
+(* Propagates polls-budget through the project call graph. The iteration
+   count is bounded by the graph's longest acyclic chain; the explicit cap
+   keeps a pathological (or adversarial) graph from stalling the build, at
+   worst under-reporting transitive polls. *)
 let fixpoint_bound = 64
 
 let run_fixpoint () =
@@ -556,26 +245,6 @@ let run_fixpoint () =
             match Hashtbl.find_opt defs callee with
             | None -> ()
             | Some c ->
-                let c_write =
-                  match c.d_write with
-                  | Some desc -> Some (callee, desc)
-                  | None -> c.t_write
-                in
-                if d.d_write = None && d.t_write = None && c_write <> None
-                then begin
-                  d.t_write <- c_write;
-                  changed := true
-                end;
-                let c_nondet =
-                  match c.d_nondet with
-                  | Some desc -> Some (callee, desc)
-                  | None -> c.t_nondet
-                in
-                if d.d_nondet = None && d.t_nondet = None && c_nondet <> None
-                then begin
-                  d.t_nondet <- c_nondet;
-                  changed := true
-                end;
                 if (not d.t_polls) && (c.d_polls || c.t_polls) then begin
                   d.t_polls <- true;
                   changed := true
@@ -584,48 +253,7 @@ let run_fixpoint () =
       defs
   done
 
-(* ---------- resolution: chunk calls (R, transitive) ---------- *)
-
-let resolve_chunk_calls () =
-  List.iter
-    (fun cc ->
-      match Hashtbl.find_opt defs cc.cc_target with
-      | None -> ()
-      | Some c ->
-          let m, n = cc.cc_target in
-          let via (rm, rn) =
-            if String.equal rm m && String.equal rn n then
-              Printf.sprintf "%s.%s" m n
-            else Printf.sprintf "%s.%s (via %s.%s)" rm rn m n
-          in
-          (match
-             match c.d_write with
-             | Some desc -> Some ((m, n), desc)
-             | None -> c.t_write
-           with
-          | Some (root, desc) ->
-              report cc.cc_site "par-shared-write"
-                (Printf.sprintf
-                   "the chunk body passed to %s reaches %s, which %s; \
-                    shared writes make the parallel region racy"
-                   cc.cc_comb (via root) desc)
-          | None -> ());
-          match
-            match c.d_nondet with
-            | Some desc -> Some ((m, n), desc)
-            | None -> c.t_nondet
-          with
-          | Some (root, desc) ->
-              report cc.cc_site "par-nondet"
-                (Printf.sprintf
-                   "the chunk body passed to %s reaches %s, which %s; \
-                    chunk results must be a function of the chunk index \
-                    alone"
-                   cc.cc_comb (via root) desc)
-          | None -> ())
-    !chunk_calls
-
-(* ---------- resolution: poll coverage (P) ---------- *)
+(* ---------- resolution: poll coverage ---------- *)
 
 (* Only outermost obligations are examined: a loop nested inside another
    collected loop is covered by the outer loop's verdict (its poll, its tag,
@@ -663,5 +291,4 @@ let resolve_loops () =
 
 let resolve () =
   run_fixpoint ();
-  resolve_chunk_calls ();
   resolve_loops ()

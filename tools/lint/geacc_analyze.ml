@@ -10,11 +10,10 @@
 
    - Hot_loop  [hot-loop-alloc], [missing-inline]: allocation and
                specialisation inside the hot loops of lib/flow, lib/pqueue,
-               lib/index, lib/par and lib/core/greedy.ml.
-   - Effects   [par-shared-write], [par-nondet], [poll-missing]: effect
-               summaries closed over the project call graph, checked against
-               the domain pool's chunk-body contract and the deadline
-               machinery's poll obligation.
+               lib/index and lib/core/greedy.ml.
+   - Effects   [poll-missing]: budget polls closed over the project call
+               graph, checked against the deadline machinery's poll
+               obligation.
    - Bounds    [bounds-unlicensed], [bounds-unproved],
                [bounds-out-of-bounds], [bounds-unsafe-def],
                [bounds-orphan-licence]: an interval / affine abstract

@@ -10,6 +10,10 @@
    reader, and reports typed diagnostics with file:line:col spans:
 
    - [obj-magic]            any use of [Obj.magic], anywhere.
+   - [domain-spawn]         any start of a second domain ([Domain]'s
+                            [spawn]), anywhere: the program runs one domain,
+                            and nothing checks a parallel region's chunk
+                            bodies for races.
    - [poly-compare]         polymorphic structural comparison in the hot-path
                             code (lib/flow, lib/pqueue, lib/index,
                             lib/core/greedy.ml): the
@@ -36,6 +40,7 @@ let suppression_tags = [ "lint" ]
 
 type rule =
   | Obj_magic
+  | Domain_spawn
   | Poly_compare
   | Missing_mli
   | Partial_raise
@@ -45,6 +50,7 @@ type rule =
 
 let rule_id = function
   | Obj_magic -> "obj-magic"
+  | Domain_spawn -> "domain-spawn"
   | Poly_compare -> "poly-compare"
   | Missing_mli -> "missing-mli"
   | Partial_raise -> "partial-raise"
@@ -120,6 +126,12 @@ let scan_iterator ctx =
         match txt with
         | Ldot (Lident "Obj", "magic") ->
             report ctx loc Obj_magic "Obj.magic defeats the type system"
+        | Ldot (Lident "Domain", "spawn")
+        | Ldot (Ldot (Lident "Stdlib", "Domain"), "spawn") ->
+            report ctx loc Domain_spawn
+              "this starts a second domain, but the program runs one domain \
+               (DESIGN.md §10); a parallel region needs race checks on its \
+               chunk bodies first"
         | Lident "compare" | Ldot (Lident "Stdlib", "compare") ->
             if ctx.sc_hot then
               report ctx loc Poly_compare
@@ -534,8 +546,8 @@ let () =
   let rules =
     List.map rule_id
       [
-        Obj_magic; Poly_compare; Missing_mli; Partial_raise; Dune_unused_dep;
-        Dune_undeclared_dep; Parse_error;
+        Obj_magic; Domain_spawn; Poly_compare; Missing_mli; Partial_raise;
+        Dune_unused_dep; Dune_undeclared_dep; Parse_error;
       ]
   in
   let format, roots = Lint_core.parse_argv ~tool:"geacc_lint" ~rules Sys.argv in

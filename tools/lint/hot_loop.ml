@@ -3,12 +3,10 @@
    needs types and resolved paths.
 
    - [hot-loop-alloc]     per-iteration allocation inside the hot loops —
-                          [while]/[for] bodies, [let rec] function bodies
-                          and [parallel_for]/[parallel_map_chunked]/
-                          [parallel_reduce] chunk bodies (which run once per
-                          chunk) of the hot-path modules (lib/flow,
-                          lib/pqueue, lib/index, lib/par, and
-                          lib/core/greedy.ml but not the rest of lib/core):
+                          [while]/[for] bodies and [let rec] function bodies
+                          of the hot-path modules (lib/flow, lib/pqueue,
+                          lib/index, and lib/core/greedy.ml but not the
+                          rest of lib/core):
                           tuple/record/array/constructor
                           and polymorphic-variant blocks, closures, partial
                           applications, lazy blocks, ref cells, let-bound
@@ -30,7 +28,7 @@ open Analyze_core
    oracle, greedy_naive.ml, which materialises every pair by design, stays
    out. *)
 let hot_markers =
-  [ "lib/flow/"; "lib/pqueue/"; "lib/index/"; "lib/par/"; "lib/core/greedy." ]
+  [ "lib/flow/"; "lib/pqueue/"; "lib/index/"; "lib/core/greedy." ]
 let inline_advisory_max_lines = 5
 
 let is_hot = under hot_markers
@@ -102,9 +100,7 @@ let alloc loc message = report loc "hot-loop-alloc" message
 (* The leading Texp_function spine of a recursive binding is the function's
    own parameter list — allocated once at the binding, not once per
    recursive call — so only the spine's leaf bodies (and guards) are
-   hot-loop contexts. A chunk body handed to the domain pool gets the same
-   treatment: it runs once per chunk, but its parameter spine is allocated
-   once per combinator call. *)
+   hot-loop contexts. *)
 let rec walk_rec_body st (it : Tast_iterator.iterator)
     (e : Typedtree.expression) =
   match e.exp_desc with
@@ -255,17 +251,6 @@ let scan u str =
           (fun (vb : Typedtree.value_binding) -> walk_rec_body st it vb.vb_expr)
           vbs;
         it.expr it body
-    | Texp_apply (f, args) when is_parallel_combinator f ->
-        it.expr it f;
-        List.iter
-          (fun ((_, arg) : _ * Typedtree.expression option) ->
-            match arg with
-            | Some a -> (
-                match a.exp_desc with
-                | Texp_function _ -> walk_rec_body st it a
-                | _ -> it.expr it a)
-            | None -> ())
-          args
     | _ -> default_iterator.expr it e
   in
   let value_binding it (vb : Typedtree.value_binding) =

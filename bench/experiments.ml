@@ -433,15 +433,20 @@ let ablation_greedy profile =
     (fun n_users ->
       Printf.eprintf "[bench] ablation-greedy: |U| = %d\n%!" n_users;
       let cfg = { Synthetic.default with Synthetic.n_users } in
-      let make () = Synthetic.generate ~seed:1 cfg in
-      let m1, t1 = Measure.time (fun () -> Greedy.solve (make ())) in
-      let _, mem1, _ =
-        Measure.run_with_peak (fun () -> Greedy.solve (make ()))
+      (* Each measured region solves an instance generated before it
+         starts, so neither column counts generation. *)
+      let timed solve =
+        let inst = Synthetic.generate ~seed:1 cfg in
+        Measure.time (fun () -> solve inst)
+      and sampled solve =
+        let inst = Synthetic.generate ~seed:1 cfg in
+        let _, bytes, `Exact = Measure.run_with_peak (fun () -> solve inst) in
+        bytes
       in
-      let m2, t2 = Measure.time (fun () -> Greedy_naive.solve (make ())) in
-      let _, mem2, _ =
-        Measure.run_with_peak (fun () -> Greedy_naive.solve (make ()))
-      in
+      let m1, t1 = timed Greedy.solve in
+      let mem1 = sampled Greedy.solve in
+      let m2, t2 = timed Greedy_naive.solve in
+      let mem2 = sampled Greedy_naive.solve in
       let same =
         Matching.pairs m1 = Matching.pairs m2
         && Int64.equal

@@ -7,6 +7,7 @@ type measurement = {
   matched_pairs : int;
   wall_s : float;
   live_bytes : int;
+  matching : Matching.t;
 }
 
 (* The instance's own data with no neighbour list open: a solve on it pays
@@ -47,6 +48,7 @@ let measure ?(seed = 42) algorithm instance =
     matched_pairs = Matching.size matching;
     wall_s;
     live_bytes = peak_bytes;
+    matching;
   }
 
 type aggregate = {

@@ -11,6 +11,7 @@ type measurement = {
   matched_pairs : int;
   wall_s : float;
   live_bytes : int;   (** Peak live-heap growth during the solve call. *)
+  matching : Geacc_core.Matching.t;  (** The timed run's arrangement. *)
 }
 
 val measure :

@@ -21,17 +21,13 @@ let set_slot s node x =
    querying users): one ranked list per querying node, opened on its first
    query. With a distance profile each list is a scan of the targets'
    attribute vectors, gathered into one array when the source is built;
-   otherwise it is a scan of [sim]. An event's list is keyed by [-. sim]
-   and cut at 0, so it holds exactly the users of positive similarity in
+   otherwise it is a scan of [sim]. Every list is keyed by [-. sim] and cut
+   at 0, so it holds exactly the targets of positive similarity in
    descending similarity, then id, even where the profile is flat
    (distinct distances, one similarity): the sort-all-pairs greedy's order
-   restricted to the event, which Greedy-GEACC's one-sided walk relies on.
-   A user's list with a distance profile is keyed by the distance and cut
-   at the profile's cutoff, the order the serving layer's canonical
-   arrangement is defined by; it ranks equal similarities at distinct
-   distances by distance, and may end in a tail whose similarity
-   underflowed to 0. Either depends only on the attribute vectors of both
-   sides. *)
+   restricted to the node, which Greedy-GEACC's one-sided walk and the
+   serving layer's canonical arrangement are defined by. It depends only
+   on the attribute vectors of both sides. *)
 type source = {
   index : (Similarity.profile * Point.t array) option;
   lists : Ranked.t slots;
@@ -152,14 +148,9 @@ let open_list t source ~query_is_event ~node =
         if query_is_event then t.events.(node).Entity.attrs
         else t.users.(node).Entity.attrs
       in
-      let n = Array.length points in
-      if query_is_event then
-        let sim_of_dist = profile.Similarity.sim_of_dist in
-        Ranked.scan ~n ~cutoff:0. (fun i ->
-            -.sim_of_dist (Point.dist query points.(i)))
-      else
-        Ranked.scan ~n ~cutoff:profile.Similarity.cutoff (fun i ->
-            Point.dist query points.(i))
+      let sim_of_dist = profile.Similarity.sim_of_dist in
+      Ranked.scan ~n:(Array.length points) ~cutoff:0. (fun i ->
+          -.sim_of_dist (Point.dist query points.(i)))
   | None ->
       let n = if query_is_event then n_users t else n_events t in
       Ranked.scan ~n ~cutoff:0. (fun j ->
@@ -175,27 +166,17 @@ let[@inline] list_of t source ~query_is_event ~node =
 
 (* The rank read every neighbour query goes through: the target id at
    [rank], or -1 past the list's end, and the similarity at a rank that
-   exists. Neither allocates once the list is open (bar the similarity a
-   distance profile computes for a user's list). *)
+   exists. Neither allocates once the list is open. *)
 let[@inline] rank_id list rank =
   if Ranked.reach list rank then Ranked.id list rank else -1
 
-let[@inline] rank_sim source ~query_is_event list rank =
-  match source.index with
-  | Some (profile, _) when not query_is_event ->
-      profile.Similarity.sim_of_dist (Ranked.key list rank)
-  | _ -> -.Ranked.key list rank
+let[@inline] rank_sim list rank = -.Ranked.key list rank
 
 let neighbor t source ~query_is_event ~node ~rank =
   assert (rank >= 1);
   let list = list_of t source ~query_is_event ~node in
   let id = rank_id list rank in
-  if id < 0 then None
-  else
-    let s = rank_sim source ~query_is_event list rank in
-    (* A distance-keyed list's similarity is monotone: once it underflows
-       to 0, so do all later ranks. *)
-    if s > 0. then Some (id, s) else None
+  if id < 0 then None else Some (id, rank_sim list rank)
 
 let event_neighbor t ~v ~rank =
   neighbor t (event_source t) ~query_is_event:true ~node:v ~rank
@@ -207,10 +188,7 @@ let[@inline] event_user_at t ~v ~rank =
   rank_id (list_of t (event_source t) ~query_is_event:true ~node:v) rank
 
 let[@inline] event_sim_at t ~v ~rank =
-  let source = event_source t in
-  rank_sim source ~query_is_event:true
-    (list_of t source ~query_is_event:true ~node:v)
-    rank
+  rank_sim (list_of t (event_source t) ~query_is_event:true ~node:v) rank
 
 let prepare_event_queries t = ignore (event_source t : source)
 

@@ -9,14 +9,11 @@
     Each querying node is served from one {!Geacc_index.Ranked} scan,
     opened on its first query and kept: it holds the key and id of every
     in-range target and sorts its prefix as deeper ranks are asked for.
-    An event's list is keyed by the negated similarity (computed through
-    the distance when the similarity has a distance profile, see
-    {!Similarity.dist_profile}) and holds the users of positive
+    Both sides' lists are keyed by the negated similarity (computed
+    through the distance when the similarity has a distance profile, see
+    {!Similarity.dist_profile}) and hold the targets of positive
     similarity, so equal similarities rank by id even where they come from
-    distinct distances. A user's list is keyed by the distance to the
-    event, kept below the profile's cutoff, and so ranks equal
-    similarities at distinct distances by distance; without a profile it
-    too is keyed by the negated similarity. There is no index to build and
+    distinct distances. There is no index to build and
     no index to choose: DESIGN.md §3 records the kd-tree, VA-File and
     iDistance backends that were measured against the scan and retired. *)
 
@@ -62,8 +59,7 @@ val event_neighbor : t -> v:int -> rank:int -> (int * float) option
     positive similarity. [None] when fewer such users exist. *)
 
 val user_neighbor : t -> u:int -> rank:int -> (int * float) option
-(** Symmetric: the [rank]-th most similar event of user [u] (equal
-    similarities at distinct distances in distance order, see above). *)
+(** Symmetric: the [rank]-th most similar event of user [u]. *)
 
 val event_user_at : t -> v:int -> rank:int -> int
 (** The rank read {!event_neighbor} is built on, without its option and

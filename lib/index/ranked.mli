@@ -5,9 +5,13 @@
 
     A list is a {e scan}: it computes every target's key once, keeps the
     ones below a cutoff in a float array and an int array, and sorts the
-    prefix progressively in place: each extension partially quicksorts the
-    next chunk (doubling), so a list drained to depth m costs
-    O(n + m log m) rather than O(n log n) up front.
+    prefix progressively in place: each extension doubles the sorted
+    prefix by partially quicksorting the whole unsorted rest again. So a
+    list drained to depth m costs O(n log m) expected: O(n) to key it,
+    plus O(n) partition work at each of its O(log m) doublings. That is
+    less than an O(n log n) sort up front when m is small, but more than
+    the O(n + m log m) an incremental quicksort that kept its pivots
+    would cost (ROADMAP item 5).
 
     Ids are unique within a list, so the (key, id) order is strict and every
     rank is a function of the keys alone. *)

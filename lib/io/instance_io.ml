@@ -22,6 +22,16 @@ let sim_header sim =
         (Printf.sprintf "Instance_io: custom similarity %S is not serialisable"
            name)
 
+(* [%.17g] round-trips every finite double exactly. *)
+let add_entity buf ~capacity attrs =
+  Buffer.add_string buf (string_of_int capacity);
+  Array.iter
+    (fun x ->
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (Printf.sprintf "%.17g" x))
+    attrs;
+  Buffer.add_char buf '\n'
+
 let save_instance instance =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
@@ -30,14 +40,7 @@ let save_instance instance =
   let side name entities =
     line "%s %d" name (Array.length entities);
     Array.iter
-      (fun (e : Entity.t) ->
-        Buffer.add_string buf (string_of_int e.Entity.capacity);
-        Array.iter
-          (fun x ->
-            Buffer.add_char buf ' ';
-            Buffer.add_string buf (Printf.sprintf "%.17g" x))
-          e.Entity.attrs;
-        Buffer.add_char buf '\n')
+      (fun (e : Entity.t) -> add_entity buf ~capacity:e.Entity.capacity e.Entity.attrs)
       entities
   in
   side "events" (Instance.events instance);
@@ -129,15 +132,18 @@ let parse_capacity ~line s =
   let c = parse_int ~line s in
   if c >= 0 then c else fail ~line "capacity %d is negative" c
 
+let parse_entity ~line ~id = function
+  | capacity :: attrs when attrs <> [] ->
+      Entity.make ~id
+        ~attrs:(Array.of_list (List.map (parse_attr ~line) attrs))
+        ~capacity:(parse_capacity ~line capacity)
+  | toks ->
+      fail ~line "expected `<capacity> <attr...>`, got %S" (String.concat " " toks)
+
 let parse_entities cur ~count =
   Array.init count (fun id ->
       let line, l = next_line cur in
-      match tokens l with
-      | capacity :: attrs when attrs <> [] ->
-          Entity.make ~id
-            ~attrs:(Array.of_list (List.map (parse_attr ~line) attrs))
-            ~capacity:(parse_capacity ~line capacity)
-      | _ -> fail ~line "expected `<capacity> <attr...>`, got %S" l)
+      parse_entity ~line ~id (tokens l))
 
 let load_instance text =
   let cur = { rest = significant_lines text } in

@@ -55,6 +55,18 @@ val parse_sim :
     squared scale ([d r^2], [2 s^2]) must stay a positive finite number.
     @raise Parse_error (with the given line) on anything else. *)
 
+val add_entity : Buffer.t -> capacity:int -> float array -> unit
+(** Appends one entity line of the instance format, [<capacity> <attr_1>
+    ... <attr_d>] and a newline, each attribute in [%.17g] (which reads
+    back bit for bit). The serve-mode trace and snapshot formats write
+    their entity lines with it too. *)
+
+val parse_entity : line:int -> id:int -> string list -> Geacc_core.Entity.t
+(** The inverse of {!add_entity} on a line's tokens, as strict as
+    {!load_instance}: finite attributes, at least one of them, and a
+    non-negative capacity.
+    @raise Parse_error (with the given line) otherwise. *)
+
 val save_instance : Geacc_core.Instance.t -> string
 val write_instance : path:string -> Geacc_core.Instance.t -> unit
 

@@ -15,9 +15,9 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32 ?(prefix = 0) s =
   let table = Lazy.force crc_table in
-  let c = ref 0xffffffff in
+  let c = ref (prefix lxor 0xffffffff) in
   String.iter
     (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;

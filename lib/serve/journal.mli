@@ -34,8 +34,11 @@
 type t
 (** An open journal, positioned for appending. *)
 
-val crc32 : string -> int
-(** IEEE CRC-32 (the zlib/PNG polynomial), as a non-negative int. *)
+val crc32 : ?prefix:int -> string -> int
+(** IEEE CRC-32 (the zlib/PNG polynomial), as a non-negative int.
+    [prefix] is the CRC of bytes that precede [s] (default 0, the CRC of
+    none): the result is then the CRC of the concatenation, so a growing
+    file's CRC is extended by what is appended. *)
 
 type record = { seq : int; payload : string }
 

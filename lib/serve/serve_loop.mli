@@ -21,8 +21,9 @@
     journal's strict seq monotonicity.
 
     Crash checkpoints ([serve.crash@N] kills the N-th): after the journal
-    append, after the in-memory commit (pre-ack), around the snapshot
-    rename (two, inside [Snapshot.save]) and after the journal truncate.
+    append, after the in-memory commit (pre-ack), three inside
+    [Snapshot.save] (after the entity segment's append, and around the
+    mutable part's rename) and after the journal truncate.
     [io.short_write] additionally crashes mid-append with a torn record.
     These exceptions propagate out of {!run} — the process {e is} the
     crash site; the recovery fuzz re-runs {!run} against the surviving
@@ -45,7 +46,9 @@ val health_name : health -> string
 (** ["ok"] / ["degraded"] / ["draining"]. *)
 
 type config = {
-  state_dir : string;  (** Holds [journal.wal] and [snapshot.geacc]. *)
+  state_dir : string;
+      (** Holds [journal.wal], [snapshot.geacc] and its entity segment
+          [snapshot.geacc.seg]. *)
   mode : mode;
   dirty_threshold : float;
       (** Ignored by the loop: repair always propagates from the touched

@@ -1,5 +1,4 @@
 open Geacc_core
-module Instance_io = Geacc_io.Instance_io
 module Budget = Geacc_robust.Budget
 module Error = Geacc_robust.Error
 module Binary_heap = Geacc_pqueue.Binary_heap
@@ -43,6 +42,15 @@ type live = {
   walks : walk vec;  (* per user *)
 }
 
+type segment = {
+  dir : string;
+  name : string;
+  bytes : int;
+  crc : int;
+  n_users : int;
+  n_events : int;
+}
+
 type t = {
   sim : Similarity.t;
   users : Entity.t vec;
@@ -58,6 +66,7 @@ type t = {
   mutable live : live option;  (* built on first use, see [ensure_live] *)
   mutable loaded : (int * int) list;
       (* a snapshot's pairs (lex order) until [live] adopts them *)
+  mutable segment : segment option;  (* see [Snapshot] *)
 }
 
 let create ~sim =
@@ -75,6 +84,7 @@ let create ~sim =
     inst = None;
     live = None;
     loaded = [];
+    segment = None;
   }
 
 let seq t = t.seq
@@ -655,6 +665,9 @@ let fnv1a64 s =
     s;
   !h
 
+let conflicts t =
+  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.conflicts [])
+
 let digest t =
   let buf = Buffer.create 1024 in
   Printf.bprintf buf "seq %d cursor %d users %d events %d\n" t.seq t.cursor
@@ -667,198 +680,47 @@ let digest t =
     Printf.bprintf buf "v %d %b\n" (vec_get t.events v).Entity.capacity
       (vec_get t.closed v)
   done;
-  List.iter
-    (fun (v, w) -> Printf.bprintf buf "cf %d %d\n" v w)
-    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.conflicts []));
+  List.iter (fun (v, w) -> Printf.bprintf buf "cf %d %d\n" v w) (conflicts t);
   iter_pairs t (fun v u _ -> Printf.bprintf buf "p %d %d\n" v u);
   Printf.bprintf buf "maxsum %Lx\n" (Int64.bits_of_float (maxsum t));
   Printf.sprintf "%016Lx" (fnv1a64 (Buffer.contents buf))
 
-(* -- Snapshot payload ------------------------------------------------- *)
+(* -- Persistence ------------------------------------------------------ *)
 
-let flagged_ids flags =
-  let acc = ref [] in
-  for i = flags.len - 1 downto 0 do
-    if vec_get flags i then acc := i :: !acc
-  done;
-  !acc
+let sim t = t.sim
+let user t u = vec_get t.users u
+let event t v = vec_get t.events v
+let departed t u = vec_get t.departed u
+let closed t v = vec_get t.closed v
 
-let save t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "geacc-serve-state 2\n";
-  Printf.bprintf buf "seq %d\n" t.seq;
-  Printf.bprintf buf "cursor %d\n" t.cursor;
-  (* The dirty bound survives the round-trip: a snapshot can be taken while
-     a repair is still pending (rejected or degraded batch in between), and
-     dropping the bound would let recovery replay from the stale cursor —
-     above the first user whose walk changed. [n_users] stands in for the
-     max_int clean marker; [dirty_from] caps there anyway. *)
-  Printf.bprintf buf "dirty %d\n" (min (min (min_seed t) t.dirty) t.users.len);
-  Printf.bprintf buf "%s\n" (Instance_io.sim_header t.sim);
-  let inst_text =
-    match instance t with None -> "" | Some i -> Instance_io.save_instance i
-  in
-  Printf.bprintf buf "instance %d\n" (String.length inst_text);
-  Buffer.add_string buf inst_text;
-  let pairs_text = Instance_io.save_pairs (pairs t) in
-  Printf.bprintf buf "pairs %d\n" (String.length pairs_text);
-  Buffer.add_string buf pairs_text;
-  let id_line keyword ids =
-    Printf.bprintf buf "%s %d%s\n" keyword (List.length ids)
-      (String.concat "" (List.map (Printf.sprintf " %d") ids))
-  in
-  id_line "departed" (flagged_ids t.departed);
-  id_line "closed" (flagged_ids t.closed);
-  Buffer.contents buf
+(* [n_users] stands in for the max_int clean marker; [dirty_from] caps
+   there anyway. *)
+let dirty_bound t = min (min (min_seed t) t.dirty) t.users.len
 
-exception Fail of { line : int; message : string }
+let segment t = t.segment
+let set_segment t s = t.segment <- Some s
 
-let load text =
-  let pos = ref 0 and lineno = ref 0 in
-  let len = String.length text in
-  let fail fmt =
-    Printf.ksprintf (fun message -> raise (Fail { line = !lineno; message })) fmt
+let vec_of_array a = { data = a; len = Array.length a }
+
+let restore ~sim ~seq ~cursor ~dirty ~users ~events ~departed ~closed ~conflicts
+    ~pairs =
+  let flags n ids =
+    let f = Array.make n false in
+    List.iter (fun i -> f.(i) <- true) ids;
+    vec_of_array f
   in
-  let read_line () =
-    incr lineno;
-    if !pos >= len then fail "unexpected end of input";
-    match String.index_from_opt text !pos '\n' with
-    | None -> fail "unexpected end of input"
-    | Some nl ->
-        let l = String.sub text !pos (nl - !pos) in
-        pos := nl + 1;
-        l
+  let t =
+    {
+      (create ~sim) with
+      users = vec_of_array users;
+      events = vec_of_array events;
+      departed = flags (Array.length users) departed;
+      closed = flags (Array.length events) closed;
+      seq;
+      cursor;
+      dirty = (if dirty >= Array.length users then max_int else dirty);
+      loaded = pairs;
+    }
   in
-  let read_blob n =
-    if !pos + n > len then fail "embedded section of %d bytes cut short" n;
-    let blob = String.sub text !pos n in
-    pos := !pos + n;
-    String.iter (fun c -> if c = '\n' then incr lineno) blob;
-    blob
-  in
-  let tokens l = String.split_on_char ' ' l |> List.filter (( <> ) "") in
-  let parse_int s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> fail "expected an integer, got %S" s
-  in
-  let section keyword =
-    let l = read_line () in
-    match tokens l with
-    | [ k; n ] when k = keyword ->
-        let n = parse_int n in
-        if n < 0 then fail "negative %s length %d" keyword n;
-        n
-    | _ -> fail "expected `%s <len>`, got %S" keyword l
-  in
-  let id_section keyword ~bound =
-    let l = read_line () in
-    match tokens l with
-    | k :: n :: ids when k = keyword ->
-        let n = parse_int n in
-        let ids = List.map parse_int ids in
-        if List.length ids <> n then
-          fail "%s declares %d ids but lists %d" keyword n (List.length ids);
-        List.iter
-          (fun i ->
-            if i < 0 || i >= bound then
-              fail "%s id %d out of range [0, %d)" keyword i bound)
-          ids;
-        ids
-    | _ -> fail "expected `%s <count> <id...>`, got %S" keyword l
-  in
-  match
-    (let l = read_line () in
-     match tokens l with
-     | [ "geacc-serve-state"; "2" ] -> ()
-     | _ -> fail "expected `geacc-serve-state 2` header, got %S" l);
-    let seq =
-      match tokens (read_line ()) with
-      | [ "seq"; n ] ->
-          let n = parse_int n in
-          if n < 0 then fail "negative seq %d" n;
-          n
-      | _ -> fail "expected `seq <n>`"
-    in
-    let cursor =
-      match tokens (read_line ()) with
-      | [ "cursor"; n ] ->
-          let n = parse_int n in
-          if n < 0 then fail "negative cursor %d" n;
-          n
-      | _ -> fail "expected `cursor <n>`"
-    in
-    let dirty =
-      match tokens (read_line ()) with
-      | [ "dirty"; n ] ->
-          let n = parse_int n in
-          if n < 0 then fail "negative dirty bound %d" n;
-          n
-      | _ -> fail "expected `dirty <n>`"
-    in
-    let sim =
-      match tokens (read_line ()) with
-      | "sim" :: args -> (
-          try Instance_io.parse_sim ~line:!lineno args
-          with Instance_io.Parse_error { line = _; message } ->
-            fail "%s" message)
-      | _ -> fail "expected `sim ...`"
-    in
-    let inst_blob = read_blob (section "instance") in
-    let pairs_blob = read_blob (section "pairs") in
-    let t = create ~sim in
-    t.seq <- seq;
-    if inst_blob <> "" then begin
-      let inst =
-        try Instance_io.load_instance inst_blob
-        with Instance_io.Parse_error { line; message } ->
-          raise
-            (Fail { line = !lineno; message = Printf.sprintf
-                      "embedded instance (line %d): %s" line message })
-      in
-      Array.iter
-        (fun e ->
-          vec_push t.users e;
-          vec_push t.departed false)
-        (Instance.users inst);
-      Array.iter
-        (fun e ->
-          vec_push t.events e;
-          vec_push t.closed false)
-        (Instance.events inst);
-      Conflict.iter_pairs (Instance.conflicts inst) (fun v w ->
-          let key = (v, w) in
-          Hashtbl.replace t.conflicts key ())
-    end;
-    let pairs =
-      try Instance_io.load_pairs pairs_blob
-      with Instance_io.Parse_error { line; message } ->
-        raise
-          (Fail { line = !lineno; message = Printf.sprintf
-                    "embedded matching (line %d): %s" line message })
-    in
-    List.iter
-      (fun (v, u) ->
-        if v < 0 || v >= t.events.len then
-          fail "pair event id %d out of range [0, %d)" v t.events.len;
-        if u < 0 || u >= t.users.len then
-          fail "pair user id %d out of range [0, %d)" u t.users.len)
-      pairs;
-    t.loaded <- pairs;
-    if cursor > t.users.len then
-      fail "cursor %d beyond the %d users" cursor t.users.len;
-    t.cursor <- cursor;
-    if dirty > t.users.len then
-      fail "dirty bound %d beyond the %d users" dirty t.users.len;
-    t.dirty <- (if dirty >= t.users.len then max_int else dirty);
-    List.iter (fun u -> vec_set t.departed u true) (id_section "departed" ~bound:t.users.len);
-    List.iter (fun v -> vec_set t.closed v true) (id_section "closed" ~bound:t.events.len);
-    if !pos <> len then begin
-      incr lineno;
-      fail "trailing content"
-    end;
-    t
-  with
-  | t -> Ok t
-  | exception Fail { line; message } ->
-      Error (Error.Parse_error { line; message })
+  List.iter (fun k -> Hashtbl.replace t.conflicts k ()) conflicts;
+  t

@@ -67,7 +67,7 @@ val n_pairs : t -> int
 val instance : t -> Geacc_core.Instance.t option
 (** The current world as a solver instance (tombstones included as
     capacity-0 entities), [None] while no entity exists. Built cold on
-    first use after {!create} or {!load}; after that every applied batch
+    first use after {!create} or {!restore}; after that every applied batch
     re-wraps it around the new entity arrays with
     [Instance.with_entities], so the user-side NN source (event index and
     ranked streams) carries over and only a batch opening an event
@@ -137,18 +137,67 @@ val digest : t -> string
     [cursor]. Two states with equal digests went through equivalent
     histories; crash-recovery fuzz compares these. *)
 
-val save : t -> string
-(** Snapshot payload: a [geacc-serve-state 2] header,
-    [seq]/[cursor]/[dirty]/[sim] lines, then length-prefixed embedded
-    [Instance_io] instance and matching texts plus the tombstone id lists.
-    The [dirty] line is {!dirty_from} without the cursor cap: a snapshot
-    may be taken while a repair is pending (a rejected or degraded batch
-    since the last commit), and recovery then re-walks every user from
-    there; [n_users] encodes the clean state. *)
+(** {2 Persistence}
 
-val load : string -> (t, Geacc_robust.Error.t) result
-(** Inverse of {!save}, strict in the [Instance_io] way. {!dirty_from} of
-    the loaded state equals that of the saved one. Loading retains only
-    the entities, conflicts and pairs: the instance, its NN streams and
-    the live arrangement (with each user's walk read back from the loaded
-    pairs) are built on first use. *)
+    What {!Snapshot} writes and reads back. The state holds no rendered
+    text: a snapshot renders what it needs on each save. *)
+
+val sim : t -> Geacc_core.Similarity.t
+
+val user : t -> int -> Geacc_core.Entity.t
+(** The user with this id as it stands: a departed user is a capacity-0
+    tombstone. *)
+
+val event : t -> int -> Geacc_core.Entity.t
+(** Likewise; a closed event is a capacity-0 tombstone. *)
+
+val departed : t -> int -> bool
+val closed : t -> int -> bool
+
+val conflicts : t -> (int * int) list
+(** The conflict pairs [(v, w)] with [v < w], sorted. *)
+
+val dirty_bound : t -> int
+(** {!dirty_from} without the cursor cap, [n_users] when nothing is
+    pending. A snapshot may be taken while a repair is pending (a
+    rejected or degraded batch since the last commit); recovery then
+    re-walks every user from here. *)
+
+val restore :
+  sim:Geacc_core.Similarity.t ->
+  seq:int ->
+  cursor:int ->
+  dirty:int ->
+  users:Geacc_core.Entity.t array ->
+  events:Geacc_core.Entity.t array ->
+  departed:int list ->
+  closed:int list ->
+  conflicts:(int * int) list ->
+  pairs:(int * int) list ->
+  t
+(** A state with these contents: the inverse of the accessors above, with
+    [dirty] read as {!dirty_bound} and [pairs] the arrangement in lex
+    order. The caller has checked them: ids at their array positions, one
+    attribute dimension, every id, cursor and bound in range, conflicts
+    normalised and distinct. {!dirty_from} of the result equals that of
+    the state the values came from. Only the entities, conflicts and
+    pairs are kept: the instance, its neighbour lists and the live
+    arrangement (each user's walk read back from the pairs) are built on
+    first use. *)
+
+type segment = {
+  dir : string;  (** The directory of the snapshot it belongs to. *)
+  name : string;  (** The segment file's name in [dir]. *)
+  bytes : int;  (** The length of its prefix this state's entities fill. *)
+  crc : int;  (** {!Journal.crc32} of that prefix. *)
+  n_users : int;  (** Users the prefix holds: ids [0, n_users). *)
+  n_events : int;
+}
+(** {!Snapshot}'s record of the entity segment this state was loaded from
+    or last saved to. Not part of the state: {!digest} ignores it. *)
+
+val segment : t -> segment option
+(** [None] after {!create}, and after {!restore} until a snapshot sets
+    one. *)
+
+val set_segment : t -> segment -> unit

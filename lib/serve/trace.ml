@@ -32,13 +32,7 @@ type t = { sim : Similarity.t; batches : batch list }
 let add_entity buf keyword capacity attrs =
   Buffer.add_string buf keyword;
   Buffer.add_char buf ' ';
-  Buffer.add_string buf (string_of_int capacity);
-  Array.iter
-    (fun x ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (Printf.sprintf "%.17g" x))
-    attrs;
-  Buffer.add_char buf '\n'
+  Geacc_io.Instance_io.add_entity buf ~capacity attrs
 
 let add_op buf = function
   | User_arrive { capacity; attrs } -> add_entity buf "user-arrive" capacity attrs

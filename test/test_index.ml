@@ -271,6 +271,37 @@ let prop_instance_neighbours =
       in
       events_ok && users_ok)
 
+(* Equal similarities at distinct distances rank by id on both sides. A
+   Gaussian flattens to one subnormal similarity far out, so two events a
+   hair apart there tie for a user: the nearer one has the higher id, and
+   a distance-keyed list would rank it first. *)
+let test_similarity_ties_by_id () =
+  let sim = Similarity.gaussian ~sigma:1. in
+  let f = (Option.get (Similarity.dist_profile sim)).Similarity.sim_of_dist in
+  let rec flat x =
+    if x > 38.7 then Alcotest.fail "no flat stretch of the Gaussian profile"
+    else if f x > 0. && Float.equal (f x) (f (x +. 1e-4)) then x
+    else flat (x +. 1e-3)
+  in
+  let near = flat 38.5 in
+  let at id x = Entity.make ~id ~attrs:[| x |] ~capacity:1 in
+  let far_first = [| at 0 (near +. 1e-4); at 1 near |] and origin = [| at 0 0. |] in
+  let events_tie =
+    Instance.create ~sim ~events:far_first ~users:origin
+      ~conflicts:(Conflict.create ~n_events:2) ()
+  and users_tie =
+    Instance.create ~sim ~events:origin ~users:far_first
+      ~conflicts:(Conflict.create ~n_events:1) ()
+  in
+  let ids next = List.map (fun rank -> Option.map fst (next ~rank)) [ 1; 2; 3 ] in
+  let want = [ Some 0; Some 1; None ] in
+  Alcotest.(check (list (option int)))
+    "a user's events" want
+    (ids (fun ~rank -> Instance.user_neighbor events_tie ~u:0 ~rank));
+  Alcotest.(check (list (option int)))
+    "an event's users" want
+    (ids (fun ~rank -> Instance.event_neighbor users_tie ~v:0 ~rank))
+
 (* [candidate_users] runs the scan an event's list runs; it must equal the
    event's neighbour ranks cut at the gate, in ids and similarity bits. *)
 let test_candidate_users_match_ranks () =
@@ -350,6 +381,8 @@ let suite =
       test_stream_cutoff_in_bulk_mode;
     QCheck_alcotest.to_alcotest prop_ranked_matches_sort;
     QCheck_alcotest.to_alcotest prop_instance_neighbours;
+    Alcotest.test_case "similarity ties rank by id" `Quick
+      test_similarity_ties_by_id;
     Alcotest.test_case "candidate users = event ranks" `Quick
       test_candidate_users_match_ranks;
   ]

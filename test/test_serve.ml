@@ -194,9 +194,8 @@ let test_journal_seq_regression_rejected () =
 
 (* -- State + snapshot -------------------------------------------------- *)
 
-let built_state () =
-  let trace = tiny_trace () in
-  let state = Serve_state.create ~sim:trace.Trace.sim in
+(* Applies, repairs and commits each batch. *)
+let serve_all state batches =
   List.iter
     (fun batch ->
       match Serve_state.apply_batch state batch with
@@ -206,20 +205,37 @@ let built_state () =
           in
           Serve_state.commit state r
       | Error e -> Alcotest.failf "apply: %s" (Error.to_string e))
-    trace.Trace.batches;
+    batches
+
+let built_state () =
+  let trace = tiny_trace () in
+  let state = Serve_state.create ~sim:trace.Trace.sim in
+  serve_all state trace.Trace.batches;
   state
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A snapshot written to [path] and read back. *)
+let reload ~path state =
+  Snapshot.save ~path state;
+  match Snapshot.load ~path with
+  | Ok back -> back
+  | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
 
 let test_state_save_load () =
   let state = built_state () in
-  match Serve_state.load (Serve_state.save state) with
-  | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
-  | Ok back ->
+  with_tmpdir (fun dir ->
+      let back = reload ~path:(Filename.concat dir "snapshot.geacc") state in
       Alcotest.(check string)
         "digest survives the round-trip" (Serve_state.digest state)
         (Serve_state.digest back);
       Alcotest.(check int) "seq" (Serve_state.seq state) (Serve_state.seq back);
       Alcotest.(check int)
-        "cursor" (Serve_state.cursor state) (Serve_state.cursor back)
+        "cursor" (Serve_state.cursor state) (Serve_state.cursor back))
 
 let test_snapshot_roundtrip () =
   with_tmpdir (fun dir ->
@@ -240,14 +256,8 @@ let test_snapshot_corruption_rejected () =
       let state = built_state () in
       let path = Filename.concat dir "snapshot.geacc" in
       Snapshot.save ~path state;
-      let text =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
       (* Flip one payload byte well past the header lines. *)
-      let b = Bytes.of_string text in
+      let b = Bytes.of_string (read_file path) in
       let pos = Bytes.length b - 2 in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
       let oc = open_out_bin path in
@@ -257,6 +267,181 @@ let test_snapshot_corruption_rejected () =
       | Error (Error.Parse_error _) -> ()
       | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
       | Ok _ -> Alcotest.fail "corrupt snapshot accepted")
+
+(* -- Snapshot format v3: entity segment plus mutable part --------------- *)
+
+let file_size path = (Unix.stat path).Unix.st_size
+let segment_path dir = Filename.concat dir "snapshot.geacc.seg"
+
+(* Serves the churn trace batch by batch, saving after every batch into
+   one directory and carrying on from the loaded state on odd batches and
+   from the live one on even batches: every load equals what was saved,
+   and the segment only ever grows by the entities each save adds. *)
+let test_snapshot_v3_roundtrip () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "snapshot.geacc" in
+      let trace = churn_trace ~seed:3 () in
+      let state = ref (Serve_state.create ~sim:trace.Trace.sim) in
+      List.iteri
+        (fun i (batch : Trace.batch) ->
+          serve_all !state [ batch ];
+          let before = if i = 0 then 0 else file_size (segment_path dir) in
+          let back = reload ~path !state in
+          let label = Printf.sprintf "batch %d" batch.Trace.seq in
+          Alcotest.(check string)
+            (label ^ ": digest") (Serve_state.digest !state) (Serve_state.digest back);
+          Alcotest.(check int)
+            (label ^ ": pending bound") (Serve_state.dirty_from !state)
+            (Serve_state.dirty_from back);
+          let arrivals =
+            List.length
+              (List.filter
+                 (function Trace.User_arrive _ | Trace.Event_open _ -> true | _ -> false)
+                 batch.Trace.ops)
+          in
+          Alcotest.(check bool)
+            (label ^ ": the segment grew iff entities arrived")
+            (arrivals > 0)
+            (file_size (segment_path dir) > before);
+          if i mod 2 = 1 then state := back)
+        trace.Trace.batches)
+
+(* A save that brings no entity appends nothing, and the mutable part
+   holds no attribute value: past the wrapper's [crc] line every token is
+   an integer or a word without digits. *)
+let test_snapshot_mutable_part_is_integers () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "snapshot.geacc" in
+      let state = built_state () in
+      Snapshot.save ~path state;
+      let size = file_size (segment_path dir) in
+      serve_all state
+        [
+          {
+            Trace.seq = Serve_state.seq state + 1;
+            ts = 1e6;
+            tier = Trace.Must;
+            ops = [ Trace.User_depart 0; Trace.Event_capacity { v = 1; capacity = 3 } ];
+          };
+        ];
+      Snapshot.save ~path state;
+      Alcotest.(check int) "no segment bytes appended" size (file_size (segment_path dir));
+      let has_digit t = String.exists (fun c -> c >= '0' && c <= '9') t in
+      String.split_on_char '\n' (read_file path)
+      |> List.iteri (fun i line ->
+             if i >= 2 then
+               List.iter
+                 (fun tok ->
+                   if has_digit tok && int_of_string_opt tok = None then
+                     Alcotest.failf "line %d holds a non-integer %S" (i + 1) tok)
+                 (String.split_on_char ' ' line));
+      match Snapshot.load ~path with
+      | Ok back ->
+          Alcotest.(check string) "digest" (Serve_state.digest state)
+            (Serve_state.digest back)
+      | Error e -> Alcotest.failf "load: %s" (Error.to_string e))
+
+(* A save killed between its segment append and its mutable part leaves an
+   unreferenced tail; cut in half it is also torn. Load ignores it, and the
+   next save cuts it off before appending. *)
+let test_snapshot_torn_tail () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "snapshot.geacc" in
+      let trace = tiny_trace () in
+      let first, rest =
+        List.partition (fun (b : Trace.batch) -> b.Trace.seq <= 6) trace.Trace.batches
+      in
+      let state = Serve_state.create ~sim:trace.Trace.sim in
+      serve_all state first;
+      Snapshot.save ~path state;
+      let saved = Serve_state.digest state and referenced = file_size (segment_path dir) in
+      serve_all state rest;
+      (match Fault.with_plan "serve.crash@1" (fun () -> Snapshot.save ~path state) with
+      | () -> Alcotest.fail "the save was not cut"
+      | exception Fault.Injected { point = "serve.crash" } -> ());
+      let grown = file_size (segment_path dir) in
+      Alcotest.(check bool) "the cut save appended" true (grown > referenced);
+      Unix.truncate (segment_path dir) (referenced + ((grown - referenced) / 2));
+      let back =
+        match Snapshot.load ~path with
+        | Ok back -> back
+        | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
+      in
+      Alcotest.(check string) "the tail is ignored" saved (Serve_state.digest back);
+      Snapshot.save ~path back;
+      Alcotest.(check int) "the next save truncates it" referenced
+        (file_size (segment_path dir));
+      serve_all back rest;
+      let again = reload ~path back in
+      Alcotest.(check string) "and appends after it" (Serve_state.digest state)
+        (Serve_state.digest again))
+
+(* Damage to the referenced prefix, or its absence, is a parse error that
+   names the segment on the mutable part's [segment] line (line 8). *)
+let test_snapshot_segment_errors () =
+  let expect what ~damage ~mentions =
+    with_tmpdir (fun dir ->
+        let path = Filename.concat dir "snapshot.geacc" in
+        Snapshot.save ~path (built_state ());
+        damage (segment_path dir);
+        match Snapshot.load ~path with
+        | Error (Error.Parse_error { line; message }) ->
+            Alcotest.(check int) (what ^ ": the segment line") 8 line;
+            let n = String.length mentions in
+            let rec found i =
+              i + n <= String.length message
+              && (String.sub message i n = mentions || found (i + 1))
+            in
+            if not (found 0) then
+              Alcotest.failf "%s: unexpected message %S" what message
+        | Error e -> Alcotest.failf "%s: wrong error %s" what (Error.to_string e)
+        | Ok _ -> Alcotest.failf "%s: accepted" what)
+  in
+  expect "crc mismatch" ~mentions:"crc mismatch" ~damage:(fun seg ->
+      let b = Bytes.of_string (read_file seg) in
+      let pos = Bytes.length b / 2 in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
+      let oc = open_out_bin seg in
+      output_bytes oc b;
+      close_out oc);
+  expect "short prefix" ~mentions:"the snapshot references" ~damage:(fun seg ->
+      Unix.truncate seg (file_size seg - 1));
+  expect "missing segment" ~mentions:"is missing" ~damage:Sys.remove
+
+(* A state directory written in the v2 format (test/fixtures/serve-v2)
+   loads with every user pending, and serving the rest of its trace ends
+   on the digest of a full replay; the run rewrites it as v3. *)
+let test_snapshot_v2_migration () =
+  let fixture = Filename.concat "fixtures" "serve-v2" in
+  let trace =
+    match Trace.parse (read_file (Filename.concat fixture "tiny.trace")) with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "fixture trace: %s" (Error.to_string e)
+  in
+  (match Snapshot.load ~path:(Filename.concat fixture "snapshot.geacc") with
+  | Ok v2 ->
+      Alcotest.(check int) "seq" 12 (Serve_state.seq v2);
+      Alcotest.(check int) "every user pending" 0 (Serve_state.dirty_from v2)
+  | Error e -> Alcotest.failf "v2 load: %s" (Error.to_string e));
+  let full =
+    with_tmpdir (fun dir ->
+        (run_ok { (Serve_loop.default ~state_dir:dir) with Serve_loop.mode = Serve_loop.Full } trace)
+          .Serve_loop.digest)
+  in
+  with_tmpdir (fun dir ->
+      List.iter
+        (fun f ->
+          let oc = open_out_bin (Filename.concat dir f) in
+          output_string oc (read_file (Filename.concat fixture f));
+          close_out oc)
+        [ "snapshot.geacc"; "journal.wal" ];
+      let config = { (Serve_loop.default ~state_dir:dir) with Serve_loop.snapshot_every = 4 } in
+      let report = run_ok config trace in
+      Alcotest.(check int) "journal tail replayed" 2 report.Serve_loop.replayed;
+      Alcotest.(check string) "digest equals a full replay" full report.Serve_loop.digest;
+      Alcotest.(check bool) "rewritten as v3" true
+        (List.nth (String.split_on_char '\n' (read_file (Filename.concat dir "snapshot.geacc"))) 2
+        = "geacc-serve-state 3"))
 
 let test_state_rejects_bad_batches () =
   let trace = tiny_trace () in
@@ -539,13 +724,10 @@ let test_cut_then_finish () =
    a cut's dirty bound) loads into a state that repairs to the canonical
    arrangement. *)
 let test_load_pending () =
+  with_tmpdir @@ fun dir ->
   let trace = churn_trace ~seed:4 () in
   let state = ref (Serve_state.create ~sim:trace.Trace.sim) in
-  let reload () =
-    match Serve_state.load (Serve_state.save !state) with
-    | Ok s -> state := s
-    | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
-  in
+  let reload () = state := reload ~path:(Filename.concat dir "snapshot.geacc") !state in
   List.iteri
     (fun i (batch : Trace.batch) ->
       apply_ok !state batch;
@@ -929,13 +1111,12 @@ let test_state_dirty_survives_save_load () =
   (* Depart the newest user without repairing: dirty sits below cursor. *)
   apply (Serve_state.seq state + 1) [ Trace.User_depart u ];
   Alcotest.(check int) "dirty below cursor" u (Serve_state.dirty_from state);
-  match Serve_state.load (Serve_state.save state) with
-  | Error e -> Alcotest.failf "load: %s" (Error.to_string e)
-  | Ok back ->
+  with_tmpdir (fun dir ->
+      let back = reload ~path:(Filename.concat dir "snapshot.geacc") state in
       Alcotest.(check int)
         "dirty bound survives the round-trip"
         (Serve_state.dirty_from state)
-        (Serve_state.dirty_from back)
+        (Serve_state.dirty_from back))
 
 let test_recovery_is_idempotent () =
   (* Re-running the full trace against an already-complete state skips every
@@ -973,6 +1154,16 @@ let suite =
     Alcotest.test_case "snapshot: round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot: corruption rejected" `Quick
       test_snapshot_corruption_rejected;
+    Alcotest.test_case "snapshot: v3 round-trip, appends only arrivals" `Quick
+      test_snapshot_v3_roundtrip;
+    Alcotest.test_case "snapshot: mutable part holds integers only" `Quick
+      test_snapshot_mutable_part_is_integers;
+    Alcotest.test_case "snapshot: torn segment tail ignored, then cut" `Quick
+      test_snapshot_torn_tail;
+    Alcotest.test_case "snapshot: segment crc, short prefix, missing" `Quick
+      test_snapshot_segment_errors;
+    Alcotest.test_case "snapshot: v2 state directory migrates" `Quick
+      test_snapshot_v2_migration;
     Alcotest.test_case "exact: every batch equals a full replay" `Quick
       test_exact_generated;
     Alcotest.test_case "exact: capacity lowered and raised" `Quick

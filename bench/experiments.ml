@@ -752,162 +752,6 @@ let sparse_flow profile =
   close_out oc;
   Printf.eprintf "[bench] sparse-flow: wrote BENCH_sparse.json\n%!"
 
-(* -- Serving loop: replay latency and journal overhead ------------------ *)
-
-(* Machine-readable profile of `geacc serve` on a generated Meetup trace,
-   written to BENCH_serve.json. Three cells: incremental repair (the
-   default), full replay every batch, and incremental without journal
-   fsyncs. Per cell, total wall time, batch-latency p50/p99, journal time,
-   and the final digest/MaxSum — the incremental and full cells must agree
-   bit-for-bit (the crash-safety tests enforce the same invariant; here it
-   guards the measurement's meaning). The headline ratio is full/incremental
-   mean batch latency: the dirty-suffix repair must not regress to
-   re-serving everyone. *)
-
-module Serve_loop = Geacc_serve.Serve_loop
-module Trace_gen = Geacc_datagen.Trace_gen
-
-let serve_temp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let path =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "geacc_bench_serve_%d_%d" (Unix.getpid ()) !counter)
-    in
-    Unix.mkdir path 0o700;
-    path
-
-let rec serve_rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter
-      (fun e -> serve_rm_rf (Filename.concat path e))
-      (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(Stdlib.min (n - 1) (int_of_float (p *. float_of_int n)))
-
-let serve_cell ~name ~mode ~fsync trace =
-  let dir = serve_temp_dir () in
-  Fun.protect
-    ~finally:(fun () -> serve_rm_rf dir)
-    (fun () ->
-      let config =
-        { (Serve_loop.default ~state_dir:dir) with Serve_loop.mode; fsync }
-      in
-      let out = open_out Filename.null in
-      let result, wall_s =
-        Fun.protect
-          ~finally:(fun () -> close_out out)
-          (fun () -> Measure.time (fun () -> Serve_loop.run config ~out trace))
-      in
-      match result with
-      | Error e ->
-          Printf.eprintf "[bench] serve-replay %s: FAILED %s\n%!" name
-            (Geacc_robust.Error.to_string e);
-          exit 1
-      | Ok report ->
-          let lat = Array.of_list report.Serve_loop.latencies_s in
-          Array.sort compare lat;
-          let mean =
-            if Array.length lat = 0 then nan
-            else Array.fold_left ( +. ) 0. lat /. float_of_int (Array.length lat)
-          in
-          Printf.eprintf
-            "[bench] serve-replay %s: %d batches, mean %.3f ms, p99 %.3f ms, \
-             journal %.1f ms\n\
-             %!"
-            name report.Serve_loop.applied (mean *. 1000.)
-            (percentile lat 0.99 *. 1000.)
-            (report.Serve_loop.journal_s *. 1000.);
-          ( report,
-            mean,
-            Printf.sprintf
-              {|    {
-      "name": "%s",
-      "wall_s": %.6f,
-      "batches": %d,
-      "applied": %d,
-      "full_replays": %d,
-      "snapshots": %d,
-      "latency_mean_s": %.6f,
-      "latency_p50_s": %.6f,
-      "latency_p99_s": %.6f,
-      "journal_s": %.6f,
-      "maxsum": %.17g,
-      "digest": "%s"
-    }|}
-              name wall_s report.Serve_loop.batches report.Serve_loop.applied
-              report.Serve_loop.full_replays report.Serve_loop.snapshots mean
-              (percentile lat 0.5) (percentile lat 0.99)
-              report.Serve_loop.journal_s report.Serve_loop.maxsum
-              report.Serve_loop.digest ))
-
-let serve_replay profile =
-  let city =
-    if profile.full then Meetup.vancouver else Meetup.auckland
-  in
-  let trace = Trace_gen.generate ~seed:1 ~city () in
-  Printf.eprintf "[bench] serve-replay: %s trace, %d batches\n%!"
-    city.Meetup.name
-    (List.length trace.Geacc_serve.Trace.batches);
-  let inc, inc_mean, inc_row =
-    serve_cell ~name:"incremental" ~mode:Serve_loop.Incremental ~fsync:true
-      trace
-  in
-  let full, full_mean, full_row =
-    serve_cell ~name:"full" ~mode:Serve_loop.Full ~fsync:true trace
-  in
-  let nofsync, _, nofsync_row =
-    serve_cell ~name:"incremental-nofsync" ~mode:Serve_loop.Incremental
-      ~fsync:false trace
-  in
-  let bits_equal =
-    Int64.bits_of_float inc.Serve_loop.maxsum
-    = Int64.bits_of_float full.Serve_loop.maxsum
-    && inc.Serve_loop.digest = full.Serve_loop.digest
-  in
-  if not bits_equal then begin
-    Printf.eprintf
-      "[bench] serve-replay: INCREMENTAL/FULL DIVERGED (%s vs %s)\n%!"
-      inc.Serve_loop.digest full.Serve_loop.digest;
-    exit 1
-  end;
-  let speedup = full_mean /. Float.max inc_mean 1e-9 in
-  let fsync_overhead_s =
-    inc.Serve_loop.journal_s -. nofsync.Serve_loop.journal_s
-  in
-  Printf.eprintf
-    "[bench] serve-replay: incremental %.2fx faster per batch, fsync \
-     overhead %.1f ms\n\
-     %!"
-    speedup (fsync_overhead_s *. 1000.);
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    {|{
-  "experiment": "serve-replay",
-  "profile": "%s",
-  "city": "%s",
-  "incremental_speedup": %.4f,
-  "fsync_overhead_s": %.6f,
-  "digests_equal": %b,
-  "cells": [
-%s
-  ]
-}
-|}
-    (if profile.full then "full" else "quick")
-    city.Meetup.name speedup fsync_overhead_s bits_equal
-    (String.concat ",\n" [ inc_row; full_row; nofsync_row ]);
-  close_out oc;
-  Printf.eprintf "[bench] serve-replay: wrote BENCH_serve.json\n%!"
-
 (* -- registry ----------------------------------------------------------- *)
 
 let all : (string * string * (profile -> unit)) list =
@@ -939,7 +783,4 @@ let all : (string * string * (profile -> unit)) list =
     ( "sparse-flow",
       "Similarity-pruned flow network: arcs/time/memory, BENCH_sparse.json",
       sparse_flow );
-    ( "serve-replay",
-      "Serving loop: batch latency, journal overhead, BENCH_serve.json",
-      serve_replay );
   ]

@@ -205,14 +205,13 @@ let write_matching_opt out matching =
    algorithm), report status on stdout, telemetry on stderr, and map a
    degraded-but-feasible result to a distinct exit code so schedulers can
    tell "optimal" from "best effort by the deadline". *)
-let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout
-    ~max_retries ~out =
+let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout ~out =
   let algorithms =
     if fallback then Anytime.default_chain else [ algorithm ]
   in
   match
     Anytime.solve ?timeout_s:timeout ?stage_timeout_s:stage_timeout
-      ~max_retries ~algorithms instance
+      ~algorithms instance
   with
   | Error e -> die "%s" (Robust.Error.to_string e)
   | Ok r ->
@@ -231,26 +230,24 @@ let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout
         status_line
         (r.Anytime.elapsed_s *. 1000.);
       Printf.eprintf
-        "anytime: status=%s stage=%s stages-tried=%d fallbacks=%d retries=%d \
-         faults=%d injected-faults=%d audit-violations=%d\n"
+        "anytime: status=%s stage=%s stages-tried=%d fallbacks=%d faults=%d \
+         injected-faults=%d audit-violations=%d\n"
         (match r.Anytime.status with
         | Robust.Chain.Complete -> "complete"
         | Robust.Chain.Degraded -> "degraded")
         (Solver.short_name r.Anytime.algorithm)
-        r.Anytime.stages_tried r.Anytime.fallbacks r.Anytime.retries
-        r.Anytime.faults
+        r.Anytime.stages_tried r.Anytime.fallbacks r.Anytime.faults
         (Robust.Fault.fires ())
         (Geacc_check.Audit.violations ());
       let table =
         Geacc_util.Table.create ~title:"fallback chain trace"
-          ~headers:[ "stage"; "attempt"; "verdict"; "seconds" ]
+          ~headers:[ "stage"; "verdict"; "seconds" ]
       in
       List.iter
         (fun (t : Robust.Chain.trace_entry) ->
           Geacc_util.Table.add_row table
             [
               t.Robust.Chain.t_stage;
-              string_of_int t.Robust.Chain.t_attempt;
               Format.asprintf "%a" Robust.Chain.pp_verdict
                 t.Robust.Chain.t_verdict;
               Printf.sprintf "%.3f" t.Robust.Chain.t_seconds;
@@ -315,12 +312,6 @@ let solve_cmd =
              mincostflow -> greedy instead of a single algorithm; the best \
              candidate by MaxSum wins.")
   in
-  let max_retries =
-    Arg.(
-      value & opt int 1
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:"Retries per stage for transient faults (with backoff).")
-  in
   let order =
     Arg.(
       value
@@ -340,11 +331,10 @@ let solve_cmd =
              matching quality for speed). Requires 0 <= TAU <= 1.")
   in
   let run () instance_path algorithm out seed timeout stage_timeout
-      fallback max_retries order min_sim =
+      fallback order min_sim =
     in_unit_interval "--min-sim" min_sim;
     Option.iter (finite_above_zero "--timeout") timeout;
     Option.iter (finite_above_zero "--stage-timeout") stage_timeout;
-    at_least "--max-retries" 0 max_retries;
     Mincostflow.set_default_min_sim min_sim;
     let instance = load_instance_or_die instance_path in
     match order with
@@ -355,7 +345,7 @@ let solve_cmd =
     | None ->
         if fallback || timeout <> None || stage_timeout <> None then
           solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout
-            ~max_retries ~out
+            ~out
         else begin
           let m = Geacc_bench.Harness.measure ~seed algorithm instance in
           Printf.printf
@@ -370,8 +360,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
-      $ timeout $ stage_timeout $ fallback $ max_retries $ order
-      $ min_sim)
+      $ timeout $ stage_timeout $ fallback $ order $ min_sim)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an instance and report MaxSum/time/memory.")
@@ -457,9 +446,8 @@ let serve_cmd =
       & info [ "repair" ] ~docv:"MODE"
           ~doc:
             "Arrangement maintenance: $(b,incremental) (re-walk only the \
-             users whose seats the batch changed, bit-identical to full), \
-             $(b,full) (re-walk every user each batch) or $(b,offline) \
-             (re-solve with the anytime mincostflow -> greedy chain).")
+             users whose seats the batch changed, bit-identical to full) or \
+             $(b,full) (re-walk every user each batch).")
   in
   let batch_timeout =
     Arg.(
@@ -485,12 +473,6 @@ let serve_cmd =
             "Snapshot the state and truncate the journal once N records \
              have accumulated in the journal. 0 = never.")
   in
-  let max_retries =
-    Arg.(
-      value & opt int 2
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:"Repair retries for transient faults (with backoff).")
-  in
   let no_fsync =
     Arg.(
       value & flag
@@ -509,20 +491,18 @@ let serve_cmd =
              compares these across runs).")
   in
   let run () trace_path state_dir repair_mode batch_timeout
-      queue_cap snapshot_every max_retries no_fsync digest_file =
+      queue_cap snapshot_every no_fsync digest_file =
     if not (Float.is_finite batch_timeout && batch_timeout >= 0.) then
       die "--batch-timeout must be a finite number of at least 0, got %g"
         batch_timeout;
     at_least "--queue-cap" 0 queue_cap;
     at_least "--snapshot-every" 0 snapshot_every;
-    at_least "--max-retries" 0 max_retries;
     check_fault_plan ();
     let mode =
       match Serve.Serve_loop.mode_of_string repair_mode with
       | Some m -> m
       | None ->
-          die "unknown --repair mode %S (incremental, full or offline)"
-            repair_mode
+          die "unknown --repair mode %S (incremental or full)" repair_mode
     in
     let text =
       if trace_path = "-" then read_all stdin
@@ -548,7 +528,6 @@ let serve_cmd =
         batch_timeout_s = batch_timeout;
         queue_cap;
         snapshot_every;
-        max_retries;
         fsync = not no_fsync;
       }
     in
@@ -575,15 +554,14 @@ let serve_cmd =
         Printf.eprintf
           "serve: batches=%d admitted=%d shed=%d skipped=%d applied=%d \
            errors=%d degraded=%d full-replays=%d rewalked=%d snapshots=%d \
-           retries=%d replayed=%d injected-faults=%d\n"
+           replayed=%d injected-faults=%d\n"
           report.Serve.Serve_loop.batches report.Serve.Serve_loop.admitted
           report.Serve.Serve_loop.shed report.Serve.Serve_loop.skipped
           report.Serve.Serve_loop.applied report.Serve.Serve_loop.errors
           report.Serve.Serve_loop.degraded_batches
           report.Serve.Serve_loop.full_replays
           report.Serve.Serve_loop.rewalked
-          report.Serve.Serve_loop.snapshots report.Serve.Serve_loop.retries
-          report.Serve.Serve_loop.replayed
+          report.Serve.Serve_loop.snapshots report.Serve.Serve_loop.replayed
           (Robust.Fault.fires ());
         flush stdout;
         flush stderr;
@@ -593,8 +571,7 @@ let serve_cmd =
   let term =
     Term.(
       const run $ logs_term $ trace_arg $ state_arg $ repair_arg
-      $ batch_timeout $ queue_cap $ snapshot_every
-      $ max_retries $ no_fsync $ digest_arg)
+      $ batch_timeout $ queue_cap $ snapshot_every $ no_fsync $ digest_arg)
   in
   Cmd.v
     (Cmd.info "serve"

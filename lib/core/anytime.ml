@@ -7,7 +7,6 @@ type report = {
   algorithm : Solver.algorithm;
   stages_tried : int;
   fallbacks : int;
-  retries : int;
   faults : int;
   elapsed_s : float;
   trace : Chain.trace_entry list;
@@ -62,15 +61,12 @@ let stage ?timeout_s algorithm =
         matching;
       { Chain.value = matching; complete })
 
-let solve ?timeout_s ?stage_timeout_s ?max_retries ?backoff_s
-    ?(algorithms = default_chain) instance =
+let solve ?timeout_s ?stage_timeout_s ?(algorithms = default_chain) instance =
   let stages = List.map (stage ?timeout_s:stage_timeout_s) algorithms in
   let better incumbent candidate =
     Matching.maxsum candidate > Matching.maxsum incumbent +. 1e-12
   in
-  match
-    Chain.run ?timeout_s ?max_retries ?backoff_s ~better stages instance
-  with
+  match Chain.run ?timeout_s ~better stages instance with
   | Error _ as e -> e
   | Ok outcome ->
       let algorithm =
@@ -89,7 +85,6 @@ let solve ?timeout_s ?stage_timeout_s ?max_retries ?backoff_s
           algorithm;
           stages_tried = outcome.Chain.stages_tried;
           fallbacks = outcome.Chain.fallbacks;
-          retries = outcome.Chain.retries;
           faults = outcome.Chain.faults;
           elapsed_s = outcome.Chain.elapsed_s;
           trace = outcome.Chain.trace;

@@ -25,7 +25,6 @@ type report = {
   algorithm : Solver.algorithm;  (** Stage that produced [matching]. *)
   stages_tried : int;
   fallbacks : int;
-  retries : int;
   faults : int;
   elapsed_s : float;
   trace : Geacc_robust.Chain.trace_entry list;
@@ -46,15 +45,13 @@ val stage :
 val solve :
   ?timeout_s:float ->
   ?stage_timeout_s:float ->
-  ?max_retries:int ->
-  ?backoff_s:float ->
   ?algorithms:Solver.algorithm list ->
   Instance.t ->
   (report, Geacc_robust.Error.t) result
 (** Runs the chain ([algorithms] defaults to {!default_chain}; a singleton
     list gives plain time-budgeted solving). [timeout_s] bounds the whole
-    run, [stage_timeout_s] additionally caps each stage, [max_retries] and
-    [backoff_s] govern retry of transient faults (see
-    {!Geacc_robust.Chain.run}). Fails with [Timeout] only when no
-    stage produced any matching in time, and with [Exhausted] when every
-    stage faulted. *)
+    run, [stage_timeout_s] additionally caps each stage. A stage that
+    raises is not retried: the chain moves on to the next stage (see
+    {!Geacc_robust.Chain.run}). Fails with [Timeout] only when no stage
+    produced any matching in time, and with [Exhausted] when every stage
+    faulted. *)

@@ -73,8 +73,8 @@ let audit_pruned_pairs ~site instance g ~min_sim ~n_v ~n_u =
 
 let build_network ?min_sim instance =
   (* [mcf.alloc] simulates the network arena failing to materialise (the
-     arc array is this solver's dominant allocation); the fallback harness
-     treats the injected exception as a transient fault. *)
+     arc array is this solver's dominant allocation); a fallback chain
+     treats the injected exception as a stage fault and moves on. *)
   Fault.inject "mcf.alloc";
   let min_sim =
     match min_sim with Some s -> s | None -> !min_sim_default

@@ -18,7 +18,6 @@ type verdict = Completed | Timed_out | Faulted of string
 
 type trace_entry = {
   t_stage : string;
-  t_attempt : int;
   t_seconds : float;
   t_verdict : verdict;
 }
@@ -30,7 +29,6 @@ type 'r outcome = {
   stage : string;
   stages_tried : int;
   fallbacks : int;
-  retries : int;
   faults : int;
   elapsed_s : float;
   trace : trace_entry list;
@@ -41,30 +39,20 @@ let pp_verdict ppf = function
   | Timed_out -> Format.pp_print_string ppf "timed out"
   | Faulted e -> Format.fprintf ppf "faulted: %s" e
 
-let default_transient = function Fault.Injected _ -> true | _ -> false
-
-(* The budget a stage attempt runs under: capped by the stage's own timeout
-   and by the overall time remaining, and — for deterministic tests — forced
-   to expire on poll N when the fault plan carries [timeout.<stage>@N]. *)
+(* The budget a stage runs under: capped by the stage's own timeout and by
+   the overall time remaining, and forced to expire on poll N when the
+   fault plan carries [timeout.<stage>@N]. *)
 let stage_budget stage ~overall =
-  let cap =
+  let timeout_s =
     match (stage.timeout_s, Budget.armed overall) with
     | None, false -> None
     | Some s, false -> Some s
     | None, true -> Some (Budget.remaining_s overall)
     | Some s, true -> Some (Float.min s (Budget.remaining_s overall))
   in
-  let forced_polls = Fault.param ("timeout." ^ stage.name) in
-  match (cap, forced_polls) with
-  | None, None -> Budget.unlimited
-  | _ ->
-      Budget.create ~poll_every:stage.poll_every
-        ?expire_after_polls:forced_polls
-        ~timeout_s:(Option.value cap ~default:1e9)
-        ()
+  Budget.for_stage ~poll_every:stage.poll_every ?timeout_s stage.name
 
-let run ?timeout_s ?(max_retries = 0) ?(backoff_s = 0.)
-    ?(transient = default_transient) ?(better = fun _ _ -> false) stages input =
+let run ?timeout_s ?(better = fun _ _ -> false) stages input =
   let start = Budget.now_s () in
   let overall =
     match timeout_s with
@@ -74,17 +62,15 @@ let run ?timeout_s ?(max_retries = 0) ?(backoff_s = 0.)
   let trace = ref [] in
   let stages_tried = ref 0 in
   let fallbacks = ref 0 in
-  let retries = ref 0 in
   let faults = ref 0 in
   (* Best value so far: (value, producing stage, its index, complete). *)
   let candidate = ref None in
   let last_stage = ref "" in
   let last_detail = ref "no stages" in
-  let record stage attempt t0 verdict =
+  let record stage t0 verdict =
     trace :=
       {
         t_stage = stage.name;
-        t_attempt = attempt;
         t_seconds = Budget.now_s () -. t0;
         t_verdict = verdict;
       }
@@ -104,33 +90,25 @@ let run ?timeout_s ?(max_retries = 0) ?(backoff_s = 0.)
         else begin
           incr stages_tried;
           last_stage := stage.name;
-          let rec attempt n =
-            let budget = stage_budget stage ~overall in
-            let t0 = Budget.now_s () in
+          let budget = stage_budget stage ~overall in
+          let t0 = Budget.now_s () in
+          let complete =
             match stage.run input ~budget with
             | { value; complete } ->
-                record stage n t0 (if complete then Completed else Timed_out);
+                record stage t0 (if complete then Completed else Timed_out);
                 offer value stage index complete;
-                if complete then `Stop else `Fall_through
+                complete
             | exception e ->
                 let printed = Printexc.to_string e in
-                record stage n t0 (Faulted printed);
+                record stage t0 (Faulted printed);
                 incr faults;
                 last_detail := printed;
-                if transient e && n <= max_retries then begin
-                  incr retries;
-                  if backoff_s > 0. then Unix.sleepf (backoff_s *. float_of_int n);
-                  attempt (n + 1)
-                end
-                else `Fall_through
+                false
           in
-          match attempt 1 with
-          | `Stop -> ()
-          | `Fall_through ->
-              if rest <> [] && not (Budget.expired overall) then begin
-                incr fallbacks;
-                try_stage (index + 1) rest
-              end
+          if (not complete) && rest <> [] && not (Budget.expired overall) then begin
+            incr fallbacks;
+            try_stage (index + 1) rest
+          end
         end
   in
   if stages = [] then
@@ -171,7 +149,6 @@ let run ?timeout_s ?(max_retries = 0) ?(backoff_s = 0.)
             stage;
             stages_tried = !stages_tried;
             fallbacks = !fallbacks;
-            retries = !retries;
             faults = !faults;
             elapsed_s;
             trace;

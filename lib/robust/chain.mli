@@ -8,16 +8,16 @@
     false] means the budget expired and the value is best-so-far). The
     chain stops at the first stage that completes; a stage that times out
     contributes its degraded value as a candidate and the chain falls back
-    to the next stage; a stage that raises is a {e fault} — retried with
-    backoff when [transient] says so, abandoned for the next stage
-    otherwise. The final value is the best candidate seen (per [better]),
+    to the next stage; a stage that raises is a {e fault}, and the chain
+    falls through to the next stage without retrying it. The final value
+    is the best candidate seen (per [better]),
     tagged {!Complete} only when the chain's head stage completed, i.e. the
     answer is exactly what a patient run would have produced.
 
-    Fault-plan integration: before arming a stage's budget the chain
-    consults [Fault.param "timeout.<stage name>"]; when the plan carries
-    such an entry the budget is additionally forced to expire on that poll,
-    which makes mid-search deadlines reproducible in CI (see {!Fault}).
+    Fault-plan integration: each stage's budget comes from
+    {!Budget.for_stage}, so a [timeout.<stage name>@N] plan entry forces it
+    to expire on poll [N], which makes mid-search deadlines reproducible in
+    CI (see {!Fault}).
 
     The engine is generic in the problem ['a] and result ['r]: it never
     inspects values, so it lives below the solver libraries and is reused
@@ -51,7 +51,6 @@ type verdict =
 
 type trace_entry = {
   t_stage : string;
-  t_attempt : int;  (** 1-based; > 1 are retries. *)
   t_seconds : float;
   t_verdict : verdict;
 }
@@ -63,26 +62,20 @@ type 'r outcome = {
   stage : string;          (** Stage that produced [value]. *)
   stages_tried : int;
   fallbacks : int;         (** Stage-to-stage transitions taken. *)
-  retries : int;
-  faults : int;            (** Attempts that raised (including retried ones). *)
+  faults : int;            (** Stages that raised. *)
   elapsed_s : float;
-  trace : trace_entry list;  (** Chronological, one entry per attempt. *)
+  trace : trace_entry list;  (** Chronological, one entry per stage run. *)
 }
 
 val run :
   ?timeout_s:float ->
-  ?max_retries:int ->
-  ?backoff_s:float ->
-  ?transient:(exn -> bool) ->
   ?better:('r -> 'r -> bool) ->
   ('a, 'r) stage list ->
   'a ->
   ('r outcome, Error.t) result
-(** Runs the chain on an input. [max_retries] (default 0) bounds retries
-    per stage for transient faults, sleeping [backoff_s * attempt] (default
-    0) between tries; [transient] defaults to accepting only
-    {!Fault.Injected}. [better incumbent candidate] decides whether a later
-    candidate replaces the incumbent (default: never — earlier stages win).
+(** Runs the chain on an input. [better incumbent candidate] decides
+    whether a later candidate replaces the incumbent (default: never —
+    earlier stages win).
 
     Errors: [Timeout] when the overall deadline expired before any stage
     produced a value; [Exhausted] when every stage faulted;

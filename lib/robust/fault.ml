@@ -29,7 +29,7 @@ let known =
     ("serve.crash", "kill the serving loop at the N-th durability checkpoint");
     ("sim.nan", "poison a similarity read with NaN");
     ("sim.huge", "poison a similarity read with 1e300");
-    ("mcf.alloc", "fail the flow-network build (canonical transient fault)");
+    ("mcf.alloc", "fail the flow-network build (a faulted chain stage)");
     ( "timeout.<stage>",
       "not fired; @N arms the stage's budget to expire on poll N" );
   ]

@@ -1,6 +1,6 @@
 (** Deterministic fault injection.
 
-    Robustness paths — timeouts, fallbacks, retries, parse errors — are
+    Robustness paths — timeouts, fallbacks, parse errors — are
     worthless untested, and untestable if faults only occur under real load.
     This module turns the [GEACC_FAULTS] environment variable into a
     deterministic plan of named {e fault points}: instrumented code asks
@@ -19,8 +19,9 @@
     v}
 
     Example: [GEACC_FAULTS="mcf.alloc@1,timeout.prune@500"] makes the flow
-    network build fail once (a transient fault — a retry succeeds) and
-    forces the Prune stage's budget to expire on its 500th poll.
+    network build fail once (the MinCostFlow stage faults, and a fallback
+    chain moves on to its next stage) and forces the Prune stage's budget
+    to expire on its 500th poll.
 
     {2 Conventions}
 
@@ -29,8 +30,8 @@
     [journal.corrupt], [serve.crash] (write-ahead journal and serving
     loop), [sim.nan], [sim.huge] (similarity evaluation), [mcf.alloc]
     (flow-network build), and the [timeout.<stage>] family, which is not
-    {!fire}d but read through {!param} by the harness to arm budgets with
-    [expire_after_polls]. {!known} lists them with one-line descriptions
+    {!fire}d but read through {!param} by [Budget.for_stage] to arm budgets
+    with [expire_after_polls]. {!known} lists them with one-line descriptions
     (DESIGN.md's fault table mirrors it); [parse] stays permissive — tests
     install throwaway points — but its errors name the offending token.
 

@@ -1,29 +1,15 @@
 open Geacc_core
 module Audit = Geacc_check.Audit
 module Budget = Geacc_robust.Budget
-module Chain = Geacc_robust.Chain
 module Error = Geacc_robust.Error
 module Fault = Geacc_robust.Fault
 
-type mode = Incremental | Full | Offline
-
-let mode_name = function
-  | Incremental -> "incremental"
-  | Full -> "full"
-  | Offline -> "offline"
+type mode = Incremental | Full
 
 let mode_of_string = function
   | "incremental" -> Some Incremental
   | "full" -> Some Full
-  | "offline" -> Some Offline
   | _ -> None
-
-type health = Healthy | Degraded | Draining
-
-let health_name = function
-  | Healthy -> "ok"
-  | Degraded -> "degraded"
-  | Draining -> "draining"
 
 type config = {
   state_dir : string;
@@ -32,8 +18,6 @@ type config = {
   batch_timeout_s : float;
   queue_cap : int;
   snapshot_every : int;
-  max_retries : int;
-  backoff_s : float;
   fsync : bool;
 }
 
@@ -45,8 +29,6 @@ let default ~state_dir =
     batch_timeout_s = 0.;
     queue_cap = 64;
     snapshot_every = 32;
-    max_retries = 2;
-    backoff_s = 0.;
     fsync = true;
   }
 
@@ -61,11 +43,8 @@ type report = {
   full_replays : int;
   rewalked : int;
   snapshots : int;
-  retries : int;
   replayed : int;
   latencies_s : float list;
-  journal_s : float;
-  health : health;
   digest : string;
   maxsum : float;
   seq : int;
@@ -82,102 +61,16 @@ let snapshot_path c = Filename.concat c.state_dir "snapshot.geacc"
 let ensure_dir path =
   if not (Sys.file_exists path) then Unix.mkdir path 0o755
 
-(* -- Repair dispatch -------------------------------------------------- *)
+(* -- Repair ----------------------------------------------------------- *)
 
-(* The serving arrangement is canonical (Online greedy in id order). The
-   incremental stage propagates from the users the batch touched; the full
-   stage re-walks everyone, and is the whole chain in [Full] mode. Both
-   repair the one live arrangement in place, so the later stage's value is
-   the one that describes it: [better] always takes it. Offline mode
-   instead re-solves with the anytime chain (MinCostFlow -> Greedy) on
-   every batch: better MaxSum, no incrementality. *)
-
-let chain_repair c state ~timeout_s =
-  let stage name from =
-    Chain.stage ~name (fun state ~budget ->
-        let r = Serve_state.repair ?from state ~deadline:budget in
-        { Chain.value = r; complete = r.Serve_state.complete })
-  in
-  let stages =
-    match c.mode with
-    | Full -> [ stage "repair-full" (Some 0) ]
-    | Incremental | Offline -> [ stage "repair" None; stage "repair-full" (Some 0) ]
-  in
-  Chain.run ?timeout_s ~max_retries:c.max_retries ~backoff_s:c.backoff_s
-    ~better:(fun _ _ -> true) stages state
-
-(* Why a degraded batch is short: the last stage that failed — the one the
-   committed (last) value came from, or, when a later stage completed, the
-   head stage that did not. *)
-let degraded_reason (o : _ Chain.outcome) =
-  List.fold_left
-    (fun acc (e : Chain.trace_entry) ->
-      match e.Chain.t_verdict with
-      | Chain.Completed -> acc
-      | Chain.Timed_out -> Some (Printf.sprintf "stage %s timed out" e.Chain.t_stage)
-      | Chain.Faulted x ->
-          Some (Printf.sprintf "stage %s faulted: %s" e.Chain.t_stage x))
-    None o.Chain.trace
-
-let offline_repair c state ~timeout_s =
-  match Serve_state.instance state with
-  | None ->
-      Ok
-        ( {
-            Serve_state.matching = None;
-            served_to = 0;
-            complete = true;
-            replayed_from = 0;
-            rewalked = 0;
-          },
-          Chain.Complete,
-          None,
-          0 )
-  | Some inst -> (
-      match
-        Anytime.solve ?timeout_s ~max_retries:c.max_retries
-          ~backoff_s:c.backoff_s
-          ~algorithms:[ Solver.Min_cost_flow; Solver.Greedy ]
-          inst
-      with
-      | Error _ as e -> e
-      | Ok (rep : Anytime.report) ->
-          Ok
-            ( {
-                Serve_state.matching = Some rep.Anytime.matching;
-                served_to = Serve_state.n_users state;
-                complete = rep.Anytime.status = Chain.Complete;
-                replayed_from = 0;
-                rewalked = 0;
-              },
-              rep.Anytime.status,
-              rep.Anytime.reason,
-              rep.Anytime.retries ))
-
-(* One repair attempt in the configured mode: the repair record, its
-   completion status, the degradation reason and the retry count. *)
-let attempt_repair c state ~timeout_s =
-  match c.mode with
-  | Incremental | Full -> (
-      match chain_repair c state ~timeout_s with
-      | Error _ as e -> e
-      | Ok (o : Serve_state.repair Chain.outcome) ->
-          let reason =
-            match o.Chain.status with
-            | Chain.Complete -> None
-            | Chain.Degraded -> degraded_reason o
-          in
-          Ok (o.Chain.value, o.Chain.status, reason, o.Chain.retries))
-  | Offline -> offline_repair c state ~timeout_s
-
-(* Adopts a repair. Under [GEACC_AUDIT] a canonical mode also checks the
-   result against a full [Online] replay of the current instance: the pairs
-   of every user below the new cursor, and when the repair completed, all
-   pairs and the MaxSum bits. This is the guard behind the propagation
-   rules (DESIGN.md §14.3). *)
-let commit c state (r : Serve_state.repair) =
+(* Adopts a repair. Under [GEACC_AUDIT] it also checks the result against
+   a full [Online] replay of the current instance: the pairs of every user
+   below the new cursor, and when the repair completed, all pairs and the
+   MaxSum bits. This is the guard behind the propagation rules (DESIGN.md
+   §14.3). *)
+let commit state (r : Serve_state.repair) =
   Serve_state.commit state r;
-  if Audit.enabled () && c.mode <> Offline then
+  if Audit.enabled () then
     match Serve_state.instance state with
     | None -> ()
     | Some inst -> (
@@ -201,6 +94,22 @@ let commit c state (r : Serve_state.repair) =
                   "seq %d: committed MaxSum %h differs from a full replay's %h"
                   (Serve_state.seq state) got want
             end)
+
+(* The serving arrangement is canonical (Online greedy in id order), and
+   one call repairs it in place after each applied batch: propagation from
+   the users the batch touched, or in [Full] mode a re-walk of every user.
+   Its budget is the batch deadline, forced to expire on poll N by a
+   [timeout.repair@N] plan. A cut repair leaves the rest pending for the
+   next batch. An exception stops the process, and recovery decides. *)
+let repair c state ~timeout_s =
+  let from = match c.mode with Incremental -> None | Full -> Some 0 in
+  let r =
+    Serve_state.repair ?from state
+      ~deadline:(Budget.for_stage ?timeout_s "repair")
+  in
+  Option.iter (Validate.audit_matching ~site:"serve.commit") r.Serve_state.matching;
+  commit state r;
+  r
 
 (* -- Startup recovery ------------------------------------------------- *)
 
@@ -246,17 +155,8 @@ let recover c ~sim =
                           (* The live run journaled this batch, then rejected
                              it; replay rejects it identically. *)
                           ()
-                      | Ok () -> (
-                          match
-                            attempt_repair c state ~timeout_s:None
-                          with
-                          | Ok (r, _, _, _) -> commit c state r
-                          | Error _ ->
-                              (* No deadline is armed during recovery, so the
-                                 chain can only fail through injected faults;
-                                 leave the batch uncommitted — its pending set
-                                 carries it into the next repair. *)
-                              ()));
+                      | Ok () ->
+                          ignore (repair c state ~timeout_s:None : Serve_state.repair));
                       replay (n + 1) rest)
           in
           replay 0 records)
@@ -276,7 +176,9 @@ let run c ~out trace =
       let timeout_s =
         if c.batch_timeout_s > 0. then Some c.batch_timeout_s else None
       in
-      let health = ref Healthy in
+      (* Set by a batch whose repair was cut, cleared by one that completes;
+         while set, admission sheds every optional batch. *)
+      let degraded = ref false in
       (* Freshness floor: a batch is new only if its seq is above every seq
          already in the journal, not just the applied seq — rejected batches
          journal without applying, and re-journaling one would break the
@@ -294,9 +196,8 @@ let run c ~out trace =
       and degraded_batches = ref 0
       and full_replays = ref 0
       and rewalked = ref 0
-      and snapshots = ref 0
-      and retries = ref 0 in
-      let latencies = ref [] and journal_s = ref 0. in
+      and snapshots = ref 0 in
+      let latencies = ref [] in
       let maybe_snapshot seq =
         if c.snapshot_every > 0 && !since_snapshot >= c.snapshot_every then begin
           Snapshot.save ~path:(snapshot_path c) state;
@@ -311,7 +212,7 @@ let run c ~out trace =
         p "stats %d health %s users %d/%d events %d/%d conflicts %d pairs %d \
            maxsum %g"
           seq
-          (health_name !health)
+          (if !degraded then "degraded" else "ok")
           (Serve_state.live_users state)
           (Serve_state.n_users state)
           (Serve_state.live_events state)
@@ -322,61 +223,42 @@ let run c ~out trace =
       in
       let serve_batch (batch : Trace.batch) =
         let t0 = Budget.now_s () in
-        let j0 = t0 in
         Journal.append journal ~seq:batch.Trace.seq
           ~payload:(Trace.batch_to_string batch);
         journaled := batch.Trace.seq;
         incr since_snapshot;
-        journal_s := !journal_s +. (Budget.now_s () -. j0);
         Fault.inject "serve.crash";
         (match Serve_state.apply_batch state batch with
         | Error e ->
             incr errors;
             p "error %d %s" batch.Trace.seq (Error.to_string e)
-        | Ok () -> (
+        | Ok () ->
             incr applied;
-            match attempt_repair c state ~timeout_s with
-            | Error e ->
-                (* Nothing usable before the deadline (or every stage
-                   faulted): the batch stays applied but unserved; its
-                   pending set rolls into the next batch's repair. *)
-                incr degraded_batches;
-                health := Degraded;
-                p "degraded %d served %d/%d reason %s" batch.Trace.seq
-                  (Serve_state.cursor state)
-                  (Serve_state.n_users state)
-                  (Error.to_string e)
-            | Ok (repair, status, reason, stage_retries) -> (
-                (match repair.Serve_state.matching with
-                | Some m -> Validate.audit_matching ~site:"serve.commit" m
-                | None -> ());
-                commit c state repair;
-                retries := !retries + stage_retries;
-                rewalked := !rewalked + repair.Serve_state.rewalked;
-                if
-                  repair.Serve_state.rewalked = Serve_state.n_users state
-                  && Serve_state.n_users state > 0
-                then incr full_replays;
-                Fault.inject "serve.crash";
-                match status with
-                | Chain.Complete ->
-                    health := Healthy;
-                    p "ok %d from %d pairs %d maxsum %g" batch.Trace.seq
-                      repair.Serve_state.replayed_from
-                      (Serve_state.n_pairs state)
-                      (Serve_state.maxsum state)
-                | Chain.Degraded ->
-                    incr degraded_batches;
-                    health := Degraded;
-                    p "degraded %d served %d/%d reason %s" batch.Trace.seq
-                      (Serve_state.cursor state)
-                      (Serve_state.n_users state)
-                      (Option.value reason ~default:"deadline"));
+            let r = repair c state ~timeout_s in
+            rewalked := !rewalked + r.Serve_state.rewalked;
             if
-              List.exists
-                (fun op -> op = Trace.Stats)
-                batch.Trace.ops
-            then stats_line batch.Trace.seq));
+              r.Serve_state.rewalked = Serve_state.n_users state
+              && Serve_state.n_users state > 0
+            then incr full_replays;
+            Fault.inject "serve.crash";
+            if r.Serve_state.complete then begin
+              degraded := false;
+              p "ok %d from %d pairs %d maxsum %g" batch.Trace.seq
+                r.Serve_state.replayed_from
+                (Serve_state.n_pairs state)
+                (Serve_state.maxsum state)
+            end
+            else begin
+              (* The batch stays applied; what the cut left pending rolls
+                 into the next batch's repair. *)
+              incr degraded_batches;
+              degraded := true;
+              p "degraded %d served %d/%d reason repair timed out" batch.Trace.seq
+                (Serve_state.cursor state)
+                (Serve_state.n_users state)
+            end;
+            if List.exists (fun op -> op = Trace.Stats) batch.Trace.ops then
+              stats_line batch.Trace.seq);
         (* On every path — rejected batches were journaled too, and the
            cadence must truncate that growth as well. A rejected batch
            leaves the state untouched, so the snapshot is consistent. *)
@@ -403,9 +285,8 @@ let run c ~out trace =
                     incr admitted;
                     serve_batch batch)
               (Admission.plan ~queue_cap:c.queue_cap
-                 ~degraded:(!health = Degraded) fresh))
+                 ~degraded:!degraded fresh))
         (Trace.groups trace.Trace.batches);
-      health := Draining;
       Journal.close journal;
       let digest = Serve_state.digest state in
       p "done seq %d applied %d degraded %d shed %d errors %d digest %s"
@@ -422,11 +303,8 @@ let run c ~out trace =
           full_replays = !full_replays;
           rewalked = !rewalked;
           snapshots = !snapshots;
-          retries = !retries;
           replayed;
           latencies_s = List.rev !latencies;
-          journal_s = !journal_s;
-          health = !health;
           digest;
           maxsum = Serve_state.maxsum state;
           seq = Serve_state.seq state;

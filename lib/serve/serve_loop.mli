@@ -2,10 +2,11 @@
 
     For every admitted batch the loop (1) appends the batch to the
     write-ahead journal and fsyncs — the durability point — then (2)
-    applies it to the state, (3) repairs the arrangement under the batch
-    deadline through a [Geacc_robust.Chain] (propagation from the users
-    the batch touched first, a full re-walk as fallback; transient faults
-    retried with backoff), (4) commits and acknowledges, and (5) once [snapshot_every]
+    applies it to the state, (3) repairs the arrangement with one
+    {!Serve_state.repair} call under the batch deadline (propagation from
+    the users the batch touched, or a re-walk of every user in [Full]
+    mode; a [timeout.repair@N] fault plan forces that deadline on poll
+    [N]), (4) commits and acknowledges, and (5) once [snapshot_every]
     journal appends have accumulated since the last truncation (recovered
     backlog included) snapshots the state and truncates the journal — the
     cadence counts appends, not applied batches, so rejected and
@@ -13,8 +14,9 @@
     recovery loads the snapshot (if any), replays the journal suffix —
     skipping records at or below the snapshot's sequence number and
     re-rejecting invalid batches exactly as the live run did — and repairs
-    with an unlimited budget, so a crashed-and-recovered run reaches the
-    same digest as an uninterrupted one. Input batches are admitted only
+    each replayed batch with the same call, without the batch deadline, so
+    a crashed-and-recovered run reaches the same digest as an
+    uninterrupted one. Input batches are admitted only
     above the highest {e journaled} sequence number (not merely the
     highest applied one): a rejected batch is journaled without advancing
     the applied seq, and journaling it again on restart would violate the
@@ -27,23 +29,17 @@
     [io.short_write] additionally crashes mid-append with a torn record.
     These exceptions propagate out of {!run} — the process {e is} the
     crash site; the recovery fuzz re-runs {!run} against the surviving
-    state directory.
+    state directory. So does any other exception raised inside repair:
+    the loop fails stop, and recovery decides.
 
-    Health: [Healthy] until a batch cannot be completed in time, [Degraded]
-    until a batch again completes fully (while degraded, admission sheds
-    every [Optional] batch), [Draining] once the input is exhausted. *)
+    Health, as the [stats] lines print it: ["degraded"] from a batch whose
+    repair the deadline cut until a batch again completes (while degraded,
+    admission sheds every [Optional] batch), ["ok"] otherwise. *)
 
-type mode = Incremental | Full | Offline
-
-val mode_name : mode -> string
-(** ["incremental"] / ["full"] / ["offline"]. *)
+type mode = Incremental | Full
 
 val mode_of_string : string -> mode option
-
-type health = Healthy | Degraded | Draining
-
-val health_name : health -> string
-(** ["ok"] / ["degraded"] / ["draining"]. *)
+(** ["incremental"] / ["full"]. *)
 
 type config = {
   state_dir : string;
@@ -61,14 +57,12 @@ type config = {
   snapshot_every : int;
       (** Snapshot cadence in journal appends since the last truncation;
           [<= 0] = never. *)
-  max_retries : int;  (** Chain retries for transient faults. *)
-  backoff_s : float;
   fsync : bool;  (** [false] trades durability for journal speed (bench). *)
 }
 
 val default : state_dir:string -> config
 (** Incremental mode, no deadline, queue cap 64, snapshot
-    every 32 journal appends, 2 retries, no backoff, fsync on. *)
+    every 32 journal appends, fsync on. *)
 
 type report = {
   batches : int;  (** Batches in the input trace. *)
@@ -81,12 +75,9 @@ type report = {
   full_replays : int;  (** Committed repairs that re-walked every user. *)
   rewalked : int;  (** Users re-walked by the committed repairs. *)
   snapshots : int;
-  retries : int;
   replayed : int;  (** Journal records replayed during startup recovery. *)
   latencies_s : float list;
       (** Per-admitted-batch wall seconds, in batch order. *)
-  journal_s : float;  (** Total wall time inside journal appends. *)
-  health : health;
   digest : string;
   maxsum : float;
   seq : int;
@@ -102,4 +93,5 @@ val run :
     [start], [ok], [degraded], [shed], [error], [stats], [snapshot] and a
     final [done] line (all deterministic — no wall-clock values). [Error]
     is reserved for unrecoverable startup failures: unreadable or corrupt
-    snapshot/journal. Crash-injection exceptions propagate. *)
+    snapshot/journal. Crash-injection exceptions, and any exception raised
+    inside repair, propagate. *)

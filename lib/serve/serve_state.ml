@@ -639,21 +639,8 @@ let repair ?from t ~deadline =
         rewalked = !count;
       }
 
-(* A repair of the live arrangement is already in place; anything else (an
-   offline solver's matching) replaces it, and the next batch derives the
-   walks anew. *)
-let commit t (r : repair) =
-  (match (r.matching, t.live) with
-  | Some m, Some l when m == l.m -> ()
-  | Some m, _ ->
-      t.live <- None;
-      t.loaded <- Matching.pairs m;
-      t.seeds <- [];
-      t.dirty <- max_int
-  | None, _ ->
-      t.live <- None;
-      t.loaded <- []);
-  t.cursor <- r.served_to
+(* The repair is already in place: adopting it moves the cursor. *)
+let commit t (r : repair) = t.cursor <- r.served_to
 
 (* -- Digest ----------------------------------------------------------- *)
 

@@ -99,8 +99,8 @@ val apply_batch : t -> Trace.batch -> (unit, Geacc_robust.Error.t) result
 
 type repair = {
   matching : Geacc_core.Matching.t option;
-      (** The arrangement ([None] when the world has no entities). For a
-          repair by this module it is the state's own live arrangement. *)
+      (** The state's own live arrangement ([None] when the world has no
+          entities). *)
   served_to : int;  (** First user not fully served; the new cursor. *)
   complete : bool;  (** [served_to = n_users] and no deadline expiry. *)
   replayed_from : int;
@@ -120,16 +120,13 @@ val repair : ?from:int -> t -> deadline:Geacc_robust.Budget.t -> repair
 
     The pending set is consumed by the repair itself, not by {!commit}:
     a complete repair leaves nothing pending, a cut one leaves the cut
-    user's suffix. So a result that is dropped (a fallback chain moving on
-    to its next stage, a comparison) still leaves a state the next repair
-    finishes exactly. Each repair supersedes the ones before it: commit
-    the latest, or none. *)
+    user's suffix. So a result that is dropped still leaves a state the
+    next repair finishes exactly. Each repair supersedes the ones before
+    it: commit the latest, or none. *)
 
 val commit : t -> repair -> unit
-(** Adopts a repair's cursor. A repair by {!repair} is already in place;
-    any other arrangement (an offline solver's) replaces the live one, the
-    pending set is cleared, and the next batch reads the walks back from
-    it. *)
+(** Adopts the cursor of this state's latest {!repair}, whose arrangement
+    is already in place. *)
 
 val digest : t -> string
 (** FNV-1a 64 over a canonical rendering of the whole state — entities,

@@ -4,7 +4,7 @@
    against the oracle, distance cutoffs. *)
 
 module Point = Geacc_index.Point
-module Linear = Geacc_index.Linear_index
+module Linear = Linear_index
 module Ranked = Geacc_index.Ranked
 module Rng = Geacc_util.Rng
 open Geacc_core

@@ -233,23 +233,7 @@ let test_chain_fault_falls_through () =
   in
   Alcotest.(check int) "tail value" 2 o.Chain.value;
   Alcotest.(check int) "fault counted" 1 o.Chain.faults;
-  Alcotest.(check int) "no retries (not transient)" 0 o.Chain.retries;
   Alcotest.(check bool) "degraded" true (o.Chain.status = Chain.Degraded)
-
-let test_chain_retries_transient_fault () =
-  let attempts = ref 0 in
-  let flaky =
-    Chain.stage ~name:"flaky" (fun () ~budget:_ ->
-        incr attempts;
-        if !attempts = 1 then raise (Fault.Injected { point = "test" });
-        { Chain.value = 7; complete = true })
-  in
-  let o = ok (Chain.run ~max_retries:1 [ flaky ] ()) in
-  Alcotest.(check int) "second attempt succeeded" 7 o.Chain.value;
-  Alcotest.(check bool) "complete" true (o.Chain.status = Chain.Complete);
-  Alcotest.(check int) "one retry" 1 o.Chain.retries;
-  Alcotest.(check int) "one fault" 1 o.Chain.faults;
-  Alcotest.(check int) "two attempts traced" 2 (List.length o.Chain.trace)
 
 let test_chain_exhausted () =
   match
@@ -406,23 +390,10 @@ let test_anytime_every_stage_deadline () =
                 (feasible r.Anytime.matching)))
         [ Solver.Exhaustive; Solver.Prune; Solver.Min_cost_flow; Solver.Greedy ])
 
-let test_anytime_retries_alloc_fault () =
-  Fault.with_plan "mcf.alloc@1" (fun () ->
-      let r =
-        anytime_ok
-          (Anytime.solve ~max_retries:1
-             ~algorithms:[ Solver.Min_cost_flow ] (instance ()))
-      in
-      Alcotest.(check bool) "retry recovered" true
-        (r.Anytime.status = Chain.Complete);
-      Alcotest.(check int) "one retry" 1 r.Anytime.retries;
-      Alcotest.(check int) "one fault" 1 r.Anytime.faults)
-
 let test_anytime_exhausted_on_persistent_fault () =
   Fault.with_plan "mcf.alloc" (fun () ->
       match
-        Anytime.solve ~max_retries:2 ~algorithms:[ Solver.Min_cost_flow ]
-          (instance ())
+        Anytime.solve ~algorithms:[ Solver.Min_cost_flow ] (instance ())
       with
       | Error (Error.Exhausted { last; _ }) ->
           Alcotest.(check string) "last stage" "mincostflow" last
@@ -430,16 +401,18 @@ let test_anytime_exhausted_on_persistent_fault () =
       | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e))
 
 let test_anytime_fault_then_fallback () =
-  (* Persistent flow fault, greedy tail: the chain must abandon the flow
-     stage after its retries and serve greedy's complete answer. *)
-  Fault.with_plan "mcf.alloc" (fun () ->
+  (* Flow fault, greedy tail: the chain must abandon the faulted flow
+     stage and serve greedy's complete answer. *)
+  Fault.with_plan "mcf.alloc@1" (fun () ->
       let r =
         anytime_ok
-          (Anytime.solve ~max_retries:1
+          (Anytime.solve
              ~algorithms:[ Solver.Min_cost_flow; Solver.Greedy ] (instance ()))
       in
       Alcotest.(check bool) "served by greedy" true
         (r.Anytime.algorithm = Solver.Greedy);
+      Alcotest.(check int) "the flow stage ran once and faulted" 1
+        r.Anytime.faults;
       Alcotest.(check bool) "degraded (head faulted)" true
         (r.Anytime.status = Chain.Degraded);
       Alcotest.(check bool) "feasible" true (feasible r.Anytime.matching))
@@ -513,8 +486,6 @@ let suite =
       test_chain_better_replaces_candidate;
     Alcotest.test_case "chain: fault falls through" `Quick
       test_chain_fault_falls_through;
-    Alcotest.test_case "chain: transient retry" `Quick
-      test_chain_retries_transient_fault;
     Alcotest.test_case "chain: exhausted" `Quick test_chain_exhausted;
     Alcotest.test_case "chain: empty invalid" `Quick test_chain_empty_is_invalid;
     Alcotest.test_case "chain: overall timeout" `Quick
@@ -537,8 +508,6 @@ let suite =
       test_anytime_degrades_through_chain;
     Alcotest.test_case "anytime: every stage deadline" `Quick
       test_anytime_every_stage_deadline;
-    Alcotest.test_case "anytime: transient alloc retry" `Quick
-      test_anytime_retries_alloc_fault;
     Alcotest.test_case "anytime: exhausted" `Quick
       test_anytime_exhausted_on_persistent_fault;
     Alcotest.test_case "anytime: fault then fallback" `Quick

@@ -779,28 +779,26 @@ let test_user_source_shared () =
           true (after >= before))
     trace.Trace.batches
 
-(* The commit audit replaces the old replay-from-0 fallback as the guard:
-   a state whose pairs are feasible but not canonical, with a clean dirty
-   bound, is trusted by propagation — and the audit refuses the commit. *)
+(* The commit audit is the guard behind propagation: a state whose pairs
+   are feasible but not canonical, with a clean dirty bound, is trusted
+   by propagation — and the audit refuses the commit. The state is the
+   built world restored with an empty arrangement, fully served. *)
 let test_audit_catches_noncanonical () =
   let trace = tiny_trace () in
-  let state = built_state () in
-  let inst =
-    match Serve_state.instance state with
-    | Some i -> i
-    | None -> Alcotest.fail "built state has no instance"
+  let built = built_state () in
+  Alcotest.(check bool) "canonical has pairs" true (Serve_state.n_pairs built > 0);
+  let n = Serve_state.n_users built and m = Serve_state.n_events built in
+  let ids k gone = List.filter gone (List.init k Fun.id) in
+  let state =
+    Serve_state.restore ~sim:(Serve_state.sim built) ~seq:(Serve_state.seq built)
+      ~cursor:n ~dirty:n
+      ~users:(Array.init n (Serve_state.user built))
+      ~events:(Array.init m (Serve_state.event built))
+      ~departed:(ids n (Serve_state.departed built))
+      ~closed:(ids m (Serve_state.closed built))
+      ~conflicts:(Serve_state.conflicts built) ~pairs:[]
   in
-  Alcotest.(check bool) "canonical has pairs" true (Serve_state.n_pairs state > 0);
-  (* Adopt the empty arrangement as if it were complete. *)
-  let n = Serve_state.n_users state in
-  Serve_state.commit state
-    {
-      Serve_state.matching = Some (Matching.create inst);
-      served_to = n;
-      complete = true;
-      replayed_from = n;
-      rewalked = 0;
-    };
+  Alcotest.(check int) "nothing pending" n (Serve_state.dirty_from state);
   with_tmpdir (fun dir ->
       Snapshot.save ~path:(Filename.concat dir "snapshot.geacc") state;
       let next =
@@ -808,7 +806,11 @@ let test_audit_catches_noncanonical () =
           Trace.seq = Serve_state.seq state + 1;
           ts = 1e6;
           tier = Trace.Must;
-          ops = [ Trace.User_arrive { capacity = 1; attrs = (Instance.user inst 0).Geacc_core.Entity.attrs } ];
+          ops =
+            [
+              Trace.User_arrive
+                { capacity = 1; attrs = (Serve_state.user built 0).Geacc_core.Entity.attrs };
+            ];
         }
       in
       let config = Serve_loop.default ~state_dir:dir in
@@ -894,15 +896,14 @@ let all_must trace =
   }
 
 let test_deadline_degrades () =
-  (* Expiring both repair stages on their first poll degrades every batch
+  (* Expiring the repair budget on its first poll degrades every batch
      that has users to serve; the dirty bound still rolls forward, and exit
      status maps to 3. *)
   let trace = all_must (tiny_trace ()) in
   with_tmpdir (fun dir ->
       let config = Serve_loop.default ~state_dir:dir in
       let report =
-        Fault.with_plan "timeout.repair@1,timeout.repair-full@1" (fun () ->
-            run_ok config trace)
+        Fault.with_plan "timeout.repair@1" (fun () -> run_ok config trace)
       in
       Alcotest.(check int) "no errors" 0 report.Serve_loop.errors;
       Alcotest.(check bool)
@@ -910,21 +911,35 @@ let test_deadline_degrades () =
         (report.Serve_loop.degraded_batches > 0);
       Alcotest.(check int) "exit degraded" 3 (Serve_loop.exit_status report))
 
-(* [timeout.repair@3] cuts every batch's propagation on its third poll;
-   the chain drops that result and the full stage re-walks on top of the
-   state it left. The arrangement must come out exactly as in a clean run. *)
+(* [timeout.repair@3] cuts every batch's repair on its third poll, in
+   either mode, and the cut leaves the rest pending. Snapshotting after
+   every batch, the next run recovers that cut state and serves one more
+   batch: its one uncut repair must land exactly on the clean run's
+   state. *)
 let test_dropped_cut_stays_repairable () =
   let trace = all_must (churn_trace ()) in
-  let digest plan =
-    with_tmpdir (fun dir ->
-        let config = Serve_loop.default ~state_dir:dir in
-        let report = Fault.with_plan plan (fun () -> run_ok config trace) in
-        (report.Serve_loop.digest, report.Serve_loop.degraded_batches))
+  let last = List.nth trace.Trace.batches (List.length trace.Trace.batches - 1) in
+  let probe =
+    { Trace.seq = last.Trace.seq + 1; ts = last.Trace.ts +. 1.; tier = Trace.Must; ops = [ Trace.Stats ] }
   in
-  let clean, _ = digest "" in
-  let cut, degraded = digest "timeout.repair@3" in
-  Alcotest.(check bool) "propagation was cut" true (degraded > 0);
-  Alcotest.(check string) "same final state" clean cut
+  let longer = { trace with Trace.batches = trace.Trace.batches @ [ probe ] } in
+  List.iter
+    (fun mode ->
+      let config dir =
+        { (Serve_loop.default ~state_dir:dir) with Serve_loop.mode; snapshot_every = 1 }
+      in
+      let clean = with_tmpdir (fun dir -> (run_ok (config dir) longer).Serve_loop.digest) in
+      let cut, resumed =
+        with_tmpdir (fun dir ->
+            let cut = Fault.with_plan "timeout.repair@3" (fun () -> run_ok (config dir) trace) in
+            (cut, run_ok (config dir) longer))
+      in
+      Alcotest.(check bool) "repairs were cut" true (cut.Serve_loop.degraded_batches > 0);
+      Alcotest.(check int) "recovery replays nothing" 0 resumed.Serve_loop.replayed;
+      Alcotest.(check int) "one batch served" 1 resumed.Serve_loop.applied;
+      Alcotest.(check string) "one uncut repair reaches the clean state" clean
+        resumed.Serve_loop.digest)
+    [ Serve_loop.Incremental; Serve_loop.Full ]
 
 let test_shed_exit_status () =
   let trace = all_must (tiny_trace ()) in
@@ -949,21 +964,6 @@ let test_shed_exit_status () =
       Alcotest.(check int) "no errors" 0 report.Serve_loop.errors;
       Alcotest.(check int) "exactly the probe shed" 1 report.Serve_loop.shed;
       Alcotest.(check int) "exit shed" 3 (Serve_loop.exit_status report))
-
-let test_offline_mode_runs_clean () =
-  let trace = tiny_trace () in
-  with_tmpdir (fun dir ->
-      let config =
-        {
-          (Serve_loop.default ~state_dir:dir) with
-          Serve_loop.mode = Serve_loop.Offline;
-        }
-      in
-      let report = run_ok config trace in
-      Alcotest.(check int) "clean run" 0 (Serve_loop.exit_status report);
-      Alcotest.(check int)
-        "everything applied" report.Serve_loop.batches
-        report.Serve_loop.applied)
 
 (* -- Crash sweep ------------------------------------------------------- *)
 
@@ -1197,7 +1197,6 @@ let suite =
     Alcotest.test_case "loop: shed maps to exit 3" `Quick test_shed_exit_status;
     Alcotest.test_case "loop: dropped cut repair stays repairable" `Quick
       test_dropped_cut_stays_repairable;
-    Alcotest.test_case "loop: offline mode" `Quick test_offline_mode_runs_clean;
     Alcotest.test_case "loop: re-run is idempotent" `Quick
       test_recovery_is_idempotent;
     Alcotest.test_case "loop: rejected tail survives restarts" `Quick

@@ -8,11 +8,10 @@
    "wall_s" field; the dotted path to the object (array elements named by
    their "name" member when they have one) identifies the cell. A cell
    that also carries "peak_bytes" contributes its peak-heap measurement
-   alongside, together with its "peak_mode" ("exact" from the alarm-driven
-   sampler, "gc-delta" from the cheap fallback — see Measure.with_peak).
-   One snapshot per artifact — { sha; experiment; cells } — is appended to
-   the trajectory file (default BENCH_TRAJECTORY.json), so successive CI
-   runs accumulate a per-commit history of every timed cell.
+   alongside. One snapshot per artifact — { sha; experiment; cells } — is
+   appended to the trajectory file (default BENCH_TRAJECTORY.json), so
+   successive CI runs accumulate a per-commit history of every timed
+   cell.
 
    Before appending, each new snapshot is compared against the most recent
    prior snapshot of the same experiment: any cell whose wall time or peak
@@ -20,13 +19,9 @@
    `::warning::` line in GitHub problem-matcher syntax, and so does any
    previously-tracked cell that the new artifact no longer carries — a
    renamed or silently-dropped bench cell would otherwise vanish from the
-   history without anyone noticing. Peak-heap cells
-   are only compared when BOTH sides were measured in "exact" mode —
-   gc-delta numbers are Gc-sampling noise, and comparing them against
-   exact ones manufactures spurious regressions, so mixed or gc-delta
-   pairs are skipped. Regressions warn — bench numbers on shared CI
-   runners are too noisy to gate a merge on — so the exit status is 0
-   unless an artifact cannot be read or parsed. *)
+   history without anyone noticing. Regressions warn — bench numbers on
+   shared CI runners are too noisy to gate a merge on — so the exit status
+   is 0 unless an artifact cannot be read or parsed. *)
 
 (* -- Minimal JSON (stdlib only) ---------------------------------------- *)
 
@@ -257,10 +252,8 @@ let member key = function
 (* Every object carrying a numeric "wall_s" leaf, addressed by its dotted
    path. Array elements carrying a string "name" member are addressed by
    that name (stable across reordering); anonymous elements fall back to
-   their index. A sibling "peak_bytes" rides along with its "peak_mode"
-   (artifacts written before the mode tag are treated as exact, which is
-   what they were). *)
-type cell = { path : string; wall : float; peak : (float * string) option }
+   their index. A sibling "peak_bytes" rides along. *)
+type cell = { path : string; wall : float; peak : float option }
 
 let collect_cells root =
   let cells = ref [] in
@@ -270,12 +263,8 @@ let collect_cells root =
         (match List.assoc_opt "wall_s" members with
         | Some (Num wall) ->
             let peak =
-              match
-                ( List.assoc_opt "peak_bytes" members,
-                  List.assoc_opt "peak_mode" members )
-              with
-              | Some (Num p), Some (Str mode) -> Some (p, mode)
-              | Some (Num p), _ -> Some (p, "exact")
+              match List.assoc_opt "peak_bytes" members with
+              | Some (Num p) -> Some p
               | _ -> None
             in
             cells :=
@@ -340,7 +329,9 @@ let last_snapshot_for ~experiment snaps =
 
 (* Stored cell values are a bare Num (wall time only — the pre-peak
    snapshot shape, still written for cells without a peak measurement) or
-   an object carrying wall_s plus peak_bytes/peak_mode. *)
+   an object carrying wall_s plus peak_bytes. Snapshots written while
+   cells also carried a "peak_mode" tag load the same way; the tag is
+   ignored. *)
 let stored_wall = function
   | Num f -> Some f
   | Obj _ as o -> (
@@ -349,10 +340,7 @@ let stored_wall = function
 
 let stored_peak = function
   | Obj _ as o -> (
-      match (member "peak_bytes" o, member "peak_mode" o) with
-      | Some (Num p), Some (Str mode) -> Some (p, mode)
-      | Some (Num p), _ -> Some (p, "exact")
-      | _ -> None)
+      match member "peak_bytes" o with Some (Num p) -> Some p | _ -> None)
   | _ -> None
 
 let warn_regressions ~threshold ~experiment ~prev_sha prev_cells new_cells =
@@ -375,10 +363,8 @@ let warn_regressions ~threshold ~experiment ~prev_sha prev_cells new_cells =
                 (100. *. ((c.wall /. before) -. 1.))
                 prev_sha threshold
           | _ -> ());
-          (* Peak heap is only comparable exact-vs-exact: gc-delta numbers
-             are sampling noise, so any gc-delta side skips the check. *)
           (match (stored_peak prev, c.peak) with
-          | Some (before, "exact"), Some (now, "exact") when grew before now ->
+          | Some before, Some now when grew before now ->
               any := true;
               Printf.printf
                 "::warning title=bench regression::%s %s peak heap %.0fB -> \
@@ -467,13 +453,7 @@ let () =
           let cell_value c =
             match c.peak with
             | None -> Num c.wall
-            | Some (p, mode) ->
-                Obj
-                  [
-                    ("wall_s", Num c.wall);
-                    ("peak_bytes", Num p);
-                    ("peak_mode", Str mode);
-                  ]
+            | Some p -> Obj [ ("wall_s", Num c.wall); ("peak_bytes", Num p) ]
           in
           let snap =
             Obj

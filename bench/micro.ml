@@ -44,7 +44,7 @@ let heap_test =
          done))
 
 (* The Dijkstra queue's own access pattern: monotone keys, each push at
-   or above the last popped key, drained through the unboxed triple. *)
+   or above the last popped key, drained through the unboxed pop. *)
 let bucket_queue_test =
   Test.make ~name:"int-bucket-queue push/drop 1k"
     (Staged.stage (fun () ->
@@ -54,8 +54,7 @@ let bucket_queue_test =
          done;
          let acc = ref 0 in
          while not (Geacc_pqueue.Int_bucket_queue.is_empty q) do
-           acc := !acc + Geacc_pqueue.Int_bucket_queue.min_payload q;
-           Geacc_pqueue.Int_bucket_queue.drop_min q
+           acc := !acc + Geacc_pqueue.Int_bucket_queue.pop_min q
          done;
          ignore !acc))
 
@@ -227,6 +226,27 @@ let mid_solve_pass_test =
     ~allocate:mid_solve_pass ~free:ignore
     (Staged.stage (fun pass -> pass ()))
 
+(* The whole SSP: [Mcf.solve_int] on the TABLE III default network (seed
+   0), about 2,490 passes. The network is built once; each run first
+   returns it to zero flow ([Graph.reset_flow], one sweep of the arc
+   store, well under 1% of the solve). *)
+let ssp_network =
+  lazy
+    (Geacc_core.Mincostflow.build_network
+       (Synthetic.generate ~seed:0 Synthetic.default))
+
+let ssp_solve_test =
+  Test.make ~name:"Mcf.solve_int (TABLE III default, seed 0)"
+    (Staged.stage (fun () ->
+         let net = Lazy.force ssp_network in
+         let g = net.Geacc_core.Mincostflow.graph in
+         Geacc_flow.Graph.reset_flow g;
+         ignore
+           (Geacc_flow.Mcf.solve_int g ~source:net.Geacc_core.Mincostflow.source
+              ~sink:net.Geacc_core.Mincostflow.sink
+              ~stop_below:Geacc_core.Mincostflow.cost_scale ()
+             : Geacc_flow.Mcf.int_outcome option)))
+
 (* Budget polling overhead: the same solver run with a disarmed budget
    (the default) and with an armed budget whose deadline is far away, so
    every iteration pays the cooperative poll but the run never degrades.
@@ -256,6 +276,7 @@ let tests =
       bucket_queue_test;
       dijkstra_test;
       mid_solve_pass_test;
+      ssp_solve_test;
       conflict_probe_test;
       ranked_scan_test;
       mcf_build_test;

@@ -127,13 +127,30 @@ module Flow = struct
     done;
     (* Slice layout: [forward arcs, cost-ascending | live residual arcs |
        dead residual arcs], the live run being exactly the residual
-       positions with capacity > 0. *)
+       positions with capacity > 0, and the cursor on the first forward
+       position with capacity > 0 (or at the residual run). *)
     for v = 0 to n - 1 do
       let fb = G.out_begin g v and rb = G.res_begin g v in
       let le = G.live_end g v and oe = G.out_end g v in
       if not (fb <= rb && rb <= le && le <= oe) then
         failf ~site "CSR boundaries of node %d out of order: %d %d %d %d" v
           fb rb le oe;
+      let cur = G.forward_cursor g v in
+      if cur < fb || cur > rb then
+        failf ~site "CSR cursor of node %d at %d, outside its forward run [%d, %d]"
+          v cur fb rb;
+      for p = fb to cur - 1 do
+        if G.pos_residual_capacity g p > 0 then
+          failf ~site
+            "CSR cursor of node %d at %d passes position %d, which has \
+             capacity %d"
+            v cur p
+            (G.pos_residual_capacity g p)
+      done;
+      if cur < rb && G.pos_residual_capacity g cur <= 0 then
+        failf ~site "CSR cursor of node %d sits on position %d of capacity %d"
+          v cur
+          (G.pos_residual_capacity g cur);
       for p = fb to rb - 1 do
         let a = G.pos_arc g p in
         if a land 1 <> 0 then
@@ -174,6 +191,14 @@ module Flow = struct
             a (G.src g a) (G.dst g a) rc
       end
     done
+
+  let check_sink_potential_max ~site ~potential ~sink =
+    Array.iteri
+      (fun v p ->
+        if p > potential.(sink) then
+          failf ~site "potential of node %d (%d) exceeds the sink's (%d)" v p
+            potential.(sink))
+      potential
 end
 
 module Heap = struct

@@ -60,6 +60,12 @@ module Flow : sig
       for running Dijkstra on the residual network. Exact, zero slack: the
       integer potential update telescopes without roundoff. *)
 
+  val check_sink_potential_max :
+    site:string -> potential:int array -> sink:int -> unit
+  (** No potential exceeds the sink's: the bound
+      {!Geacc_flow.Shortest_path.ssp_pass} reads off the sink instead of
+      scanning (DESIGN.md §15.4). *)
+
   val check_csr :
     site:string -> Geacc_flow.Graph.t -> unit
   (** The CSR form is current and faithful: offsets are monotone and tile
@@ -70,7 +76,8 @@ module Flow : sig
       has the documented layout: forward (even) arcs by ascending cost,
       ties by ascending id, then the residual (odd) arcs, with
       [\[res_begin, live_end)] exactly the residual positions of capacity
-      > 0. Fails when
+      > 0, and {!Geacc_flow.Graph.forward_cursor} on the first forward
+      position of capacity > 0, or at [res_begin] when there is none. Fails when
       {!Geacc_flow.Graph.csr_valid} is false — run it only after
       [finalize_csr]. *)
 end

@@ -193,18 +193,21 @@ let[@inline] event_sim_at t ~v ~rank =
 let prepare_event_queries t = ignore (event_source t : source)
 
 (* Similarity-pruned candidate set of one event, for the sparse network
-   builder: every user with [sim > 0] (and [>= min_sim]). It runs a scan
-   keyed by distance over the users' vectors directly, so it reads no
-   neighbour source and writes no cache.
+   builder: every user with [sim > 0] (and [>= min_sim]), as one id array
+   and one unboxed similarity array. It runs a scan keyed by distance
+   over the users' vectors directly, so it reads no neighbour source and
+   writes no cache.
 
-   The indexed path recovers similarities through the distance profile,
-   whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
-   bitwise-identical to [sim t ~v ~u]; monotonicity lets the collection
-   stop at the first rank whose similarity falls below the gate, and
-   keeps the scan's order, descending similarity — the cost-ascending
-   order [Graph.finalize_csr] lays each event's arcs out in. The scanned
-   path yields ascending user id. *)
-let candidate_users t ~v ~min_sim =
+   The indexed path sorts the scan once, whole, and recovers similarities
+   through the distance profile, whose contract ([sim_of_dist (dist lv
+   lu) = eval lv lu]) makes them bitwise-identical to [sim t ~v ~u];
+   monotonicity lets the collection stop at the first rank whose
+   similarity falls below the gate, and keeps the scan's order,
+   descending similarity — the cost-ascending order [Graph.finalize_csr]
+   lays each event's arcs out in. The scanned path yields ascending user
+   id, evaluating [sim] from the last user down (the order fault plans
+   count [sim.*] hits in). *)
+let event_candidates t ~v ~min_sim =
   match Similarity.dist_profile t.similarity with
   | Some { Similarity.sim_of_dist; cutoff } ->
       let q = t.events.(v).Entity.attrs in
@@ -212,24 +215,40 @@ let candidate_users t ~v ~min_sim =
         Ranked.scan ~n:(n_users t) ~cutoff (fun u ->
             Point.dist q t.users.(u).Entity.attrs)
       in
-      let passes rank =
-        Ranked.reach ranked rank
-        &&
-        let s = sim_of_dist (Ranked.key ranked rank) in
-        s > 0. && s >= min_sim
-      in
+      let len = Ranked.length ranked in
+      ignore (Ranked.reach ranked len : bool);
+      let ids = Array.make len 0 and sims = Array.make len 0. in
+      let k = ref 0 and stop = ref false in
       (* poll: ok — stops at the first rank below the gate; bounded by the candidate count *)
-      let rec count k = if passes (k + 1) then count (k + 1) else k in
-      Array.init (count 0) (fun k ->
-          (Ranked.id ranked (k + 1), sim_of_dist (Ranked.key ranked (k + 1))))
+      while (not !stop) && !k < len do
+        let s = sim_of_dist (Ranked.key ranked (!k + 1)) in
+        if s > 0. && s >= min_sim then begin
+          ids.(!k) <- Ranked.id ranked (!k + 1);
+          sims.(!k) <- s;
+          incr k
+        end
+        else stop := true
+      done;
+      if !k = len then (ids, sims)
+      else (Array.sub ids 0 !k, Array.sub sims 0 !k)
   | None ->
       let n = n_users t in
-      let acc = ref [] in
+      let ids = Array.make n 0 and sims = Array.make n 0. in
+      let first = ref n in
       for u = n - 1 downto 0 do
         let s = sim t ~v ~u in
-        if s > 0. && s >= min_sim then acc := (u, s) :: !acc
+        if s > 0. && s >= min_sim then begin
+          decr first;
+          ids.(!first) <- u;
+          sims.(!first) <- s
+        end
       done;
-      Array.of_list !acc
+      let k = n - !first in
+      (Array.sub ids !first k, Array.sub sims !first k)
+
+let candidate_users t ~v ~min_sim =
+  let ids, sims = event_candidates t ~v ~min_sim in
+  Array.mapi (fun k u -> (u, sims.(k))) ids
 
 let side_work = function
   | None -> 0

@@ -78,16 +78,21 @@ val prepare_event_queries : t -> unit
     it, to time that step on its own; it goes when the benchmark is next
     edited. *)
 
+val event_candidates :
+  t -> v:int -> min_sim:float -> int array * float array
+(** The similarity-pruned candidate users of event [v], as parallel arrays
+    [(ids, sims)]: every user [u] with [s = sim t ~v ~u], [s > 0] and
+    [s >= min_sim]. Indexed instances (similarity with a distance
+    profile) return them in ascending distance, equal distances by
+    ascending id: descending similarity, the order {!event_neighbor} ranks
+    them in except among equal similarities at distinct distances, which
+    it ranks by id. They sort the event's scan once, whole. Scanned
+    instances return them in ascending user id. Similarities are
+    bitwise-identical to {!sim} (when no fault plan is poisoning it). This
+    reads no neighbour source and writes no cache. *)
+
 val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
-(** The similarity-pruned candidate users of event [v]: every [(u, s)] with
-    [s = sim t ~v ~u], [s > 0] and [s >= min_sim]. Indexed instances
-    (similarity with a distance profile) return them in ascending
-    distance, equal distances by ascending id: descending similarity, the
-    order {!event_neighbor} ranks them in except among equal similarities
-    at distinct distances, which it ranks by id. Scanned instances return them in ascending user
-    id. Similarities are bitwise-identical to {!sim} (when
-    no fault plan is poisoning it). This reads no neighbour source and
-    writes no cache. *)
+(** {!event_candidates} as [(u, s)] pairs, in the same order. *)
 
 val with_backend : t -> Geacc_index.Nn_backend.t -> t
 (** Same instance data with fresh (cold) neighbour caches; the argument is

@@ -10,7 +10,7 @@ module Fault = Geacc_robust.Fault
 let cost_scale = 1 lsl 30
 let cost_scale_f = float_of_int cost_scale
 
-let quantise c =
+let[@inline] quantise c =
   let q = int_of_float (Float.round (c *. cost_scale_f)) in
   assert (0 <= q && q <= cost_scale);
   q
@@ -95,12 +95,13 @@ let build_network ?min_sim instance =
      the v-major emission in candidate order fixes arc ids. On indexed
      instances that order is descending similarity, so each event's arcs
      arrive cost-ascending and [Graph.finalize_csr] only checks their
-     order. *)
+     order. Each event's candidates come as one id array and one unboxed
+     similarity array: no pair tuple, no boxed similarity. *)
   let candidates =
-    Array.init n_v (fun v -> Instance.candidate_users instance ~v ~min_sim)
+    Array.init n_v (fun v -> Instance.event_candidates instance ~v ~min_sim)
   in
   let pair_arcs =
-    Array.fold_left (fun acc c -> acc + Array.length c) 0 candidates
+    Array.fold_left (fun acc (ids, _) -> acc + Array.length ids) 0 candidates
   in
   Graph.reserve g ~arcs:(n_v + pair_arcs + n_u);
   for v = 0 to n_v - 1 do
@@ -108,23 +109,25 @@ let build_network ?min_sim instance =
       (Graph.add_arc g ~src:source ~dst:(event_node v)
          ~capacity:(Instance.event_capacity instance v) ~cost:0)
   done;
-  Array.iteri
-    (fun v ->
-      Array.iter (fun (u, s) ->
-          (* Candidates already pass [s > 0]; a similarity above 1 (or
-             NaN, e.g. from a [Similarity.custom] breaking its [0, 1]
-             contract) would make a negative-cost arc, outside the SSP
-             kernel's domain. *)
-          if not (s <= 1.) then
-            invalid_arg
-              (Printf.sprintf
-                 "Mincostflow.build_network: similarity of (v=%d, u=%d) is \
-                  %.17g, outside [0, 1]"
-                 v u s);
-          ignore
-            (Graph.add_arc g ~src:(event_node v) ~dst:(user_node u)
-               ~capacity:1 ~cost:(quantise (1. -. s)))))
-    candidates;
+  for v = 0 to n_v - 1 do
+    let ids, sims = candidates.(v) in
+    for k = 0 to Array.length ids - 1 do
+      let u = ids.(k) and s = sims.(k) in
+      (* Candidates already pass [s > 0]; a similarity above 1 (or NaN,
+         e.g. from a [Similarity.custom] breaking its [0, 1] contract)
+         would make a negative-cost arc, outside the SSP kernel's
+         domain. *)
+      if not (s <= 1.) then
+        invalid_arg
+          (Printf.sprintf
+             "Mincostflow.build_network: similarity of (v=%d, u=%d) is \
+              %.17g, outside [0, 1]"
+             v u s);
+      ignore
+        (Graph.add_arc g ~src:(event_node v) ~dst:(user_node u) ~capacity:1
+           ~cost:(quantise (1. -. s)))
+    done
+  done;
   if Audit.enabled () then
     audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~min_sim
       ~n_v ~n_u;
@@ -150,9 +153,11 @@ let solve_with_stats ?deadline ?min_sim instance =
     Audit.Flow.check_csr ~site:"Mincostflow.solve/finalize" g
   end;
   let audit_after_dijkstra ~potential =
-    if Audit.enabled () then
-      Audit.Flow.check_reduced_costs_int ~site:"Mincostflow.solve/dijkstra"
-        g ~potential
+    if Audit.enabled () then begin
+      let site = "Mincostflow.solve/dijkstra" in
+      Audit.Flow.check_reduced_costs_int ~site g ~potential;
+      Audit.Flow.check_sink_potential_max ~site ~potential ~sink
+    end
   in
   let audit_after_augment () =
     if Audit.enabled () then begin
@@ -175,22 +180,24 @@ let solve_with_stats ?deadline ?min_sim instance =
            leaves the kernel's overflow domain (DESIGN.md §15.2). *)
         invalid_arg "Mincostflow.solve: instance too large for 63-bit costs"
   in
-  (* M_∅: pairs carrying flow with positive similarity. The similarity is
-     recovered from the stored arc cost (s = 1 - cost) instead of being
-     recomputed; [s > 0] iff [cost < 1], exactly the build-time gate. *)
+  (* M_∅: pairs carrying flow with positive similarity, read per user off
+     its live residual run: the only arcs into a user are its pair arcs,
+     so its residual arcs with capacity are exactly the partners of the
+     pair arcs carrying a unit. The similarity is recovered from the
+     stored arc cost (s = 1 - cost) instead of being recomputed; [s > 0]
+     iff [cost < 1], exactly the build-time gate. The CSR form is current
+     unless the deadline stopped the solve before its first pass. *)
   let assigned = Array.make n_u [] in
-  Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
-      let sv = Graph.src g a in
-      if sv >= 1 && sv <= n_v then begin
-        let d = Graph.dst g a in
-        if d > n_v && d < sink && Graph.flow g a = 1 then begin
-          let s = 1. -. dequantise (Graph.icost g a) in
-          if s > 0. then begin
-            let u = d - 1 - n_v in
-            assigned.(u) <- (sv - 1, s) :: assigned.(u)
-          end
-        end
-      end);
+  Graph.finalize_csr g;
+  for u = 0 to n_u - 1 do
+    let node = 1 + n_v + u in
+    for p = Graph.res_begin g node to Graph.live_end g node - 1 do
+      let d = Graph.pos_dst g p in
+      assert (d >= 1 && d <= n_v);
+      let s = 1. -. dequantise (Graph.icost g (Graph.pos_arc g p lxor 1)) in
+      if s > 0. then assigned.(u) <- (d - 1, s) :: assigned.(u)
+    done
+  done;
   (* Conflict resolution (Algorithm 1, lines 8-14): per user, keep events in
      descending similarity, skipping any that conflict with one already
      kept — a greedy max-weight independent set. *)

@@ -8,10 +8,11 @@ type arc = int
      0 <= count <= |dst_|, |cap_|, |initial_cap|, |icost_|
      dst_ holds nodes in [0, num_nodes)
      csr_valid  =>  |csr_offset| = num_nodes + 1,
-                    |csr_res| = |csr_live| = num_nodes,
+                    |csr_res| = |csr_live| = |csr_cursor| = num_nodes,
                     count <= |csr_dst|, |csr_icost|, |csr_cap|,
                              |csr_arc|, |arc_pos|,
-                    csr_offset/csr_res/csr_live values in [0, count],
+                    csr_offset/csr_res/csr_live/csr_cursor values in
+                    [0, count],
                     csr_arc/arc_pos a permutation pair of [0, count)
 
    `--profile safe` compiles the same sites back to checked accesses. *)
@@ -33,7 +34,10 @@ type t = {
      [forward arcs, cost-ascending | live residual arcs | dead residual
      arcs]: [csr_res] is the first residual position of a node and
      [csr_live] one past its last live (capacity > 0) residual position.
-     [csr_arc] maps a position back to its arc id and [arc_pos] inverts it;
+     [csr_cursor] is a node's first forward position with capacity > 0
+     ([csr_res] when its forward run is saturated), so a walk of the run
+     starts past its saturated head. [csr_arc] maps a position back to its
+     arc id and [arc_pos] inverts it;
      [csr_count] is the arc count the mirror was built for (-1 = never
      built), so adding arcs invalidates it while [push] keeps it current in
      place. *)
@@ -41,6 +45,7 @@ type t = {
   mutable csr_offset : int array;    (* num_nodes + 1 *)
   mutable csr_res : int array;       (* num_nodes *)
   mutable csr_live : int array;      (* num_nodes *)
+  mutable csr_cursor : int array;    (* num_nodes *)
   mutable csr_dst : int array;
   mutable csr_icost : int array;
   mutable csr_cap : int array;
@@ -61,6 +66,7 @@ let create ~num_nodes =
     csr_offset = [||];
     csr_res = [||];
     csr_live = [||];
+    csr_cursor = [||];
     csr_dst = [||];
     csr_icost = [||];
     csr_cap = [||];
@@ -137,13 +143,15 @@ let initial_capacity t a =
 
 let[@inline] csr_valid t = t.csr_count = t.count
 
-(* -- Live-run upkeep ----------------------------------------------------
+(* -- Live-run and cursor upkeep -----------------------------------------
 
    Capacity writes never move a forward arc, but a residual arc whose
    capacity crosses zero must cross its node's live-run boundary
    [csr_live]. One position swap does it and keeps [arc_pos] the inverse
-   of [csr_arc]. They run a handful of times per augmentation (and in the
-   rare forward-run sort below), so they stay on checked accesses. *)
+   of [csr_arc]. A forward arc whose capacity crosses zero moves its
+   node's cursor instead. They run a handful of times per augmentation
+   (and in the rare forward-run sort below), so they stay on checked
+   accesses. *)
 
 let[@inline] swap_cells (a : int array) p q =
   let x = a.(p) in
@@ -175,6 +183,34 @@ let relive t r =
     t.csr_live.(s) <- e - 1
   end
 
+(* The first position of [s]'s forward run from [p] on that has
+   capacity, or the run's end. *)
+let first_open t s p =
+  let e = t.csr_res.(s) and q = ref p in
+  (* poll: ok — one pass over part of one node's forward run *)
+  while !q < e && t.csr_cap.(!q) <= 0 do
+    incr q
+  done;
+  !q
+
+(* Keeps forward arc [f]'s node cursor on the first forward position with
+   capacity after [f]'s capacity changed. Requires [csr_valid]. A revived
+   arc before the cursor becomes it; a saturated arc at the cursor moves
+   it past the zero-capacity positions that follow. *)
+let recursor t f =
+  let s = t.dst_.(partner f) in
+  let p = t.arc_pos.(f) and c = t.csr_cursor.(s) in
+  if t.cap_.(f) > 0 then begin
+    if p < c then t.csr_cursor.(s) <- p
+  end
+  else if p = c then t.csr_cursor.(s) <- first_open t s (p + 1)
+
+(* Every node's cursor from scratch, off the positional capacities. *)
+let rescan_cursors t =
+  for s = 0 to t.num_nodes - 1 do
+    t.csr_cursor.(s) <- first_open t s t.csr_offset.(s)
+  done
+
 (* bounds: proved — fault-injection hook; check_arc guards a, mirror write follows arc_pos permutation *)
 let unsafe_set_residual_capacity t a k =
   check_arc t a;
@@ -183,7 +219,7 @@ let unsafe_set_residual_capacity t a k =
   if csr_valid t then begin
     (* bounds: proved — a < count <= |arc_pos|, arc_pos.(a) < count <= |csr_cap| *)
     A.unsafe_set t.csr_cap (A.unsafe_get t.arc_pos a) k;
-    if a land 1 = 1 then relive t a
+    if a land 1 = 1 then relive t a else recursor t a
   end
 
 let flow t a =
@@ -205,8 +241,10 @@ let[@inline] push t a k =
     A.unsafe_set t.csr_cap (A.unsafe_get t.arc_pos a) (A.unsafe_get t.cap_ a);
     (* bounds: proved — b < count <= |arc_pos|, arc_pos.(b) < count <= |csr_cap| *)
     A.unsafe_set t.csr_cap (A.unsafe_get t.arc_pos b) (A.unsafe_get t.cap_ b);
-    (* The odd arc of the pair is the residual one. *)
-    relive t (a lor 1)
+    (* The odd arc of the pair is the residual one, the even one the
+       forward arc. *)
+    relive t (a lor 1);
+    recursor t (a land lnot 1)
   end
 
 let fold_forward_arcs t ~init ~f =
@@ -284,7 +322,8 @@ let finalize_csr t =
     if Array.length t.csr_offset <> n + 1 then begin
       t.csr_offset <- Array.make (n + 1) 0;
       t.csr_res <- Array.make n 0;
-      t.csr_live <- Array.make n 0
+      t.csr_live <- Array.make n 0;
+      t.csr_cursor <- Array.make n 0
     end
     else begin
       Array.fill t.csr_offset 0 (n + 1) 0;
@@ -346,6 +385,7 @@ let finalize_csr t =
       for s = 0 to n - 1 do
         if not (run_sorted t off.(s) res.(s)) then sort_run t off.(s) res.(s)
       done;
+    rescan_cursors t;
     t.csr_count <- m
   end
 
@@ -376,6 +416,12 @@ let[@inline] live_end t n =
   assert (n >= 0 && n < t.num_nodes);
   (* bounds: proved — csr_valid gives |csr_live| = num_nodes > n *)
   A.unsafe_get t.csr_live n
+
+let forward_cursor t n =
+  assert (csr_valid t);
+  assert (n >= 0 && n < t.num_nodes);
+  (* bounds: proved — csr_valid gives |csr_cursor| = num_nodes > n *)
+  A.unsafe_get t.csr_cursor n
 
 let[@inline] pos_dst t p =
   check_pos t p;
@@ -429,6 +475,21 @@ let[@inline] unsafe_csr_arc t =
   assert (csr_valid t);
   t.csr_arc
 
+(* bounds: proved — returns the whole per-node array; nodes < node_count are in bounds while csr_valid *)
+let[@inline] unsafe_csr_res t =
+  assert (csr_valid t);
+  t.csr_res
+
+(* bounds: proved — returns the whole per-node array; nodes < node_count are in bounds while csr_valid *)
+let[@inline] unsafe_csr_live t =
+  assert (csr_valid t);
+  t.csr_live
+
+(* bounds: proved — returns the whole per-node array; nodes < node_count are in bounds while csr_valid *)
+let[@inline] unsafe_csr_cursor t =
+  assert (csr_valid t);
+  t.csr_cursor
+
 let reset_flow t =
   Array.blit t.initial_cap 0 t.cap_ 0 t.count;
   if csr_valid t then begin
@@ -438,7 +499,8 @@ let reset_flow t =
     for p = 0 to t.count - 1 do
       (* bounds: proved — p < count <= |csr_cap| = |csr_arc|, csr_arc.(p) < count <= |cap_| *)
       A.unsafe_set t.csr_cap p (A.unsafe_get t.cap_ (A.unsafe_get t.csr_arc p))
-    done
+    done;
+    rescan_cursors t
   end
 
 let excess t n =

@@ -84,11 +84,16 @@ val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
       capacity > 0, in no particular order;
     - [\[live_end n, out_end n)]: the other residual arcs.
 
+    Each node also keeps a {e cursor}, {!forward_cursor}: its first
+    forward position with capacity > 0, or [res_begin n] when the whole
+    forward run is saturated. Every forward position before it has zero
+    capacity.
+
     {!push}, {!unsafe_set_residual_capacity} and {!reset_flow} keep the
-    positional residual capacities and the live run current in place;
-    forward arcs never move, residual arcs move only across the live-run
-    boundary. Only {!add_arc} invalidates the form (rebuild by calling
-    {!finalize_csr} again). *)
+    positional residual capacities, the live run and the cursor current in
+    place; forward arcs never move, residual arcs move only across the
+    live-run boundary. Only {!add_arc} invalidates the form (rebuild by
+    calling {!finalize_csr} again). *)
 
 val finalize_csr : t -> unit
 (** Builds (or rebuilds) the CSR form; a no-op when the form is already
@@ -117,6 +122,12 @@ val live_end : t -> int -> int
     positions [\[res_begin n, live_end n)] hold exactly the node's
     residual arcs with capacity > 0. Requires {!csr_valid}. *)
 
+val forward_cursor : t -> int -> int
+(** A node's first forward position with residual capacity > 0, or
+    {!res_begin} when it has none:
+    [out_begin n <= forward_cursor n <= res_begin n]. Requires
+    {!csr_valid}. *)
+
 val pos_dst : t -> int -> int
 (** Destination of the arc at a CSR position. *)
 
@@ -139,7 +150,10 @@ val arc_position : t -> arc -> int
     The [unsafe_csr_*] accessors hand the traversal kernels the positional
     arrays themselves: one {!csr_valid} assert at fetch time, then the
     caller indexes positions from [\[out_begin n, out_end n)] ranges with
-    no per-access validity or bounds check. Every such index site must
+    no per-access validity or bounds check. The per-node arrays behind
+    {!res_begin}, {!live_end} and {!forward_cursor} come the same way, so
+    a kernel reads a node's slice bounds without a call per node; their
+    values are positions in [\[0, arc_count\]]. Every such index site must
     carry a stage-4 licence [(* bounds: proved — ... *)] that
     [dune build @bounds] re-proves on every build; while {!csr_valid}
     holds, every position below {!arc_count} is in bounds for every
@@ -159,6 +173,16 @@ val unsafe_csr_cap : t -> int array
 
 val unsafe_csr_arc : t -> int array
 (** Positional arc-id slice. Requires {!csr_valid}. *)
+
+val unsafe_csr_res : t -> int array
+(** Per-node {!res_begin}, [node_count] entries. Requires {!csr_valid}. *)
+
+val unsafe_csr_live : t -> int array
+(** Per-node {!live_end}, [node_count] entries. Requires {!csr_valid}. *)
+
+val unsafe_csr_cursor : t -> int array
+(** Per-node {!forward_cursor}, [node_count] entries. Requires
+    {!csr_valid}. *)
 
 val reset_flow : t -> unit
 (** Returns every arc to zero flow (and so empties every live run). *)

@@ -57,9 +57,9 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited) ?stop_below
     let pi = Array.make n 0 in
     (* Scratch for every Dijkstra pass, allocated once per solve — the
        passes themselves allocate nothing. *)
-    let dist = Array.make n max_int in
-    let parent_arc = Array.make n (-1) in
-    let queue = Geacc_pqueue.Int_bucket_queue.create () in
+    let sp = Shortest_path.scratch ~nodes:n in
+    let dist = Shortest_path.dist sp in
+    let parent_arc = Shortest_path.parent_arc sp in
     let total_flow = ref 0 in
     let total_cost = ref 0 in
     let augmentations = ref 0 in
@@ -75,8 +75,7 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited) ?stop_below
         continue := false
       end
       else begin
-        Shortest_path.dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue
-          ~stop_at:sink ();
+        Shortest_path.ssp_pass g sp ~source ~sink ~pi;
         if dist.(sink) = max_int then continue := false
         else begin
           (* True source->sink path cost, before the potential update —
@@ -90,7 +89,10 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited) ?stop_below
           if stop_here then continue := false
           else begin
             (* Keep reduced costs non-negative for the next round: cap
-               distance contributions at the sink's distance. *)
+               distance contributions at the sink's distance. Every node
+               gains at most [cap] and the sink exactly [cap], so the
+               sink's potential stays the largest, which is what
+               [ssp_pass] reads as its bound. *)
             let cap = dist.(sink) in
             assert (Array.length dist = Array.length pi);
             for u = 0 to Array.length dist - 1 do

@@ -38,7 +38,8 @@ val dijkstra_int :
 
     Relaxation is lazy and reads the slice layout of {!Graph.finalize_csr}.
     A settled node relaxes its live residual run at once, then walks its
-    cost-ascending forward run only while
+    cost-ascending forward run, from its {!Graph.forward_cursor} on, only
+    while
     [dist u + icost a + pi(u) - max pi] — a lower bound on the key the arc
     would produce — is at most the popped key; the rest of the run waits
     in the queue as one entry keyed by that bound (or is dropped when the
@@ -52,5 +53,33 @@ val dijkstra_int :
 
     [dist], [parent_arc] and [queue] are caller-owned scratch (arrays of
     exactly [node_count] entries, asserted at entry — the stage-4 bounds
-    proofs rest on it); the kernel re-initialises them, so one allocation
-    serves every pass of an SSP solve. *)
+    proofs rest on it); the kernel re-initialises them. This entry point
+    takes any feasible [pi], so it scans it once for its largest entry;
+    {!ssp_pass} runs the same kernel without that scan or the full
+    re-initialisation. *)
+
+(** {2 Repeated passes} *)
+
+type scratch
+(** Per-solve state of repeated passes over one graph: the distances and
+    parent arcs of the last pass, the resume positions of its deferred
+    walks, the list of nodes it reached, and the queue. *)
+
+val scratch : nodes:int -> scratch
+(** Fresh state for a graph of [nodes] nodes: every distance [max_int],
+    every parent arc -1. *)
+
+val dist : scratch -> int array
+(** The last pass's reduced distances, as {!dijkstra_int} leaves them. *)
+
+val parent_arc : scratch -> int array
+(** The last pass's parent arcs, as {!dijkstra_int} leaves them. *)
+
+val ssp_pass :
+  Graph.t -> scratch -> source:int -> sink:int -> pi:int array -> unit
+(** [dijkstra_int ~stop_at:sink] on the state's arrays, with the same
+    pops, parents and distances, for a [pi] whose largest entry is
+    [pi.(sink)]. The SSP's potential update keeps that so (DESIGN.md
+    §15.4), and the pass reads the walk's bound there instead of scanning.
+    It resets only the nodes the previous pass on the same state
+    reached. *)

@@ -80,6 +80,8 @@ let scan ~n ~cutoff key =
   done;
   { keys; ids; len = !kept; ready = 0 }
 
+let length t = t.len
+
 let reach t rank =
   if rank <= t.ready then true
   else if rank <= t.len then begin

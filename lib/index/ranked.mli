@@ -23,6 +23,10 @@ val scan : n:int -> cutoff:float -> (int -> float) -> t
     those with [key i < cutoff] (so a NaN key is dropped). [key] is called
     once per target, in ascending id order, before [scan] returns. *)
 
+val length : t -> int
+(** Number of targets kept (those below the cutoff): the last rank.
+    [reach t (length t)] sorts the whole list in one pass. *)
+
 val reach : t -> int -> bool
 (** [reach t rank] sorts [t] up to the 1-based [rank]; [true] iff that rank
     exists. *)

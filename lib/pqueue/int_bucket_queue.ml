@@ -131,79 +131,67 @@ let[@inline] push t key payload =
   append t (bucket_index ~last:t.last key) key payload;
   t.size <- t.size + 1
 
-(* Make bucket 0 non-empty (requires [size > 0]): advance the floor to the
-   minimum of the smallest non-empty bucket and re-deal its entries. *)
-let ensure_min t =
+(* Make bucket 0 non-empty (requires [size > 0] and bucket 0 empty):
+   advance the floor to the minimum of the smallest non-empty bucket and
+   re-deal its entries. *)
+let redeal t =
+  let b = ref 1 in
+  (* poll: ok — at most [buckets] probes; size > 0 guarantees a hit *)
+  while t.lens.(!b) = 0 do
+    incr b
+  done;
+  let b = !b in
+  let ks = t.keys.(b) and ps = t.payloads.(b) and n = t.lens.(b) in
+  (* Non-empty by the scan above; within capacity is the per-bucket
+     invariant. The assert is the analyzer's handle on the scans below. *)
+  assert (1 <= n && n <= Array.length ks && n <= Array.length ps);
+  (* bounds: proved — 0 < n <= |ks| (length assert above) *)
+  let m = ref (A.unsafe_get ks 0) in
+  for i = 1 to n - 1 do
+    (* bounds: proved — i < n <= |ks| (length assert above) *)
+    let k = A.unsafe_get ks i in
+    if k < !m then m := k
+  done;
+  t.last <- !m;
+  t.lens.(b) <- 0;
+  for i = 0 to n - 1 do
+    (* bounds: proved — i < n <= |ks| (length assert above) *)
+    let k = A.unsafe_get ks i in
+    (* The radix invariant puts every re-dealt entry strictly below
+       [b]; [append]'s own entry assert covers the store. *)
+    let nb = bucket_index ~last:t.last k in
+    (* bounds: proved — i < n <= |ps| (length assert above) *)
+    append t nb k (A.unsafe_get ps i)
+  done
+
+(* The one unboxed pop: the Dijkstra loop takes the payload and reads the
+   key as the floor, with no [Some (key, payload)] allocation and one
+   emptiness check. Bucket 0 holds exactly the entries keyed at the floor,
+   so the re-deal runs only when it has run dry. *)
+let pop_min t =
+  if t.size = 0 then invalid_arg "Int_bucket_queue.pop_min: empty queue";
   (* bounds: proved — 0 < buckets = |lens| (fixed geometry) *)
-  if A.unsafe_get t.lens 0 = 0 then begin
-    let b = ref 1 in
-    (* poll: ok — at most [buckets] probes; size > 0 guarantees a hit *)
-    while t.lens.(!b) = 0 do
-      incr b
-    done;
-    let b = !b in
-    let ks = t.keys.(b) and ps = t.payloads.(b) and n = t.lens.(b) in
-    (* Non-empty by the scan above; within capacity is the per-bucket
-       invariant. The assert is the analyzer's handle on the scans below. *)
-    assert (1 <= n && n <= Array.length ks && n <= Array.length ps);
-    (* bounds: proved — 0 < n <= |ks| (length assert above) *)
-    let m = ref (A.unsafe_get ks 0) in
-    for i = 1 to n - 1 do
-      (* bounds: proved — i < n <= |ks| (length assert above) *)
-      let k = A.unsafe_get ks i in
-      if k < !m then m := k
-    done;
-    t.last <- !m;
-    t.lens.(b) <- 0;
-    for i = 0 to n - 1 do
-      (* bounds: proved — i < n <= |ks| (length assert above) *)
-      let k = A.unsafe_get ks i in
-      (* The radix invariant puts every re-dealt entry strictly below
-         [b]; [append]'s own entry assert covers the store. *)
-      let nb = bucket_index ~last:t.last k in
-      (* bounds: proved — i < n <= |ps| (length assert above) *)
-      append t nb k (A.unsafe_get ps i)
-    done
-  end
-
-(* Unboxed access to the minimum: [min_key] / [min_payload] / [drop_min]
-   let the Dijkstra loop pop without the [Some (key, payload)] allocation
-   of [pop]. The three share the [ensure_min] restructure, which is
-   idempotent until the next drop. *)
-
-let[@inline] min_key t =
-  if t.size = 0 then invalid_arg "Int_bucket_queue.min_key: empty queue";
-  ensure_min t;
-  t.last
-
-let min_payload t =
-  if t.size = 0 then invalid_arg "Int_bucket_queue.min_payload: empty queue";
-  ensure_min t;
+  if A.unsafe_get t.lens 0 = 0 then redeal t;
   (* bounds: proved — 0 < buckets = |payloads| (fixed geometry) *)
   let ps = A.unsafe_get t.payloads 0 in
   (* bounds: proved — 0 < buckets = |lens| (fixed geometry) *)
   let n = A.unsafe_get t.lens 0 in
-  (* Bucket 0 is non-empty after [ensure_min]; within capacity is the
+  (* Bucket 0 is non-empty after the re-deal; within capacity is the
      per-bucket invariant. *)
   assert (1 <= n && n <= Array.length ps);
+  (* bounds: proved — 0 < buckets = |lens| (fixed geometry) *)
+  A.unsafe_set t.lens 0 (n - 1);
+  t.size <- t.size - 1;
   (* bounds: proved — 0 <= n - 1 < |ps| (length assert above) *)
   A.unsafe_get ps (n - 1)
 
-let[@inline] drop_min t =
-  if t.size = 0 then invalid_arg "Int_bucket_queue.drop_min: empty queue";
-  ensure_min t;
-  (* bounds: proved — 0 < buckets = |lens| (fixed geometry) *)
-  A.unsafe_set t.lens 0 (A.unsafe_get t.lens 0 - 1);
-  t.size <- t.size - 1
+let[@inline] floor t = t.last
 
 let pop t =
   if t.size = 0 then None
   else begin
-    ensure_min t;
-    let len = t.lens.(0) - 1 in
-    t.lens.(0) <- len;
-    t.size <- t.size - 1;
-    Some (t.last, t.payloads.(0).(len))
+    let payload = pop_min t in
+    Some (t.last, payload)
   end
 
 let clear t =

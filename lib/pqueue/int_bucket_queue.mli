@@ -23,22 +23,19 @@ val push : t -> int -> int -> unit
     [key] is below the floor (the largest key popped so far; 0 on a fresh
     or cleared queue). *)
 
+val pop_min : t -> int
+(** Removes a minimum-key entry and returns its payload; its key is then
+    {!floor}. Allocates nothing: the Dijkstra loop's pop. Payload order
+    among equal keys is unspecified. Raises [Invalid_argument] on an
+    empty queue. *)
+
+val floor : t -> int
+(** The largest key popped so far (0 on a fresh or cleared queue): after
+    {!pop_min}, the key of the entry it returned. *)
+
 val pop : t -> (int * int) option
-(** Minimum-key entry. Allocates the pair; hot loops should use the
-    unboxed triple {!min_key} / {!min_payload} / {!drop_min} instead.
-    Payload order among equal keys is unspecified. *)
-
-val min_key : t -> int
-(** Key of the minimum entry. Raises [Invalid_argument] on an empty
-    queue. *)
-
-val min_payload : t -> int
-(** Payload of the minimum entry. Raises [Invalid_argument] on an empty
-    queue. *)
-
-val drop_min : t -> unit
-(** Removes the minimum entry without returning it. Raises
-    [Invalid_argument] on an empty queue. *)
+(** Minimum-key entry as [(key, payload)], or [None] when empty.
+    Allocates the pair; hot loops use {!pop_min}. *)
 
 val clear : t -> unit
 (** Empties and resets the floor to 0 without releasing storage (cheap

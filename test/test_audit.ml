@@ -89,6 +89,22 @@ let test_flow_reduced_costs () =
       Audit.Flow.check_reduced_costs_int ~site:"test" g
         ~potential:[| 0; 5; 0; 0 |])
 
+let test_flow_cursor_violation () =
+  let g, a01, _, _ = path_graph () in
+  Graph.finalize_csr g;
+  Audit.Flow.check_csr ~site:"test" g;
+  (* Force node 0's cursor past its only arc, which still has capacity. *)
+  (Graph.unsafe_csr_cursor g).(0) <- Graph.res_begin g 0;
+  expect_violation "cursor past a live arc" ~detail_part:"passes position"
+    (fun () -> Audit.Flow.check_csr ~site:"test" g);
+  (* And onto a saturated one: the cursor must sit on capacity. *)
+  (Graph.unsafe_csr_cursor g).(0) <- Graph.arc_position g a01;
+  Audit.Flow.check_csr ~site:"test" g;
+  Graph.unsafe_set_residual_capacity g a01 0;
+  (Graph.unsafe_csr_cursor g).(0) <- Graph.arc_position g a01;
+  expect_violation "cursor on a dead arc" ~detail_part:"sits on position"
+    (fun () -> Audit.Flow.check_csr ~site:"test" g)
+
 (* -- heaps --
 
    Corruption trick: the heaps order by a caller-supplied comparison, so a
@@ -216,6 +232,8 @@ let suite =
       test_flow_capacity_negative;
     Alcotest.test_case "flow capacity leak" `Quick test_flow_capacity_leak;
     Alcotest.test_case "flow reduced costs" `Quick test_flow_reduced_costs;
+    Alcotest.test_case "flow CSR cursor violation" `Quick
+      test_flow_cursor_violation;
     Alcotest.test_case "binary heap invariant" `Quick
       test_binary_heap_invariant;
     Alcotest.test_case "bucket queue invariant" `Quick

@@ -3,8 +3,9 @@
    - offsets are monotone, contiguous, and cover every arc exactly once;
    - positions and arc ids are mutually inverse permutations, and every
      node's slice is laid out as [forward arcs, cost-ascending | live
-     residual arcs | dead residual arcs], through pushes, raw capacity
-     writes and [reset_flow];
+     residual arcs | dead residual arcs], with the cursor on the first
+     forward position with capacity, through pushes, raw capacity writes
+     and [reset_flow];
    - the positional capacity mirror tracks [push] / residual-capacity
      writes and [reset_flow];
    - adding an arc invalidates the CSR and re-finalizing repairs it;
@@ -92,7 +93,8 @@ let test_structure () =
 
 (* The slice layout: forward (even) arcs by (cost, arc id), then the
    residual (odd) arcs, the live run [res_begin, live_end) holding exactly
-   the ones with capacity > 0. *)
+   the ones with capacity > 0; the cursor on the first forward position
+   with capacity > 0, or at res_begin. *)
 let check_layout ~label g =
   for v = 0 to Graph.node_count g - 1 do
     let fb = Graph.out_begin g v and rb = Graph.res_begin g v in
@@ -100,6 +102,14 @@ let check_layout ~label g =
     if not (fb <= rb && rb <= le && le <= oe) then
       Alcotest.failf "%s: node %d boundaries %d <= %d <= %d <= %d broken"
         label v fb rb le oe;
+    let first_open = ref rb in
+    for p = rb - 1 downto fb do
+      if Graph.residual_capacity g (Graph.pos_arc g p) > 0 then first_open := p
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "%s: node %d cursor" label v)
+      !first_open
+      (Graph.forward_cursor g v);
     for p = fb to rb - 1 do
       let a = Graph.pos_arc g p in
       if a land 1 <> 0 then
@@ -171,6 +181,61 @@ let test_layout () =
       check_layout ~label:(label "re-finalize under flow") g)
     [ (1, 1, 0); (2, 5, 1); (3, 9, 40); (4, 30, 200); (5, 12, 12); (6, 15, 80);
       (7, 3, 600) ]
+
+(* One node's forward run, three unit arcs at costs 1, 2, 3: saturating
+   them walks the cursor to the residual run, and reverse pushes revive
+   arcs before it, which pull it back. *)
+let test_cursor_revival () =
+  let g = Graph.create ~num_nodes:2 in
+  let arc cost = Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost in
+  let a1 = arc 1 in
+  let a2 = arc 2 in
+  let a3 = arc 3 in
+  Graph.finalize_csr g;
+  let pos = Graph.arc_position g in
+  let expect what p =
+    check_layout ~label:what g;
+    Alcotest.(check int) what p (Graph.forward_cursor g 0)
+  in
+  expect "finalize: first arc" (pos a1);
+  Graph.push g a1 1;
+  expect "a1 saturated" (pos a2);
+  Graph.push g a2 1;
+  Graph.push g a3 1;
+  expect "run saturated: residual run" (Graph.res_begin g 0);
+  Graph.push g (a2 lxor 1) 1;
+  expect "reverse push revives a2" (pos a2);
+  Graph.push g (a1 lxor 1) 1;
+  expect "reverse push revives a1" (pos a1);
+  Graph.push g a1 1;
+  expect "a1 saturated again: a2 still live" (pos a2);
+  Graph.unsafe_set_residual_capacity g a3 1;
+  expect "raw write behind the cursor leaves it" (pos a2);
+  Graph.unsafe_set_residual_capacity g a2 0;
+  expect "raw write at the cursor moves it" (pos a3)
+
+(* [reset_flow] puts every cursor back on its first arc of positive
+   initial capacity; a zero-capacity head stays skipped. *)
+let test_cursor_reset_flow () =
+  let g = Graph.create ~num_nodes:3 in
+  let (_ : Graph.arc) = Graph.add_arc g ~src:0 ~dst:1 ~capacity:0 ~cost:0 in
+  let a = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:5 in
+  let b = Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:1 in
+  Graph.finalize_csr g;
+  Alcotest.(check int) "zero-capacity head skipped" (Graph.arc_position g a)
+    (Graph.forward_cursor g 0);
+  Graph.push g a 2;
+  Graph.push g b 1;
+  Alcotest.(check int) "node 0 saturated" (Graph.res_begin g 0)
+    (Graph.forward_cursor g 0);
+  Alcotest.(check int) "node 1 saturated" (Graph.res_begin g 1)
+    (Graph.forward_cursor g 1);
+  Graph.reset_flow g;
+  check_layout ~label:"after reset_flow" g;
+  Alcotest.(check int) "node 0 back on a" (Graph.arc_position g a)
+    (Graph.forward_cursor g 0);
+  Alcotest.(check int) "node 1 back on b" (Graph.arc_position g b)
+    (Graph.forward_cursor g 1)
 
 let test_residual_pairing_preserved () =
   let g = random_graph ~seed:7 ~nodes:10 ~arcs:60 in
@@ -277,6 +342,9 @@ let suite =
   [
     Alcotest.test_case "offsets/permutation structure" `Quick test_structure;
     Alcotest.test_case "CSR slice layout" `Quick test_layout;
+    Alcotest.test_case "cursor: reverse pushes revive arcs before it" `Quick
+      test_cursor_revival;
+    Alcotest.test_case "cursor: reset_flow" `Quick test_cursor_reset_flow;
     Alcotest.test_case "residual pairing preserved" `Quick
       test_residual_pairing_preserved;
     Alcotest.test_case "push keeps positional mirror in sync" `Quick

@@ -392,6 +392,28 @@ let test_mcf_overflow_bound () =
     (Mcf.solve_int (wide (cap + 1) 1024) ~source:0 ~sink:1 ~stop_below:1024 ()
     <> None)
 
+(* The SSP at a size the fuzz pin (|V| <= 4) never reaches: the TABLE III
+   generator cut to |V| = 25, |U| = 250 (seed 0), 675 augmentations over
+   6,250 pair arcs. Flow value, integer cost, augmentation count and
+   MaxSum bits are pinned; any change to the kernel's relaxation order
+   that changes a path shows here. Under GEACC_AUDIT=1 every augmentation
+   also runs the CSR, capacity and conservation audits. *)
+let test_mcf_pinned_at_scale () =
+  let module Synthetic = Geacc_datagen.Synthetic in
+  let module Mincostflow = Geacc_core.Mincostflow in
+  let instance =
+    Synthetic.generate ~seed:0
+      { Synthetic.default with Synthetic.n_events = 25; n_users = 250 }
+  in
+  let m, st = Mincostflow.solve_with_stats instance in
+  Alcotest.(check int) "flow value" 675 st.Mincostflow.flow_value;
+  Alcotest.(check int) "augmentations" 675 st.Mincostflow.augmentations;
+  Alcotest.(check int) "integer cost" 237737661405
+    (int_of_float
+       (st.Mincostflow.flow_cost *. float_of_int Mincostflow.cost_scale));
+  Alcotest.(check string) "MaxSum bits" "40762544c422523d"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float (Geacc_core.Matching.maxsum m)))
+
 let suite =
   [
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
@@ -423,4 +445,6 @@ let suite =
     Alcotest.test_case "mcf saturates to max flow" `Quick
       test_mcf_agrees_with_reference;
     Alcotest.test_case "mcf overflow bound" `Quick test_mcf_overflow_bound;
+    Alcotest.test_case "mcf pinned at scale (25x250)" `Quick
+      test_mcf_pinned_at_scale;
   ]

@@ -74,14 +74,16 @@ let test_bucket_basic () =
     (Invalid_argument "Int_bucket_queue.push: key below the monotone floor")
     (fun () -> Int_bucket_queue.push q 4 9);
   Int_bucket_queue.push q 5 4;
-  Alcotest.(check int) "min key" 5 (Int_bucket_queue.min_key q);
-  Alcotest.(check int) "min payload" 4 (Int_bucket_queue.min_payload q);
-  Int_bucket_queue.drop_min q;
+  Alcotest.(check int) "pop_min payload" 4 (Int_bucket_queue.pop_min q);
+  Alcotest.(check int) "its key is the floor" 5 (Int_bucket_queue.floor q);
   Alcotest.(check (option (pair int int))) "then 15" (Some (15, 3))
     (Int_bucket_queue.pop q);
   Alcotest.(check (option (pair int int))) "then 25" (Some (25, 1))
     (Int_bucket_queue.pop q);
-  Alcotest.(check bool) "drained" true (Int_bucket_queue.is_empty q)
+  Alcotest.(check bool) "drained" true (Int_bucket_queue.is_empty q);
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Int_bucket_queue.pop_min: empty queue") (fun () ->
+      ignore (Int_bucket_queue.pop_min q : int))
 
 let test_bucket_one_bucket () =
   (* Empty key range: every entry shares one key, so all of them live in
@@ -171,6 +173,41 @@ let prop_bucket_matches_sorted =
       && Int_bucket_queue.check_invariant q
       && List.sort compare !pushed = List.sort compare !popped)
 
+let prop_pop_min_matches_sorted =
+  (* The Dijkstra loop's pop: random monotone pushes (key = floor + a
+     small delta) interleaved with [pop_min]s. Each pop's key, read as the
+     floor, must be the smallest live key of a sorted model, and its
+     payload one that was pushed with that key and not popped yet. *)
+  QCheck.Test.make ~name:"bucket queue pop_min matches sorted model"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option (int_bound 1000)))
+    (fun ops ->
+      let q = Int_bucket_queue.create () in
+      let live = ref [] and next = ref 0 and ok = ref true in
+      let pop () =
+        match List.sort compare !live with
+        | [] -> false
+        | (k, _) :: _ ->
+            let p = Int_bucket_queue.pop_min q in
+            let key = Int_bucket_queue.floor q in
+            if key <> k || not (List.mem (key, p) !live) then ok := false;
+            live := List.filter (fun e -> e <> (key, p)) !live;
+            true
+      in
+      List.iter
+        (function
+          | Some delta ->
+              let k = Int_bucket_queue.floor q + delta in
+              Int_bucket_queue.push q k !next;
+              live := (k, !next) :: !live;
+              incr next
+          | None -> ignore (pop ()))
+        ops;
+      while pop () do
+        ()
+      done;
+      !ok && Int_bucket_queue.is_empty q && Int_bucket_queue.check_invariant q)
+
 let prop_interleaved_ops =
   (* Random push/pop interleavings preserve the heap invariant. *)
   QCheck.Test.make ~name:"binary heap invariant under interleaving" ~count:100
@@ -198,5 +235,6 @@ let suite =
       test_bucket_clear_reuse;
     QCheck_alcotest.to_alcotest prop_binary_sorts;
     QCheck_alcotest.to_alcotest prop_bucket_matches_sorted;
+    QCheck_alcotest.to_alcotest prop_pop_min_matches_sorted;
     QCheck_alcotest.to_alcotest prop_interleaved_ops;
   ]

@@ -556,6 +556,7 @@ let seed_csr env r =
   let env, off = get_path env r "csr_offset" ~mut:true `Arr in
   let env, res = get_path env r "csr_res" ~mut:true `Arr in
   let env, live = get_path env r "csr_live" ~mut:true `Arr in
+  let env, cur = get_path env r "csr_cursor" ~mut:true `Arr in
   let env, cdst = get_path env r "csr_dst" ~mut:true `Arr in
   let env, cicost = get_path env r "csr_icost" ~mut:true `Arr in
   let env, ccap = get_path env r "csr_cap" ~mut:true `Arr in
@@ -570,6 +571,8 @@ let seed_csr env r =
   let env = fact_le env (len_of res) n in
   let env = fact_le env n (len_of live) in
   let env = fact_le env (len_of live) n in
+  let env = fact_le env n (len_of cur) in
+  let env = fact_le env (len_of cur) n in
   let env = fact_le env c (len_of cdst) in
   let env = fact_le env c (len_of cicost) in
   let env = fact_le env c (len_of ccap) in
@@ -581,6 +584,7 @@ let seed_csr env r =
       seed_content off (const 0) c;
       seed_content res (const 0) c;
       seed_content live (const 0) c;
+      seed_content cur (const 0) c;
       seed_content carc (const 0) (aff_shift c (-1));
       seed_content apos (const 0) (aff_shift c (-1))
   | _ -> ());
@@ -1638,7 +1642,7 @@ and graph_model ss env e name argl =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           Some (seed_csr (havoc_root env r) r, Top))
-  | "out_begin" | "res_begin" | "live_end" | "out_end" ->
+  | "out_begin" | "res_begin" | "live_end" | "out_end" | "forward_cursor" ->
       (* A node's slice boundaries, out_begin <= res_begin <= live_end <=
          out_end <= count. The domain has no relation between two calls'
          results, so each is summarised by the range every one lies in,
@@ -1668,7 +1672,7 @@ and graph_model ss env e name argl =
           let env = narrow1 env rest (Some (const 0)) (pred c) in
           Some (env, bounds (Some (const 0)) (pred c)))
   | "unsafe_csr_dst" | "unsafe_csr_icost" | "unsafe_csr_cap" | "unsafe_csr_arc"
-    ->
+  | "unsafe_csr_res" | "unsafe_csr_live" | "unsafe_csr_cursor" ->
       with_root (fun env r rest ->
           (* The licence must hold *at the call*: the caller owes the
              analyzer an established csr_valid (finalize_csr or a guard)
@@ -1738,16 +1742,20 @@ and bucket_model ss env e name argl =
   | "bucket_index" ->
       let env, _ = eval_list ss env argl in
       Some (env, Int (mk_iv [ const 0 ] [ const 63 ]))
-  | "push" | "drop_min" | "clear" | "append" | "ensure_min" ->
+  | "push" | "clear" | "append" | "redeal" ->
       with_root (fun env r -> Some (havoc_root env r, Top))
-  | "pop" -> with_root (fun env r -> ret_default (havoc_root env r))
+  | "pop" | "pop_min" -> with_root (fun env r -> ret_default (havoc_root env r))
+  | "floor" ->
+      with_root (fun env r ->
+          let env = materialize_bucket env r in
+          let env, lv = get_path env r "last" ~mut:true `Int in
+          Some (env, lv))
   | "length" ->
       with_root (fun env r ->
           let env = materialize_bucket env r in
           let env, sv = get_path env r "size" ~mut:true `Int in
           Some (env, sv))
   | "is_empty" | "check_invariant" -> with_root (fun env _r -> Some (env, Top))
-  | "min_key" | "min_payload" -> with_root (fun env r -> ret_default (havoc_root env r))
   | _ -> None
 
 (* ---------- loops ---------- *)

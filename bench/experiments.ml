@@ -641,19 +641,19 @@ let ablation_online profile =
 
 (* -- Similarity-pruned flow network (CSR core) -------------------------- *)
 
-(* Machine-readable profile of MinCostFlow-GEACC on the similarity-pruned
-   network, written to BENCH_sparse.json: per cell, the instance's measured
-   zero-similarity pair fraction, the (v,u) arcs emitted against the
-   |V|·|U| pairs of the paper's construction, best-of-3 wall time, peak
-   live heap and MaxSum. Equation-1 similarity virtually never produces
-   zero-sim pairs (its cutoff is the attribute-space diameter), so the
-   *-tight cells re-wrap the same entities under a euclidean profile with
-   a shorter range — there distances beyond the cutoff underflow to
-   similarity exactly 0 and the builder visibly prunes (the Zipf cell
-   clears 50% zero-sim because Zipf mass piles up near 0 while the tail
-   sits far away). *)
+(* MinCostFlow-GEACC on the similarity-pruned network, one table row per
+   cell: the instance's measured zero-similarity pair fraction, the (v,u)
+   arcs emitted against the |V|·|U| pairs of the paper's construction,
+   best-of-3 wall time and MaxSum. Equation-1 similarity virtually never
+   produces zero-sim pairs (its cutoff is the attribute-space diameter),
+   so the *-tight cells re-wrap the same entities under a euclidean
+   profile with a shorter range — there distances beyond the cutoff
+   underflow to similarity exactly 0 and the builder visibly prunes (the
+   Zipf cell clears 50% zero-sim because Zipf mass piles up near 0 while
+   the tail sits far away). No suite workload builds these pruned
+   networks; test/test_flow.ml pins their arc counts. *)
 
-let sparse_cell ~name instance =
+let sparse_row instance =
   let n_v = Instance.n_events instance
   and n_u = Instance.n_users instance in
   let zero = ref 0 in
@@ -662,7 +662,6 @@ let sparse_cell ~name instance =
       if not (Instance.sim instance ~v ~u > 0.) then incr zero
     done
   done;
-  let zero_frac = float_of_int !zero /. float_of_int (n_v * n_u) in
   (* Best-of-3 wall time: the solves are CPU-bound and side-effect free,
      so the minimum is the least-noise estimator — single-shot timings on
      shared CI runners swing by 2x. *)
@@ -677,30 +676,13 @@ let sparse_cell ~name instance =
     end
   done;
   let m, stats = Option.get !result in
-  let _, peak_bytes, `Exact =
-    Measure.run_with_peak (fun () -> Mincostflow.solve_with_stats instance)
-  in
-  let maxsum = Matching.maxsum m in
-  Printf.eprintf
-    "[bench] sparse-flow %s: zero-sim %.0f%%, arcs %d of %d pairs, %.1f ms\n%!"
-    name (100. *. zero_frac) stats.Mincostflow.pair_arcs
-    stats.Mincostflow.dense_pairs (!best *. 1000.);
-  Printf.sprintf
-    {|    {
-      "name": "%s",
-      "n_events": %d,
-      "n_users": %d,
-      "dim": %d,
-      "zero_sim_fraction": %.6f,
-      "dense_pairs": %d,
-      "pair_arcs": %d,
-      "wall_s": %.6f,
-      "peak_bytes": %d,
-      "maxsum": %.17g
-    }|}
-    name n_v n_u (Instance.dim instance) zero_frac
-    stats.Mincostflow.dense_pairs stats.Mincostflow.pair_arcs !best
-    peak_bytes maxsum
+  [
+    Printf.sprintf "%.1f" (100. *. float_of_int !zero /. float_of_int (n_v * n_u));
+    Printf.sprintf "%d of %d" stats.Mincostflow.pair_arcs
+      stats.Mincostflow.dense_pairs;
+    Printf.sprintf "%.1f" (!best *. 1000.);
+    Printf.sprintf "%.17g" (Matching.maxsum m);
+  ]
 
 let sparse_flow profile =
   let n_users = if profile.full then 1000 else 400 in
@@ -734,23 +716,21 @@ let sparse_flow profile =
              { base with Synthetic.attrs = Synthetic.Attr_zipf 1.3 }) );
     ]
   in
-  let rows =
-    List.map (fun (name, instance) -> sparse_cell ~name instance) cells
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "Similarity-pruned flow network (|V|=%d, |U|=%d, seed 1)"
+           base.Synthetic.n_events n_users)
+      ~headers:
+        [ "cell"; "zero-sim (%)"; "pair arcs"; "best-of-3 time (ms)"; "MaxSum" ]
   in
-  let oc = open_out "BENCH_sparse.json" in
-  Printf.fprintf oc
-    {|{
-  "experiment": "sparse-flow",
-  "profile": "%s",
-  "cells": [
-%s
-  ]
-}
-|}
-    (if profile.full then "full" else "quick")
-    (String.concat ",\n" rows);
-  close_out oc;
-  Printf.eprintf "[bench] sparse-flow: wrote BENCH_sparse.json\n%!"
+  List.iter
+    (fun (name, instance) ->
+      Printf.eprintf "[bench] sparse-flow: %s\n%!" name;
+      Table.add_row table (name :: sparse_row instance))
+    cells;
+  Table.print table
 
 (* -- registry ----------------------------------------------------------- *)
 
@@ -781,6 +761,6 @@ let all : (string * string * (profile -> unit)) list =
       "Ablation: online arrivals vs offline algorithms",
       ablation_online );
     ( "sparse-flow",
-      "Similarity-pruned flow network: arcs/time/memory, BENCH_sparse.json",
+      "Similarity-pruned flow network: pruned arcs, time, MaxSum",
       sparse_flow );
   ]

@@ -321,21 +321,10 @@ let solve_cmd =
             "Comma-separated user arrival order for $(b,-a online); must be \
              a permutation of the user ids.")
   in
-  let min_sim =
-    Arg.(
-      value & opt float 0.
-      & info [ "min-sim" ] ~docv:"TAU"
-          ~doc:
-            "Similarity gate for the flow network of $(b,-a mincostflow): \
-             only pairs with sim >= TAU get an arc (TAU > 0 trades \
-             matching quality for speed). Requires 0 <= TAU <= 1.")
-  in
   let run () instance_path algorithm out seed timeout stage_timeout
-      fallback order min_sim =
-    in_unit_interval "--min-sim" min_sim;
+      fallback order =
     Option.iter (finite_above_zero "--timeout") timeout;
     Option.iter (finite_above_zero "--stage-timeout") stage_timeout;
-    Mincostflow.set_default_min_sim min_sim;
     let instance = load_instance_or_die instance_path in
     match order with
     | Some order ->
@@ -360,7 +349,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
-      $ timeout $ stage_timeout $ fallback $ order $ min_sim)
+      $ timeout $ stage_timeout $ fallback $ order)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an instance and report MaxSum/time/memory.")

@@ -5,7 +5,7 @@ module Fault = Geacc_robust.Fault
 
 (* Quantisation grid: costs 1 - sim ∈ [0, 1] round to [0, 2^30]. Rounding
    moves each cost by at most 2^-31 ≈ 5e-10 — the same lossless-in-practice
-   band as the τ = 0 similarity gate — and the grid point q/2^30 is exactly
+   band as the build's [sim > 0] gate — and the grid point q/2^30 is exactly
    representable as a double, so extraction recovers it bit for bit. *)
 let cost_scale = 1 lsl 30
 let cost_scale_f = float_of_int cost_scale
@@ -16,16 +16,6 @@ let[@inline] quantise c =
   q
 
 let dequantise q = float_of_int q /. cost_scale_f
-
-(* Process-wide similarity gate, settable by front ends: an explicit
-   [?min_sim] always wins. *)
-let min_sim_default = ref 0.
-let default_min_sim () = !min_sim_default
-
-let set_default_min_sim s =
-  if not (s >= 0. && s <= 1.) then
-    invalid_arg "Mincostflow.set_default_min_sim: threshold outside [0, 1]";
-  min_sim_default := s
 
 type net = {
   graph : Graph.t;
@@ -49,10 +39,10 @@ type stats = {
 (* Node layout: 0 = source; 1..|V| = events; |V|+1..|V|+|U| = users; last =
    sink. *)
 
-(* Sparse-build audit: every (v,u) pair the candidate queries pruned must be
-   provably below the similarity gate — an index bug that silently drops a
+(* Sparse-build audit: every (v,u) pair the candidate queries pruned must
+   have similarity exactly 0 — an index bug that silently drops a
    matchable pair would otherwise only show up as a worse MaxSum. *)
-let audit_pruned_pairs ~site instance g ~min_sim ~n_v ~n_u =
+let audit_pruned_pairs ~site instance g ~n_v ~n_u =
   let emitted = Array.make (Stdlib.max (n_v * n_u) 1) false in
   Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
       let s = Graph.src g a and d = Graph.dst g a in
@@ -62,25 +52,18 @@ let audit_pruned_pairs ~site instance g ~min_sim ~n_v ~n_u =
     for u = 0 to n_u - 1 do
       if not emitted.((v * n_u) + u) then begin
         let s = Instance.sim instance ~v ~u in
-        if s > 0. && s >= min_sim then
-          Audit.failf ~site
-            "pruned pair (%d,%d) has similarity %.17g above the gate \
-             (min_sim %.17g)"
-            v u s min_sim
+        if s > 0. then
+          Audit.failf ~site "pruned pair (%d,%d) has similarity %.17g above 0"
+            v u s
       end
     done
   done
 
-let build_network ?min_sim instance =
+let build_network instance =
   (* [mcf.alloc] simulates the network arena failing to materialise (the
      arc array is this solver's dominant allocation); a fallback chain
      treats the injected exception as a stage fault and moves on. *)
   Fault.inject "mcf.alloc";
-  let min_sim =
-    match min_sim with Some s -> s | None -> !min_sim_default
-  in
-  if not (min_sim >= 0. && min_sim <= 1.) then
-    invalid_arg "Mincostflow.build_network: min_sim outside [0, 1]";
   let n_v = Instance.n_events instance and n_u = Instance.n_users instance in
   let source = 0 in
   let event_node v = 1 + v in
@@ -89,8 +72,8 @@ let build_network ?min_sim instance =
   let g = Graph.create ~num_nodes:(sink + 1) in
   (* Similarity-pruned construction: the SSP loop stops before any unit
      whose path cost reaches 1, and a zero-similarity arc costs exactly 1,
-     so per event the candidate query returns just the users above the
-     gate and the event layer emits [Σ_v |cand v|] arcs instead of
+     so per event the candidate query returns just the users with
+     [sim > 0] and the event layer emits [Σ_v |cand v|] arcs instead of
      |V|·|U|. Degree counting then pre-sizes the arc store exactly, and
      the v-major emission in candidate order fixes arc ids. On indexed
      instances that order is descending similarity, so each event's arcs
@@ -98,7 +81,7 @@ let build_network ?min_sim instance =
      order. Each event's candidates come as one id array and one unboxed
      similarity array: no pair tuple, no boxed similarity. *)
   let candidates =
-    Array.init n_v (fun v -> Instance.event_candidates instance ~v ~min_sim)
+    Array.init n_v (fun v -> Instance.event_candidates instance ~v ~min_sim:0.)
   in
   let pair_arcs =
     Array.fold_left (fun acc (ids, _) -> acc + Array.length ids) 0 candidates
@@ -129,8 +112,7 @@ let build_network ?min_sim instance =
     done
   done;
   if Audit.enabled () then
-    audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~min_sim
-      ~n_v ~n_u;
+    audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~n_v ~n_u;
   for u = 0 to n_u - 1 do
     ignore
       (Graph.add_arc g ~src:(user_node u) ~dst:sink
@@ -138,10 +120,10 @@ let build_network ?min_sim instance =
   done;
   { graph = g; source; sink; pair_arcs; dense_pairs = n_v * n_u }
 
-let solve_with_stats ?deadline ?min_sim instance =
+let solve_with_stats ?deadline instance =
   let n_v = Instance.n_events instance in
   let n_u = Instance.n_users instance in
-  let net = build_network ?min_sim instance in
+  let net = build_network instance in
   let g = net.graph and source = net.source and sink = net.sink in
   (* A unit of flow adds 1 - path_cost to MaxSum; path costs only grow, so
      stopping before the first non-improving unit lands on the Δ with the
@@ -241,5 +223,4 @@ let solve_with_stats ?deadline ?min_sim instance =
       int_fallback = false;
     } )
 
-let solve ?deadline ?min_sim instance =
-  fst (solve_with_stats ?deadline ?min_sim instance)
+let solve ?deadline instance = fst (solve_with_stats ?deadline instance)

@@ -23,9 +23,7 @@
     reaches 1, and a zero-similarity arc costs exactly 1, so no unit of the
     final flow ever crosses one: the network here drops them up front via
     the instance's per-event candidate scans ({!Instance.candidate_users})
-    and reaches the same MaxSum on a fraction of the arcs. [min_sim]
-    optionally raises the gate from [sim > 0] to [sim >= τ] (a
-    quality/speed knob that {e does} change results for τ > 0).
+    and reaches the same MaxSum on a fraction of the arcs.
 
     {2 Integer costs}
 
@@ -33,13 +31,6 @@
     SSP loop runs {!Geacc_flow.Mcf.solve_int}: integer Dijkstra over a
     monotone bucket queue with exact integer potentials. Extraction reads
     a pair's similarity back as [1 - q / 2^30]. See DESIGN.md §15. *)
-
-val default_min_sim : unit -> float
-
-val set_default_min_sim : float -> unit
-(** Sets the process-wide default similarity gate τ (the CLI's
-    [--min-sim] flag).
-    @raise Invalid_argument outside [\[0, 1\]]. *)
 
 val cost_scale : int
 (** The quantisation grid ([2^30]): arc cost [c] rounds to
@@ -72,32 +63,24 @@ type stats = {
           [bench/suite] reads it. *)
 }
 
-val build_network : ?min_sim:float -> Instance.t -> net
+val build_network : Instance.t -> net
 (** The Step-1 network. Arcs are emitted v-major, each event's arcs in
     {!Instance.candidate_users} order (cost-ascending on indexed
     instances), so arc ids, and hence the SSP pivoting order and the final
-    flow, are a function of the instance and [min_sim] alone.
+    flow, are a function of the instance alone.
     Under [GEACC_AUDIT=1] the build additionally proves every pruned pair
-    sits below the similarity gate. Exposed for the audits and
-    benchmarks.
+    has similarity 0. Exposed for the audits and benchmarks.
     @raise Geacc_robust.Fault.Injected when the [mcf.alloc] point fires.
-    @raise Invalid_argument when [min_sim] is outside [\[0, 1\]], or when
-    a candidate pair's similarity is NaN or above 1 (the error names the
-    pair and the value). *)
+    @raise Invalid_argument when a candidate pair's similarity is NaN or
+    above 1 (the error names the pair and the value). *)
 
-val solve :
-  ?deadline:Geacc_robust.Budget.t ->
-  ?min_sim:float ->
-  Instance.t ->
-  Matching.t
+val solve : ?deadline:Geacc_robust.Budget.t -> Instance.t -> Matching.t
 (** [deadline] (default: unlimited) is polled between augmentations of the
     underlying SSP loop; on expiry the partial flow — a valid min-cost flow
     of its own amount — is resolved into a feasible matching as usual.
-    [min_sim] is passed to {!build_network}.
     @raise Invalid_argument as {!build_network} does. *)
 
 val solve_with_stats :
   ?deadline:Geacc_robust.Budget.t ->
-  ?min_sim:float ->
   Instance.t ->
   Matching.t * stats

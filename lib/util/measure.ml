@@ -27,9 +27,11 @@ let run f =
 
 (* GC alarms only fire when a major cycle completes during the call; with a
    large idle heap the collector can pace a short run to zero completed
-   cycles and miss the peak entirely. A sampler thread polling [Gc.stat]
-   (which walks the heap and counts live words) is slower but
-   deterministic. *)
+   cycles and miss the peak entirely. A sampler thread polls [Gc.stat]
+   (which walks the heap and counts live words) instead. That is not
+   deterministic either: the thread runs only when [f] yields the runtime
+   lock, so which samples land inside the call depends on scheduling
+   (measure.mli; ROADMAP.md item 3). *)
 let run_with_peak f =
   Gc.full_major ();
   let baseline = (Gc.stat ()).Gc.live_words in

@@ -7,9 +7,10 @@
       call (cheap, but transient working sets — e.g. a flow network freed on
       return — do not show);
     - {!run_with_peak} additionally samples the live heap from a sampler
-      thread during the call, reporting the {e peak} working set.
-      Sampling walks the heap, so the wall time of such a run is inflated
-      — use a separate {!time}/{!run} call for timing. *)
+      thread, reporting the largest growth it saw. What it sees depends
+      on when that thread gets to run (see {!run_with_peak}). Sampling
+      walks the heap, so the wall time of such a run is inflated — use a
+      separate {!time}/{!run} call for timing. *)
 
 type sample = {
   wall_s : float;        (** Elapsed wall-clock seconds. *)
@@ -25,10 +26,16 @@ val run : (unit -> 'a) -> 'a * sample
     GCs; use {!time} in tight loops. *)
 
 val run_with_peak : (unit -> 'a) -> 'a * int * [ `Exact ]
-(** [run_with_peak f] returns [f ()] and the peak live-heap growth in bytes
-    observed during the call (at the sampler's polls and at return). The
-    mode tag has one value; it stays only because the repository
-    benchmark in [bench/suite] matches on it. *)
+(** [run_with_peak f] returns [f ()] and the largest live-heap growth in
+    bytes among the sampler's readings: those its thread took while [f]
+    ran, and one taken after [f] returns. The thread runs only when [f]
+    yields the runtime lock, so the number and timing of the readings
+    inside the call depend on scheduling: a short call may get none, and
+    two calls of the same computation can read orders of magnitude
+    apart. Treat the value as one draw, not as the call's peak; ROADMAP.md
+    item 3 tracks making it repeatable. The mode tag has one value; it
+    stays only because the repository benchmark in [bench/suite] matches
+    on it. *)
 
 val live_bytes : unit -> int
 (** Current live heap in bytes after a forced major collection. *)

@@ -414,6 +414,52 @@ let test_mcf_pinned_at_scale () =
   Alcotest.(check string) "MaxSum bits" "40762544c422523d"
     (Printf.sprintf "%Lx" (Int64.bits_of_float (Geacc_core.Matching.maxsum m)))
 
+(* The similarity-pruned network on the three [*-tight] cells of
+   [bench/main.exe sparse-flow]: the TABLE III generator (seed 1) under
+   uniform, normal-mixture and Zipf attributes, re-wrapped in a euclidean
+   similarity of range T/2.4, T/2.4 and T/12, so that pairs farther apart
+   than the range have similarity exactly 0 and get no arc. At |V| = 100,
+   |U| = 400, the cells' size, the (v,u) arc counts are pinned; cut to
+   |V| = 25, |U| = 250 each network is also solved, with flow value,
+   augmentation count and MaxSum bits pinned. Under GEACC_AUDIT=1 each
+   build also proves that every pruned pair has similarity 0. *)
+let test_mcf_pruned_pinned () =
+  let module Synthetic = Geacc_datagen.Synthetic in
+  let module Instance = Geacc_core.Instance in
+  let module Mincostflow = Geacc_core.Mincostflow in
+  let tight cfg denom =
+    let instance = Synthetic.generate ~seed:1 cfg in
+    Instance.create
+      ~sim:
+        (Geacc_core.Similarity.euclidean ~dim:(Instance.dim instance)
+           ~range:(cfg.Synthetic.t_max /. denom))
+      ~events:(Instance.events instance) ~users:(Instance.users instance)
+      ~conflicts:(Instance.conflicts instance) ()
+  in
+  List.iter
+    (fun (name, attrs, denom, arcs, (flow, bits)) ->
+      let cfg = { Synthetic.default with Synthetic.n_users = 400; attrs } in
+      let net = Mincostflow.build_network (tight cfg denom) in
+      Alcotest.(check int) (name ^ " pair arcs") arcs net.Mincostflow.pair_arcs;
+      let m, st =
+        Mincostflow.solve_with_stats
+          (tight { cfg with Synthetic.n_events = 25; n_users = 250 } denom)
+      in
+      Alcotest.(check int) (name ^ " flow value") flow st.Mincostflow.flow_value;
+      Alcotest.(check int) (name ^ " augmentations") flow
+        st.Mincostflow.augmentations;
+      Alcotest.(check string) (name ^ " MaxSum bits") bits
+        (Printf.sprintf "%Lx"
+           (Int64.bits_of_float (Geacc_core.Matching.maxsum m))))
+    [
+      ("uniform-tight", Synthetic.Attr_uniform, 2.4, 23873,
+       (597, "4059db456fb2d0a9"));
+      ("normal-tight", Synthetic.Attr_normal_mixture, 2.4, 31242,
+       (632, "4060ff7e448ae0d7"));
+      ("zipf-tight", Synthetic.Attr_zipf 1.3, 12., 15457,
+       (367, "406586aa04a58e30"));
+    ]
+
 let suite =
   [
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
@@ -447,4 +493,6 @@ let suite =
     Alcotest.test_case "mcf overflow bound" `Quick test_mcf_overflow_bound;
     Alcotest.test_case "mcf pinned at scale (25x250)" `Quick
       test_mcf_pinned_at_scale;
+    Alcotest.test_case "mcf pruned networks pinned (tight cells)" `Quick
+      test_mcf_pruned_pinned;
   ]

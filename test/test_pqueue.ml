@@ -128,27 +128,33 @@ let prop_binary_sorts =
       List.iter (Binary_heap.push h) xs;
       Binary_heap.pop_all_sorted h = List.sort compare xs)
 
+(* Live keys of the oracle below: key -> how many entries carry it. *)
+module Key_counts = Map.Make (Int)
+
 let prop_bucket_matches_sorted =
   (* Random monotone streams: interleave pushes (key = current floor + a
      small delta, keeping the bucket queue's contract satisfied) with
      pops. Each pop must return the smallest key pushed and not yet popped
-     — checked against a sorted list of the live keys — and the popped
-     (key, payload) multiset must be exactly the pushed one (payload order
+     — checked against an ordered multiset of the live keys, so a pop
+     costs the oracle O(log k), not a re-sort — and the popped (key,
+     payload) multiset must be exactly the pushed one (payload order
      among equal keys is unspecified, so ties are normalised by
      sorting). *)
   QCheck.Test.make ~name:"bucket queue matches sorted oracle" ~count:300
     QCheck.(list (option (pair (int_bound 1000) small_int)))
     (fun ops ->
       let q = Int_bucket_queue.create () in
-      let live = ref [] and floor = ref 0 and next = ref 0 in
+      let live = ref Key_counts.empty and floor = ref 0 and next = ref 0 in
       let pushed = ref [] and popped = ref [] in
       let ok = ref true in
       let pop () =
-        match (Int_bucket_queue.pop q, List.sort compare !live) with
-        | None, [] -> false
-        | Some (k, p), smallest :: rest ->
+        match (Int_bucket_queue.pop q, Key_counts.min_binding_opt !live) with
+        | None, None -> false
+        | Some (k, p), Some (smallest, n) ->
             if k <> smallest then ok := false;
-            live := rest;
+            live :=
+              if n = 1 then Key_counts.remove smallest !live
+              else Key_counts.add smallest (n - 1) !live;
             floor := k;
             popped := (k, p) :: !popped;
             true
@@ -161,7 +167,10 @@ let prop_bucket_matches_sorted =
           | Some (delta, _tag) ->
               let k = !floor + delta in
               Int_bucket_queue.push q k !next;
-              live := k :: !live;
+              live :=
+                Key_counts.update k
+                  (fun n -> Some (1 + Option.value n ~default:0))
+                  !live;
               pushed := (k, !next) :: !pushed;
               incr next
           | None -> ignore (pop ()))

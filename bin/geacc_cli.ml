@@ -205,22 +205,23 @@ let write_matching_opt out matching =
    algorithm), report status on stdout, telemetry on stderr, and map a
    degraded-but-feasible result to a distinct exit code so schedulers can
    tell "optimal" from "best effort by the deadline". *)
-let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout ~out =
+let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout ~seed
+    ~out =
   let algorithms =
     if fallback then Anytime.default_chain else [ algorithm ]
   in
   match
-    Anytime.solve ?timeout_s:timeout ?stage_timeout_s:stage_timeout
+    Anytime.solve ?timeout_s:timeout ?stage_timeout_s:stage_timeout ~seed
       ~algorithms instance
   with
   | Error e -> die "%s" (Robust.Error.to_string e)
   | Ok r ->
       let status_line =
         match (r.Anytime.status, r.Anytime.reason) with
-        | Robust.Chain.Complete, _ -> "complete"
-        | Robust.Chain.Degraded, Some reason ->
+        | Anytime.Complete, _ -> "complete"
+        | Anytime.Degraded, Some reason ->
             Printf.sprintf "degraded (%s)" reason
-        | Robust.Chain.Degraded, None -> "degraded"
+        | Anytime.Degraded, None -> "degraded"
       in
       Printf.printf
         "algorithm: %s\nMaxSum: %.6f\nmatched pairs: %d\nstatus: %s\ntime: %.3f ms\n"
@@ -233,10 +234,10 @@ let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout ~out =
         "anytime: status=%s stage=%s stages-tried=%d fallbacks=%d faults=%d \
          injected-faults=%d audit-violations=%d\n"
         (match r.Anytime.status with
-        | Robust.Chain.Complete -> "complete"
-        | Robust.Chain.Degraded -> "degraded")
+        | Anytime.Complete -> "complete"
+        | Anytime.Degraded -> "degraded")
         (Solver.short_name r.Anytime.algorithm)
-        r.Anytime.stages_tried r.Anytime.fallbacks r.Anytime.faults
+        r.Anytime.stages_tried (r.Anytime.stages_tried - 1) r.Anytime.faults
         (Robust.Fault.fires ())
         (Geacc_check.Audit.violations ());
       let table =
@@ -244,13 +245,12 @@ let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout ~out =
           ~headers:[ "stage"; "verdict"; "seconds" ]
       in
       List.iter
-        (fun (t : Robust.Chain.trace_entry) ->
+        (fun (t : Anytime.trace_entry) ->
           Geacc_util.Table.add_row table
             [
-              t.Robust.Chain.t_stage;
-              Format.asprintf "%a" Robust.Chain.pp_verdict
-                t.Robust.Chain.t_verdict;
-              Printf.sprintf "%.3f" t.Robust.Chain.t_seconds;
+              Solver.short_name t.Anytime.t_stage;
+              Format.asprintf "%a" Anytime.pp_verdict t.Anytime.t_verdict;
+              Printf.sprintf "%.3f" t.Anytime.t_seconds;
             ])
         r.Anytime.trace;
       prerr_string (Geacc_util.Table.render table);
@@ -258,8 +258,8 @@ let solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout ~out =
       flush stdout;
       flush stderr;
       match r.Anytime.status with
-      | Robust.Chain.Complete -> ()
-      | Robust.Chain.Degraded -> exit exit_degraded
+      | Anytime.Complete -> ()
+      | Anytime.Degraded -> exit exit_degraded
 
 let solve_online_order instance ~order ~out =
   match Online.solve ~order:(Array.of_list order) instance with
@@ -277,8 +277,9 @@ let solve_cmd =
       & opt algorithm_conv Solver.Greedy
       & info [ "algorithm"; "a" ] ~docv:"ALGO"
           ~doc:
-            "Algorithm: greedy, mincostflow, prune, exhaustive, random-v or \
-             random-u.")
+            ("Algorithm, one of: "
+            ^ String.concat ", " (List.map Solver.short_name Solver.all)
+            ^ "."))
   in
   let out =
     Arg.(
@@ -310,7 +311,9 @@ let solve_cmd =
           ~doc:
             "Run the quality-first fallback chain exhaustive -> prune -> \
              mincostflow -> greedy instead of a single algorithm; the best \
-             candidate by MaxSum wins.")
+             candidate by MaxSum wins. Without $(b,--stage-timeout) the \
+             head stage may use the whole $(b,--timeout), leaving no time \
+             for the cheaper stages.")
   in
   let order =
     Arg.(
@@ -334,7 +337,7 @@ let solve_cmd =
     | None ->
         if fallback || timeout <> None || stage_timeout <> None then
           solve_anytime instance ~algorithm ~fallback ~timeout ~stage_timeout
-            ~out
+            ~seed ~out
         else begin
           let m = Geacc_bench.Harness.measure ~seed algorithm instance in
           Printf.printf

@@ -13,7 +13,6 @@ let state =
     | Some _ -> true)
 
 let[@inline] enabled () = !state
-let set_enabled b = state := b
 
 let with_enabled b f =
   let saved = !state in

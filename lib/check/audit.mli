@@ -8,8 +8,8 @@
 
     Auditing is off by default (the guards cost one branch per hook). It is
     switched on for a whole process by setting the [GEACC_AUDIT] environment
-    variable to anything but ["0"], [""] or ["false"], or programmatically
-    with {!set_enabled} / {!with_enabled} (used by the test suite).
+    variable to anything but ["0"], [""] or ["false"], or for one call
+    with {!with_enabled} (used by the test suite).
 
     Checkers for structures owned by [geacc_core] (matchings) live next to
     the structure — see [Validate.audit_matching] — and report through
@@ -21,8 +21,6 @@ exception Violation of { site : string; detail : string }
 
 val enabled : unit -> bool
 (** Current gate. Initialised from [GEACC_AUDIT] at startup. *)
-
-val set_enabled : bool -> unit
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Runs the thunk with the gate forced to the given value, restoring the

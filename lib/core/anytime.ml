@@ -1,91 +1,141 @@
-module Chain = Geacc_robust.Chain
+module Budget = Geacc_robust.Budget
+module Error = Geacc_robust.Error
+
+type status = Complete | Degraded
+
+type verdict = Completed | Timed_out | Faulted of string
+
+type trace_entry = {
+  t_stage : Solver.algorithm;
+  t_seconds : float;
+  t_verdict : verdict;
+}
 
 type report = {
   matching : Matching.t;
-  status : Chain.status;
+  status : status;
   reason : string option;
   algorithm : Solver.algorithm;
   stages_tried : int;
-  fallbacks : int;
   faults : int;
   elapsed_s : float;
-  trace : Chain.trace_entry list;
+  trace : trace_entry list;
 }
 
 let default_chain =
   [ Solver.Exhaustive; Solver.Prune; Solver.Min_cost_flow; Solver.Greedy ]
 
-(* Did the algorithm run to completion under [deadline]? The budget-aware
-   solvers report it themselves; the rest never time out. *)
-let run_once algorithm instance ~deadline =
-  match algorithm with
-  | Solver.Exhaustive ->
-      let m, stats =
-        Exact.solve ~pruning:false ~warm_start:false ~deadline instance
-      in
-      (m, not stats.Exact.timed_out)
-  | Solver.Prune ->
-      let m, stats = Exact.solve ~deadline instance in
-      (m, not stats.Exact.timed_out)
-  | Solver.Min_cost_flow ->
-      let m, stats = Mincostflow.solve_with_stats ~deadline instance in
-      (m, not stats.Mincostflow.timed_out)
-  | Solver.Greedy -> Greedy.solve_anytime ~deadline instance
-  | ( Solver.Random_v | Solver.Random_u | Solver.Greedy_naive
-    | Solver.Greedy_ls | Solver.Online ) as a ->
-      (Solver.run a instance, true)
+let pp_verdict ppf = function
+  | Completed -> Format.pp_print_string ppf "completed"
+  | Timed_out -> Format.pp_print_string ppf "timed out"
+  | Faulted e -> Format.fprintf ppf "faulted: %s" e
 
-let stage ?timeout_s algorithm =
-  (* One flow augmentation or exact-search visit can dwarf a greedy pop, so
-     batch clock reads only where polls are cheap. *)
-  let poll_every =
-    match algorithm with
-    | Solver.Min_cost_flow -> 1
-    | Solver.Prune | Solver.Exhaustive | Solver.Greedy | Solver.Random_v
-    | Solver.Random_u | Solver.Greedy_naive | Solver.Greedy_ls
-    | Solver.Online ->
-        64
+(* The budget a stage runs under: capped by the stage timeout and by the
+   overall time remaining, and forced to expire on poll N when the fault
+   plan carries [timeout.<stage>@N]. *)
+let stage_budget ?stage_timeout_s ~overall algorithm =
+  let timeout_s =
+    match (stage_timeout_s, Budget.armed overall) with
+    | None, false -> None
+    | Some s, false -> Some s
+    | None, true -> Some (Budget.remaining_s overall)
+    | Some s, true -> Some (Float.min s (Budget.remaining_s overall))
   in
-  Chain.stage ?timeout_s ~poll_every ~name:(Solver.short_name algorithm)
-    (fun instance ~budget ->
-      let matching, complete =
-        run_once algorithm instance ~deadline:budget
-      in
-      (* The chain only ever hands out matchings that pass the independent
-         feasibility check — a degraded checkpoint that fails here is a bug
-         and must surface as a stage fault, not as a served answer. *)
-      Validate.audit_matching
-        ~site:
-          (Printf.sprintf "Anytime.%s/%s" (Solver.short_name algorithm)
-             (if complete then "complete" else "degraded"))
-        matching;
-      { Chain.value = matching; complete })
+  Budget.for_stage ?timeout_s (Solver.short_name algorithm)
 
-let solve ?timeout_s ?stage_timeout_s ?(algorithms = default_chain) instance =
-  let stages = List.map (stage ?timeout_s:stage_timeout_s) algorithms in
-  let better incumbent candidate =
-    Matching.maxsum candidate > Matching.maxsum incumbent +. 1e-12
+(* One stage: its matching and whether it ran to completion, which is
+   whether its deadline is still unexpired (see [Solver.run]). The chain
+   only ever hands out matchings that pass the independent feasibility
+   check: a checkpoint that fails it is a bug, and surfaces as a stage
+   fault. *)
+let run_stage ~seed ~deadline algorithm instance =
+  let matching =
+    Solver.run ~rng:(Geacc_util.Rng.create ~seed) ~deadline algorithm instance
   in
-  match Chain.run ?timeout_s ~better stages instance with
-  | Error _ as e -> e
-  | Ok outcome ->
-      let algorithm =
-        match Solver.of_string outcome.Chain.stage with
-        | Ok a -> a
-        | Error _ ->
-            (* Stage names come from [Solver.short_name] above, so this is
-               unreachable; fall back to the chain tail defensively. *)
-            Solver.Greedy
-      in
-      Ok
-        {
-          matching = outcome.Chain.value;
-          status = outcome.Chain.status;
-          reason = outcome.Chain.reason;
-          algorithm;
-          stages_tried = outcome.Chain.stages_tried;
-          fallbacks = outcome.Chain.fallbacks;
-          faults = outcome.Chain.faults;
-          elapsed_s = outcome.Chain.elapsed_s;
-          trace = outcome.Chain.trace;
-        }
+  let complete = not (Budget.expired deadline) in
+  Validate.audit_matching
+    ~site:
+      (Printf.sprintf "Anytime.%s/%s" (Solver.short_name algorithm)
+         (if complete then "complete" else "degraded"))
+    matching;
+  (matching, complete)
+
+(* Why a stage did not complete, or [None] when it did. *)
+let shortfall t =
+  let stage = Solver.short_name t.t_stage in
+  match t.t_verdict with
+  | Completed -> None
+  | Timed_out -> Some (Printf.sprintf "stage %s timed out" stage)
+  | Faulted e -> Some (Printf.sprintf "stage %s faulted: %s" stage e)
+
+let is_fault t =
+  match t.t_verdict with Faulted _ -> true | Completed | Timed_out -> false
+
+let solve ?timeout_s ?stage_timeout_s ?(seed = 42) ?(algorithms = default_chain)
+    instance =
+  let start = Budget.now_s () in
+  let overall =
+    match timeout_s with
+    | None -> Budget.unlimited
+    | Some s -> Budget.create ~poll_every:1 ~timeout_s:s ()
+  in
+  (* Runs the stages in order until one completes, the list ends or the
+     overall deadline expires. [best] is the incumbent matching and the
+     stage that produced it; [trace] is newest first. *)
+  let rec run best trace = function
+    | [] -> (best, trace)
+    | _ :: _ when Budget.check_now overall -> (best, trace)
+    | algorithm :: rest -> (
+        let deadline = stage_budget ?stage_timeout_s ~overall algorithm in
+        let t0 = Budget.now_s () in
+        let entry t_verdict =
+          { t_stage = algorithm; t_seconds = Budget.now_s () -. t0; t_verdict }
+        in
+        match run_stage ~seed ~deadline algorithm instance with
+        | exception e ->
+            run best (entry (Faulted (Printexc.to_string e)) :: trace) rest
+        | matching, complete ->
+            let trace = entry (if complete then Completed else Timed_out) :: trace in
+            let better =
+              match best with
+              | None -> true
+              | Some (incumbent, _) ->
+                  Matching.maxsum matching > Matching.maxsum incumbent +. 1e-12
+            in
+            let best = if better then Some (matching, algorithm) else best in
+            if complete then (best, trace) else run best trace rest)
+  in
+  match algorithms with
+  | [] -> Error (Error.Invalid_input { what = "chain"; message = "no stages" })
+  | _ :: _ -> (
+      let best, newest_first = run None [] algorithms in
+      let elapsed_s = Budget.now_s () -. start in
+      let trace = List.rev newest_first in
+      let stages_tried = List.length trace in
+      match best with
+      | Some (matching, algorithm) ->
+          (* The chain stops at the first complete stage, so no stage fell
+             short exactly when the head completed. *)
+          let reason = List.find_map shortfall trace in
+          Ok
+            {
+              matching;
+              status = (if Option.is_none reason then Complete else Degraded);
+              reason;
+              algorithm;
+              stages_tried;
+              faults = List.length (List.filter is_fault trace);
+              elapsed_s;
+              trace;
+            }
+      | None ->
+          (* No candidate: every stage that ran raised. *)
+          let last, detail =
+            match newest_first with
+            | { t_stage; t_verdict = Faulted e; _ } :: _ ->
+                (Solver.short_name t_stage, e)
+            | _ -> ("", "no stages")
+          in
+          if Budget.expired overall then
+            Error (Error.Timeout { stage = last; elapsed_s })
+          else Error (Error.Exhausted { stages = stages_tried; last; detail }))

@@ -40,9 +40,11 @@ val run :
   Instance.t ->
   Matching.t
 (** Runs the algorithm. [rng] defaults to a fixed seed (42) so that even
-    baseline runs are reproducible by default. [deadline] makes the
-    budget-aware algorithms ({!Greedy}, {!Min_cost_flow}, {!Prune},
-    {!Exhaustive}) anytime — on expiry they return their best feasible
-    matching so far; the remaining algorithms already run in (low)
-    polynomial time and ignore it. Use {!Anytime.solve} to also learn
-    whether the result was degraded. *)
+    baseline runs are reproducible by default. [deadline] makes every
+    algorithm but {!Random_v}, {!Random_u} and {!Greedy_naive} anytime — on
+    expiry it returns its best feasible matching so far ({!Greedy_ls}
+    polls only in its local-search phase). Those three run in (low)
+    polynomial time and ignore it. A solver stops at the first poll that
+    finds the deadline expired, so an unexpired [deadline] after the call
+    means the run completed; {!Anytime.solve} reads the result's status
+    that way. *)

@@ -102,18 +102,3 @@ let generate ~seed cfg =
   in
   let sim = Similarity.euclidean ~dim:cfg.dim ~range:cfg.t_max in
   Instance.create ~sim ~events ~users ~conflicts ()
-
-let pp_attr ppf = function
-  | Attr_uniform -> Format.pp_print_string ppf "uniform"
-  | Attr_zipf e -> Format.fprintf ppf "zipf(%g)" e
-  | Attr_normal_mixture -> Format.pp_print_string ppf "normal-mixture"
-
-let pp_capacity ppf = function
-  | Cap_uniform hi -> Format.fprintf ppf "U[1,%d]" hi
-  | Cap_normal (mu, sigma) -> Format.fprintf ppf "N(%g,%g)" mu sigma
-
-let pp_config ppf cfg =
-  Format.fprintf ppf
-    "|V|=%d |U|=%d d=%d T=%g attrs=%a c_v=%a c_u=%a cf=%.2f" cfg.n_events
-    cfg.n_users cfg.dim cfg.t_max pp_attr cfg.attrs pp_capacity
-    cfg.event_capacity pp_capacity cfg.user_capacity cfg.conflict_ratio

@@ -36,5 +36,3 @@ val generate : seed:int -> config -> Geacc_core.Instance.t
     capacities are clamped into [\[1, |U|\]] (events) and [\[1, |V|\]]
     (users), matching the problem statement's assumption; the conflict set
     is a uniform random subset of event pairs of the requested size. *)
-
-val pp_config : Format.formatter -> config -> unit

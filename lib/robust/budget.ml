@@ -38,11 +38,11 @@ let create ?(poll_every = 64) ?(expire_after_polls = max_int) ~timeout_s () =
     expired = false;
   }
 
-let for_stage ?poll_every ?timeout_s name =
+let for_stage ?timeout_s name =
   match (timeout_s, Fault.param ("timeout." ^ name)) with
   | None, None -> unlimited
   | cap, forced_polls ->
-      create ?poll_every ?expire_after_polls:forced_polls
+      create ?expire_after_polls:forced_polls
         ~timeout_s:(Option.value cap ~default:1e9)
         ()
 

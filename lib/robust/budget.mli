@@ -39,12 +39,13 @@ val create :
     @raise Invalid_argument when [poll_every < 1] or
     [expire_after_polls < 1]. *)
 
-val for_stage : ?poll_every:int -> ?timeout_s:float -> string -> t
+val for_stage : ?timeout_s:float -> string -> t
 (** The budget of the stage called [name]: expiring [timeout_s] seconds
     from now when given, and forced to expire on poll [N] when the fault
     plan carries [timeout.<name>@N] (see {!Fault.param}); {!unlimited} when
-    neither applies. [poll_every] is as in {!create}. {!Chain} arms each
-    stage with it, and the serving loop each batch's repair. *)
+    neither applies. {!check} reads its clock every 64 polls, {!create}'s
+    default. [Geacc_core.Anytime] arms each solver stage with it, and the
+    serving loop each batch's repair. *)
 
 val armed : t -> bool
 (** [false] only for {!unlimited}. *)

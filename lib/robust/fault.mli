@@ -19,9 +19,9 @@
     v}
 
     Example: [GEACC_FAULTS="mcf.alloc@1,timeout.prune@500"] makes the flow
-    network build fail once (the MinCostFlow stage faults, and a fallback
-    chain moves on to its next stage) and forces the Prune stage's budget
-    to expire on its 500th poll.
+    network build fail once (the MinCostFlow stage raises, and
+    [Geacc_core.Anytime]'s chain moves on to its next stage) and forces
+    the Prune stage's budget to expire on its 500th poll.
 
     {2 Conventions}
 

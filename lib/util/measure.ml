@@ -65,8 +65,3 @@ let run_with_peak f =
   (* The final working set may be larger than at the last sample. *)
   observe ();
   (x, Stdlib.max 0 ((!peak - baseline) * word_bytes), `Exact)
-
-let pp_sample ppf s =
-  Format.fprintf ppf "%.3fms live=%.1fKB top=%.1fKB" (s.wall_s *. 1000.)
-    (float_of_int s.live_bytes /. 1024.)
-    (float_of_int s.top_heap_bytes /. 1024.)

@@ -39,5 +39,3 @@ val run_with_peak : (unit -> 'a) -> 'a * int * [ `Exact ]
 
 val live_bytes : unit -> int
 (** Current live heap in bytes after a forced major collection. *)
-
-val pp_sample : Format.formatter -> sample -> unit

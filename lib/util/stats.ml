@@ -60,7 +60,3 @@ let of_array a =
   let t = create () in
   Array.iter (add t) a;
   summarize t
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g" s.count s.mean
-    s.stddev s.min s.max

@@ -26,4 +26,3 @@ val max : t -> float
 val sum : t -> float
 val summarize : t -> summary
 val of_array : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit

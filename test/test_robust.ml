@@ -10,7 +10,6 @@ module Robust = Geacc_robust
 module Budget = Robust.Budget
 module Fault = Robust.Fault
 module Error = Robust.Error
-module Chain = Robust.Chain
 module Audit = Geacc_check.Audit
 module Synthetic = Geacc_datagen.Synthetic
 
@@ -175,108 +174,6 @@ let test_error_renderings () =
   check "all 3 stages failed; last (greedy): boom"
     (Error.Exhausted { stages = 3; last = "greedy"; detail = "boom" })
 
-(* -- Chain (generic engine, int stages) ------------------------------- *)
-
-let const_stage ~name ?(complete = true) value =
-  Chain.stage ~name (fun (_ : unit) ~budget:_ -> { Chain.value; complete })
-
-let failing_stage ~name exn =
-  Chain.stage ~name (fun (_ : unit) ~budget:_ -> raise exn)
-
-let ok = function
-  | Ok o -> o
-  | Error e -> Alcotest.failf "chain failed: %s" (Error.to_string e)
-
-let test_chain_head_completes () =
-  let o = ok (Chain.run [ const_stage ~name:"a" 1; const_stage ~name:"b" 2 ] ()) in
-  Alcotest.(check int) "head value" 1 o.Chain.value;
-  Alcotest.(check bool) "complete" true (o.Chain.status = Chain.Complete);
-  Alcotest.(check string) "stage" "a" o.Chain.stage;
-  Alcotest.(check int) "one stage tried" 1 o.Chain.stages_tried;
-  Alcotest.(check int) "no fallbacks" 0 o.Chain.fallbacks;
-  Alcotest.(check (option string)) "no reason" None o.Chain.reason
-
-let test_chain_falls_back_on_timeout () =
-  let o =
-    ok
-      (Chain.run
-         [ const_stage ~name:"a" ~complete:false 1; const_stage ~name:"b" 2 ]
-         ())
-  in
-  (* Default [better] never replaces: the degraded head candidate wins, but
-     the run is Degraded because the head did not complete. *)
-  Alcotest.(check int) "incumbent kept" 1 o.Chain.value;
-  Alcotest.(check bool) "degraded" true (o.Chain.status = Chain.Degraded);
-  Alcotest.(check int) "fallback taken" 1 o.Chain.fallbacks;
-  Alcotest.(check (option string)) "reason names the timeout"
-    (Some "stage a timed out") o.Chain.reason
-
-let test_chain_better_replaces_candidate () =
-  let o =
-    ok
-      (Chain.run
-         ~better:(fun incumbent candidate -> candidate > incumbent)
-         [ const_stage ~name:"a" ~complete:false 1; const_stage ~name:"b" 2 ]
-         ())
-  in
-  Alcotest.(check int) "better candidate wins" 2 o.Chain.value;
-  Alcotest.(check string) "from stage b" "b" o.Chain.stage;
-  (* Still degraded: the winning value is not the head stage's complete run. *)
-  Alcotest.(check bool) "degraded" true (o.Chain.status = Chain.Degraded)
-
-let test_chain_fault_falls_through () =
-  let o =
-    ok
-      (Chain.run
-         [ failing_stage ~name:"a" (Failure "boom"); const_stage ~name:"b" 2 ]
-         ())
-  in
-  Alcotest.(check int) "tail value" 2 o.Chain.value;
-  Alcotest.(check int) "fault counted" 1 o.Chain.faults;
-  Alcotest.(check bool) "degraded" true (o.Chain.status = Chain.Degraded)
-
-let test_chain_exhausted () =
-  match
-    Chain.run
-      [ failing_stage ~name:"a" (Failure "x"); failing_stage ~name:"b" (Failure "y") ]
-      ()
-  with
-  | Ok _ -> Alcotest.fail "expected Exhausted"
-  | Error (Error.Exhausted { stages; last; _ }) ->
-      Alcotest.(check int) "both tried" 2 stages;
-      Alcotest.(check string) "last stage named" "b" last
-  | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e)
-
-let test_chain_empty_is_invalid () =
-  match Chain.run ([] : (unit, int) Chain.stage list) () with
-  | Error (Error.Invalid_input { what; _ }) ->
-      Alcotest.(check string) "names the chain" "chain" what
-  | Ok _ | Error _ -> Alcotest.fail "expected Invalid_input"
-
-let test_chain_overall_timeout_without_candidate () =
-  match Chain.run ~timeout_s:0. [ const_stage ~name:"a" 1 ] () with
-  | Error (Error.Timeout _) -> ()
-  | Ok _ -> Alcotest.fail "expected Timeout"
-  | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e)
-
-let test_chain_stage_budget_forced_by_plan () =
-  (* A [timeout.<stage>@N] plan entry arms the stage budget even when no
-     wall-clock timeout is set; the stage sees it expire on poll N. *)
-  Fault.with_plan "timeout.probe@3" (fun () ->
-      let observed = ref (-1) in
-      let probe =
-        Chain.stage ~name:"probe" (fun () ~budget ->
-            let n = ref 0 in
-            while not (Budget.check budget) do
-              incr n
-            done;
-            observed := !n;
-            { Chain.value = 0; complete = false })
-      in
-      let o = ok (Chain.run [ probe; const_stage ~name:"b" 1 ] ()) in
-      Alcotest.(check int) "expired on forced poll" 2 !observed;
-      Alcotest.(check bool) "degraded" true (o.Chain.status = Chain.Degraded))
-
 (* -- Anytime solvers under forced deadlines --------------------------- *)
 
 (* A budget that expires after [n] polls; the huge wall-clock timeout keeps
@@ -349,12 +246,145 @@ let anytime_ok = function
   | Ok (r : Anytime.report) -> r
   | Error e -> Alcotest.failf "anytime failed: %s" (Error.to_string e)
 
+(* The trace holds one row per stage tried, in order; the CLI prints
+   [stages_tried - 1] as the fallbacks taken. *)
+let check_trace label (r : Anytime.report) expected =
+  let row stage verdict =
+    Format.asprintf "%s %a" (Solver.short_name stage) Anytime.pp_verdict verdict
+  in
+  Alcotest.(check int) (label ^ ": one trace row per stage tried")
+    r.Anytime.stages_tried (List.length r.Anytime.trace);
+  Alcotest.(check (list string)) (label ^ ": trace")
+    (List.map (fun (a, v) -> row a v) expected)
+    (List.map
+       (fun (t : Anytime.trace_entry) -> row t.Anytime.t_stage t.Anytime.t_verdict)
+       r.Anytime.trace)
+
+(* The chain's stage-by-stage rules, each on a short explicit stage list. *)
+
+let test_chain_head_completes () =
+  (* A head that completes ends the chain: Prune, which would match at
+     least as well, never runs. *)
+  let t = instance () in
+  let r =
+    anytime_ok (Anytime.solve ~algorithms:[ Solver.Greedy; Solver.Prune ] t)
+  in
+  Alcotest.(check bool) "complete" true (r.Anytime.status = Anytime.Complete);
+  Alcotest.(check bool) "head stage" true (r.Anytime.algorithm = Solver.Greedy);
+  Alcotest.(check (list (pair int int))) "head's matching"
+    (Matching.pairs (Greedy.solve t)) (Matching.pairs r.Anytime.matching);
+  Alcotest.(check int) "one stage tried" 1 r.Anytime.stages_tried;
+  Alcotest.(check int) "no faults" 0 r.Anytime.faults;
+  Alcotest.(check (option string)) "no reason" None r.Anytime.reason;
+  check_trace "head completes" r [ (Solver.Greedy, Anytime.Completed) ]
+
+let test_chain_falls_back_on_timeout () =
+  (* Prune's budget expires just after its greedy warm start, so its
+     incumbent is at least Greedy's. The chain falls back to Random-U,
+     whose complete but worse matching leaves the incumbent in place; the
+     run is degraded because the head did not complete. *)
+  let t = instance () in
+  let probe = Budget.create ~timeout_s:1e9 () in
+  let greedy, _ = Greedy.solve_anytime ~deadline:probe t in
+  let polls = Budget.polls probe + 2 in
+  let incumbent = Solver.run ~deadline:(forced_budget polls) Solver.Prune t in
+  Alcotest.(check bool) "random-u is worse here" true
+    (Matching.maxsum (Solver.run Solver.Random_u t)
+    < Matching.maxsum greedy -. 1e-9);
+  Fault.with_plan (Printf.sprintf "timeout.prune@%d" polls) (fun () ->
+      let r =
+        anytime_ok
+          (Anytime.solve ~algorithms:[ Solver.Prune; Solver.Random_u ] t)
+      in
+      Alcotest.(check bool) "incumbent kept" true
+        (r.Anytime.algorithm = Solver.Prune);
+      Alcotest.(check (list (pair int int))) "prune's pairs"
+        (Matching.pairs incumbent) (Matching.pairs r.Anytime.matching);
+      Alcotest.(check bool) "degraded" true (r.Anytime.status = Anytime.Degraded);
+      Alcotest.(check int) "fallback taken" 2 r.Anytime.stages_tried;
+      Alcotest.(check (option string)) "reason names the timeout"
+        (Some "stage prune timed out") r.Anytime.reason;
+      check_trace "falls back" r
+        [ (Solver.Prune, Anytime.Timed_out); (Solver.Random_u, Anytime.Completed) ])
+
+let test_chain_fault_falls_through () =
+  (* A fault mid-chain falls through to the next stage and keeps the
+     incumbent a timed-out head left; Greedy's complete run then beats
+     Prune's two-poll checkpoint. *)
+  let t = instance () in
+  let checkpoint = Solver.run ~deadline:(forced_budget 2) Solver.Prune t in
+  let greedy = Greedy.solve t in
+  Alcotest.(check bool) "the checkpoint is worse here" true
+    (Matching.maxsum checkpoint < Matching.maxsum greedy -. 1e-9);
+  Fault.with_plan "timeout.prune@2,mcf.alloc" (fun () ->
+      let r =
+        anytime_ok
+          (Anytime.solve
+             ~algorithms:[ Solver.Prune; Solver.Min_cost_flow; Solver.Greedy ]
+             t)
+      in
+      Alcotest.(check bool) "tail stage" true (r.Anytime.algorithm = Solver.Greedy);
+      Alcotest.(check (list (pair int int))) "tail's matching"
+        (Matching.pairs greedy) (Matching.pairs r.Anytime.matching);
+      Alcotest.(check int) "fault counted" 1 r.Anytime.faults;
+      Alcotest.(check bool) "degraded" true (r.Anytime.status = Anytime.Degraded);
+      Alcotest.(check (option string)) "reason names the first shortfall"
+        (Some "stage prune timed out") r.Anytime.reason;
+      check_trace "fault falls through" r
+        [
+          (Solver.Prune, Anytime.Timed_out);
+          (Solver.Min_cost_flow, Anytime.Faulted "Fault.Injected at point mcf.alloc");
+          (Solver.Greedy, Anytime.Completed);
+        ])
+
+let test_chain_exhausted () =
+  Fault.with_plan "mcf.alloc" (fun () ->
+      match
+        Anytime.solve
+          ~algorithms:[ Solver.Min_cost_flow; Solver.Min_cost_flow ]
+          (instance ())
+      with
+      | Error (Error.Exhausted { stages; last; detail }) ->
+          Alcotest.(check int) "both tried" 2 stages;
+          Alcotest.(check string) "last stage named" "mincostflow" last;
+          Alcotest.(check string) "last fault"
+            "Fault.Injected at point mcf.alloc" detail
+      | Ok _ -> Alcotest.fail "expected Exhausted"
+      | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e))
+
+let test_chain_stage_budget_forced_by_plan () =
+  (* A [timeout.<stage>@N] plan entry arms the stage budget even when no
+     wall-clock timeout is set; the stage sees it expire on poll N. *)
+  Fault.with_plan "timeout.probe@3" (fun () ->
+      let budget = Budget.for_stage "probe" in
+      Alcotest.(check bool) "armed by the plan" true (Budget.armed budget);
+      let n = ref 0 in
+      while not (Budget.check budget) do
+        incr n
+      done;
+      Alcotest.(check int) "expired on forced poll" 2 !n);
+  Alcotest.(check bool) "unarmed without the plan" false
+    (Budget.armed (Budget.for_stage "probe"));
+  (* Through the chain, untimed: Greedy stops where a budget expiring on
+     poll 3 stops it. *)
+  let t = instance () in
+  let prefix, complete = Greedy.solve_anytime ~deadline:(forced_budget 3) t in
+  Alcotest.(check bool) "the prefix is partial" false complete;
+  Fault.with_plan "timeout.greedy@3" (fun () ->
+      let r = anytime_ok (Anytime.solve ~algorithms:[ Solver.Greedy ] t) in
+      Alcotest.(check bool) "degraded" true (r.Anytime.status = Anytime.Degraded);
+      Alcotest.(check (list (pair int int))) "stopped on poll 3"
+        (Matching.pairs prefix) (Matching.pairs r.Anytime.matching);
+      check_trace "plan-forced" r [ (Solver.Greedy, Anytime.Timed_out) ])
+
 let test_anytime_complete_without_budget () =
   let r = anytime_ok (Anytime.solve (tiny_instance ())) in
-  Alcotest.(check bool) "complete" true (r.Anytime.status = Chain.Complete);
+  Alcotest.(check bool) "complete" true (r.Anytime.status = Anytime.Complete);
   Alcotest.(check bool) "head algorithm" true
     (r.Anytime.algorithm = Solver.Exhaustive);
   Alcotest.(check int) "single stage" 1 r.Anytime.stages_tried;
+  check_trace "head completes" r [ (Solver.Exhaustive, Anytime.Completed) ];
+  Alcotest.(check (option string)) "no reason" None r.Anytime.reason;
   Alcotest.(check bool) "optimal = prune" true
     (Float.abs
        (Matching.maxsum r.Anytime.matching
@@ -368,11 +398,54 @@ let test_anytime_degrades_through_chain () =
       Fault.with_plan "timeout.exhaustive@2,timeout.prune@2" (fun () ->
           let r = anytime_ok (Anytime.solve (instance ())) in
           Alcotest.(check bool) "degraded" true
-            (r.Anytime.status = Chain.Degraded);
-          Alcotest.(check bool) "reason present" true (r.Anytime.reason <> None);
-          Alcotest.(check bool) "fell through to a later stage" true
-            (r.Anytime.fallbacks >= 1);
+            (r.Anytime.status = Anytime.Degraded);
+          Alcotest.(check (option string)) "reason names the first timeout"
+            (Some "stage exhaustive timed out") r.Anytime.reason;
+          check_trace "fell through" r
+            [
+              (Solver.Exhaustive, Anytime.Timed_out);
+              (Solver.Prune, Anytime.Timed_out);
+              (Solver.Min_cost_flow, Anytime.Completed);
+            ];
           Alcotest.(check bool) "feasible" true (feasible r.Anytime.matching)))
+
+let test_anytime_better_replaces () =
+  (* Exhaustive has no warm start, so after two polls its incumbent is
+     nearly empty: Greedy's complete run replaces it. *)
+  Fault.with_plan "timeout.exhaustive@2" (fun () ->
+      let r =
+        anytime_ok
+          (Anytime.solve ~algorithms:[ Solver.Exhaustive; Solver.Greedy ]
+             (instance ()))
+      in
+      Alcotest.(check bool) "served by greedy" true
+        (r.Anytime.algorithm = Solver.Greedy);
+      Alcotest.(check (float 0.)) "greedy's matching"
+        (Matching.maxsum (Greedy.solve (instance ())))
+        (Matching.maxsum r.Anytime.matching);
+      Alcotest.(check bool) "degraded (head timed out)" true
+        (r.Anytime.status = Anytime.Degraded);
+      check_trace "better replaces" r
+        [ (Solver.Exhaustive, Anytime.Timed_out); (Solver.Greedy, Anytime.Completed) ]);
+  (* A later candidate that is not better leaves the incumbent. Greedy's
+     budget expires on the poll that would have ended its run, so it times
+     out holding its full matching; Random-U then completes lower. *)
+  let t = instance () in
+  let probe = Budget.create ~timeout_s:1e9 () in
+  let greedy, _ = Greedy.solve_anytime ~deadline:probe t in
+  Alcotest.(check bool) "random-u is worse here" true
+    (Matching.maxsum (Solver.run Solver.Random_u t) < Matching.maxsum greedy);
+  Fault.with_plan (Printf.sprintf "timeout.greedy@%d" (Budget.polls probe)) (fun () ->
+      let r =
+        anytime_ok
+          (Anytime.solve ~algorithms:[ Solver.Greedy; Solver.Random_u ] t)
+      in
+      Alcotest.(check bool) "incumbent kept" true
+        (r.Anytime.algorithm = Solver.Greedy);
+      Alcotest.(check (list (pair int int))) "greedy's pairs"
+        (Matching.pairs greedy) (Matching.pairs r.Anytime.matching);
+      check_trace "incumbent kept" r
+        [ (Solver.Greedy, Anytime.Timed_out); (Solver.Random_u, Anytime.Completed) ])
 
 let test_anytime_every_stage_deadline () =
   (* Each budget-aware stage alone, under a forced stage deadline: the
@@ -385,10 +458,34 @@ let test_anytime_every_stage_deadline () =
           Fault.with_plan (Printf.sprintf "timeout.%s@2" name) (fun () ->
               let r = anytime_ok (Anytime.solve ~algorithms:[ a ] (instance ())) in
               Alcotest.(check bool) (name ^ " degraded") true
-                (r.Anytime.status = Chain.Degraded);
+                (r.Anytime.status = Anytime.Degraded);
+              check_trace name r [ (a, Anytime.Timed_out) ];
               Alcotest.(check bool) (name ^ " feasible") true
                 (feasible r.Anytime.matching)))
-        [ Solver.Exhaustive; Solver.Prune; Solver.Min_cost_flow; Solver.Greedy ])
+        [
+          Solver.Exhaustive; Solver.Prune; Solver.Min_cost_flow; Solver.Greedy;
+          Solver.Greedy_ls; Solver.Online;
+        ])
+
+let test_anytime_seeded_stages () =
+  (* Every stage draws from a fresh generator seeded with [seed], as an
+     unbudgeted [Solver.run] does. The two seeds give different matchings
+     here, so a stage that ignored [seed] would fail one of them. *)
+  let pairs_with seed =
+    let r =
+      anytime_ok
+        (Anytime.solve ~timeout_s:100. ~seed ~algorithms:[ Solver.Random_v ]
+           (instance ()))
+    in
+    let direct =
+      Solver.run ~rng:(Geacc_util.Rng.create ~seed) Solver.Random_v (instance ())
+    in
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "seed %d" seed)
+      (Matching.pairs direct) (Matching.pairs r.Anytime.matching);
+    Matching.pairs direct
+  in
+  Alcotest.(check bool) "the seeds differ" false (pairs_with 3 = pairs_with 42)
 
 let test_anytime_exhausted_on_persistent_fault () =
   Fault.with_plan "mcf.alloc" (fun () ->
@@ -414,8 +511,26 @@ let test_anytime_fault_then_fallback () =
       Alcotest.(check int) "the flow stage ran once and faulted" 1
         r.Anytime.faults;
       Alcotest.(check bool) "degraded (head faulted)" true
-        (r.Anytime.status = Chain.Degraded);
+        (r.Anytime.status = Anytime.Degraded);
+      Alcotest.(check (option string)) "reason names the fault"
+        (Some "stage mincostflow faulted: Fault.Injected at point mcf.alloc")
+        r.Anytime.reason;
+      Alcotest.(check int) "two stages tried" 2 r.Anytime.stages_tried;
       Alcotest.(check bool) "feasible" true (feasible r.Anytime.matching))
+
+let test_anytime_empty_is_invalid () =
+  match Anytime.solve ~algorithms:[] (instance ()) with
+  | Error (Error.Invalid_input { what; _ }) ->
+      Alcotest.(check string) "names the chain" "chain" what
+  | Ok _ | Error _ -> Alcotest.fail "expected Invalid_input"
+
+let test_anytime_overall_timeout_without_candidate () =
+  (* The overall deadline has passed before the head stage starts, so no
+     stage runs and there is nothing to serve. *)
+  match Anytime.solve ~timeout_s:0. (instance ()) with
+  | Error (Error.Timeout _) -> ()
+  | Ok _ -> Alcotest.fail "expected Timeout"
+  | Error e -> Alcotest.failf "unexpected error %s" (Error.to_string e)
 
 (* -- Injected data faults --------------------------------------------- *)
 
@@ -482,14 +597,9 @@ let suite =
     Alcotest.test_case "chain: head completes" `Quick test_chain_head_completes;
     Alcotest.test_case "chain: timeout falls back" `Quick
       test_chain_falls_back_on_timeout;
-    Alcotest.test_case "chain: better replaces" `Quick
-      test_chain_better_replaces_candidate;
     Alcotest.test_case "chain: fault falls through" `Quick
       test_chain_fault_falls_through;
     Alcotest.test_case "chain: exhausted" `Quick test_chain_exhausted;
-    Alcotest.test_case "chain: empty invalid" `Quick test_chain_empty_is_invalid;
-    Alcotest.test_case "chain: overall timeout" `Quick
-      test_chain_overall_timeout_without_candidate;
     Alcotest.test_case "chain: plan-forced stage budget" `Quick
       test_chain_stage_budget_forced_by_plan;
     Alcotest.test_case "exact: degraded feasible" `Quick
@@ -506,12 +616,20 @@ let suite =
       test_anytime_complete_without_budget;
     Alcotest.test_case "anytime: degrades through chain" `Quick
       test_anytime_degrades_through_chain;
+    Alcotest.test_case "anytime: better replaces" `Quick
+      test_anytime_better_replaces;
     Alcotest.test_case "anytime: every stage deadline" `Quick
       test_anytime_every_stage_deadline;
+    Alcotest.test_case "anytime: seeded stages" `Quick
+      test_anytime_seeded_stages;
     Alcotest.test_case "anytime: exhausted" `Quick
       test_anytime_exhausted_on_persistent_fault;
     Alcotest.test_case "anytime: fault then fallback" `Quick
       test_anytime_fault_then_fallback;
+    Alcotest.test_case "anytime: empty invalid" `Quick
+      test_anytime_empty_is_invalid;
+    Alcotest.test_case "anytime: overall timeout" `Quick
+      test_anytime_overall_timeout_without_candidate;
     Alcotest.test_case "faults: sim injection" `Quick test_sim_fault_injection;
     Alcotest.test_case "faults: io injection" `Quick test_io_fault_injection;
   ]
